@@ -5,16 +5,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import product
 from typing import Mapping
 
 import numpy as np
 
 from .bases import BasisFamily, BasisLabel, EjmParams
-from .qla import BlochVector, ContractError, StateVector, bloch_vector, partial_trace
+from .qla import PAULIS, BlochVector, ContractError, StateVector
 
 TANGLE_CLAMP_ATOL = 1e-12
 GEOMETRY_ATOL = 1e-9
+
+_PAULI_STACK = np.array([s.entries for s in PAULIS])
 
 
 def three_tangle(state: StateVector) -> float:
@@ -83,16 +85,40 @@ def reduction_coefficients(params: EjmParams) -> tuple[float, float]:
     return block, c2g
 
 
+def _bloch_array(family: BasisFamily) -> np.ndarray:
+    """Bloch vectors of every single-qubit reduction, shape (states, qubits, 3).
+
+    One batched product psi psi^dagger per qubit position gives the 2x2
+    reduced density matrices of all states at once; each Pauli expectation
+    is then tr(rho sigma), the same arithmetic as partial_trace followed by
+    bloch_vector on one state.
+    """
+    amps = family.matrix()
+    rows, n = amps.shape[0], family.n_qubits
+    out = np.empty((rows, n, 3))
+    for q in range(n):
+        psi = amps.reshape(rows, 2**q, 2, -1).transpose(0, 2, 1, 3).reshape(rows, 2, -1)
+        rho = psi @ psi.conj().transpose(0, 2, 1)
+        out[:, q] = np.trace(rho[:, None] @ _PAULI_STACK, axis1=-2, axis2=-1).real
+    return out
+
+
+def _vector_map(
+    family: BasisFamily, vectors: np.ndarray
+) -> dict[tuple[BasisLabel, int], BlochVector]:
+    return {
+        (label, qubit): BlochVector(*xyz)
+        for label, row in zip(family.labels, vectors.tolist())
+        for qubit, xyz in enumerate(row, start=1)
+    }
+
+
 def reduced_bloch_vectors(
     family: BasisFamily,
 ) -> dict[tuple[BasisLabel, int], BlochVector]:
     """Bloch vector of every single-qubit reduction, keyed by
     (basis label, 1-based qubit position)."""
-    vectors: dict[tuple[BasisLabel, int], BlochVector] = {}
-    for label, state in family.states.items():
-        for qubit in range(1, family.n_qubits + 1):
-            vectors[(label, qubit)] = bloch_vector(partial_trace(state, {qubit}))
-    return vectors
+    return _vector_map(family, _bloch_array(family))
 
 
 @dataclass(frozen=True)
@@ -131,77 +157,65 @@ class SymmetryReport:
 
 def _cluster_magnitudes(values: np.ndarray, tol: float) -> tuple[float, ...]:
     ordered = np.sort(values)
-    groups: list[list[float]] = []
-    for v in ordered:
-        if groups and v - groups[-1][-1] <= tol:
-            groups[-1].append(float(v))
-        else:
-            groups.append([float(v)])
+    groups = np.split(ordered, np.flatnonzero(np.diff(ordered) > tol) + 1)
     return tuple(float(np.mean(g)) for g in groups)
 
 
-def _dedupe_points(points: list[np.ndarray], tol: float) -> list[np.ndarray]:
-    distinct: list[np.ndarray] = []
-    for p in points:
-        if not any(np.max(np.abs(p - q)) <= tol for q in distinct):
-            distinct.append(p)
-    return distinct
+def _clusters(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy max-norm clustering in input order, one pass per cluster.
+
+    Each cluster is the first unclaimed point (its representative) and every
+    unclaimed point within tol of it.  Returns the representatives and the
+    cluster sizes.
+    """
+    left = np.ones(len(points), dtype=bool)
+    firsts, sizes = [], []
+    while left.any():
+        first = int(np.argmax(left))
+        near = left & (np.max(np.abs(points - points[first]), axis=1) <= tol)
+        firsts.append(first)
+        sizes.append(int(np.count_nonzero(near)))
+        left &= ~near
+    return points[firsts], np.array(sizes)
 
 
-def _mirror_symmetric(points: list[np.ndarray], tol: float) -> bool:
-    used = [False] * len(points)
-    for a in range(len(points)):
-        if used[a]:
-            continue
-        if np.max(np.abs(points[a])) <= tol:
-            used[a] = True
-            continue
-        partner = next(
-            (
-                b
-                for b in range(len(points))
-                if b != a and not used[b] and np.max(np.abs(points[a] + points[b])) <= tol
-            ),
-            None,
-        )
-        if partner is None:
+def _mirror_symmetric(points: np.ndarray, tol: float) -> bool:
+    """True iff every cluster away from the origin has exactly one mirror
+    cluster (near -v) of the same size, so the multiset pairs v with -v."""
+    reps, sizes = _clusters(points, tol)
+    for rep, size in zip(reps, sizes):
+        mirror = np.max(np.abs(reps + rep), axis=1) <= tol
+        if np.max(np.abs(rep)) > tol and sizes[mirror].tolist() != [size]:
             return False
-        used[a] = used[partner] = True
     return True
 
 
-def _is_rectangular_box(points: list[np.ndarray], tol: float) -> bool:
-    """True iff the eight distinct points admit an orthogonal edge frame
-    that regenerates the full vertex set."""
+# Signs of u_1, u_2, u_3 in a signed sum u_0 +- u_1 +- u_2 +- u_3.
+_SIGNS = np.array([(1.0, *signs) for signs in product((1.0, -1.0), repeat=3)])
+
+
+def _is_rectangular_box(points: np.ndarray, tol: float) -> bool:
+    """True iff the eight points are the vertices +-a +-b +-c of a box with
+    orthogonal, non-zero edges.
+
+    The points must form four antipodal pairs +-u_k.  They are then such a
+    box iff some signed sum w_0 + w_1 + w_2 + w_3 (w_k = +-u_k) vanishes and
+    the edges w_0 + w_k (k = 1, 2, 3) from vertex w_0 to vertices -w_k are
+    orthogonal and non-zero; the vertices are then +-w_0 and +-w_k.
+    """
     if len(points) != 8:
         return False
-    origin = points[0]
-    others = points[1:]
-    for combo in combinations(range(7), 3):
-        edges = [others[c] - origin for c in combo]
-        if any(np.linalg.norm(e) <= tol for e in edges):
-            continue
-        if any(abs(float(np.dot(edges[a], edges[b]))) > tol for a, b in combinations(range(3), 2)):
-            continue
-        expected = [
-            origin + s1 * edges[0] + s2 * edges[1] + s3 * edges[2]
-            for s1 in (0, 1)
-            for s2 in (0, 1)
-            for s3 in (0, 1)
-        ]
-        unused = list(range(8))
-        ok = True
-        for vertex in expected:
-            hit = next(
-                (u for u in unused if np.max(np.abs(points[u] - vertex)) <= 1e-7), None
-            )
-            if hit is None:
-                ok = False
-                break
-            unused.remove(hit)
-        if ok:
-            return True
-    return False
+    antipodal = np.max(np.abs(points[:, None] + points[None]), axis=2) <= tol
+    if np.any(np.diag(antipodal)) or np.any(antipodal.sum(axis=1) != 1):
+        return False
+    u = points[np.arange(8) < np.argmax(antipodal, axis=1)]
+    w = _SIGNS[:, :, None] * u
+    vanishing = np.max(np.abs(w.sum(axis=1)), axis=1) <= tol
+    edges = w[:, :1] + w[:, 1:]
+    nonzero = np.all(np.linalg.norm(edges, axis=2) > tol, axis=1)
+    gram = edges @ edges.transpose(0, 2, 1)
+    orthogonal = np.all(np.abs(gram[:, (0, 0, 1), (1, 2, 2)]) <= tol, axis=1)
+    return bool(np.any(vanishing & nonzero & orthogonal))
 
 
 def symmetry_report(family: BasisFamily, *, tol: float = GEOMETRY_ATOL) -> SymmetryReport:
@@ -215,25 +229,23 @@ def symmetry_report(family: BasisFamily, *, tol: float = GEOMETRY_ATOL) -> Symme
     collapses (radius below tol or coincident vertices) are flagged
     degenerate and skipped, leaving the predicate vacuously true.
     """
-    vectors = reduced_bloch_vectors(family)
-    arrays = {key: v.as_array() for key, v in vectors.items()}
-    stack = np.array(list(arrays.values()))
-    vector_sum = BlochVector(*(float(c) for c in stack.sum(axis=0)))
+    vectors = _bloch_array(family)
+    stack = vectors.reshape(-1, 3)
+    vector_sum = BlochVector(*stack.sum(axis=0).tolist())
     radii = _cluster_magnitudes(np.linalg.norm(stack, axis=1), tol)
-    mirror_ok = _mirror_symmetric(list(arrays.values()), tol)
+    mirror_ok = _mirror_symmetric(stack, tol)
 
     parallelepiped_ok = True
     degenerate = False
-    for qubit in range(1, family.n_qubits + 1):
-        at_position = [a for (label, q), a in arrays.items() if q == qubit]
-        octet = _dedupe_points(at_position + [-a for a in at_position], tol)
-        if max(np.linalg.norm(p) for p in octet) <= tol or len(octet) < 8:
+    for at_position in vectors.transpose(1, 0, 2):
+        octet, _ = _clusters(np.concatenate([at_position, -at_position]), tol)
+        if np.max(np.linalg.norm(octet, axis=1)) <= tol or len(octet) < 8:
             degenerate = True
             continue
         if not _is_rectangular_box(octet, tol):
             parallelepiped_ok = False
     return SymmetryReport(
-        vectors=vectors,
+        vectors=_vector_map(family, vectors),
         radii=radii,
         vector_sum=vector_sum,
         parallelepiped_ok=parallelepiped_ok,

@@ -233,35 +233,37 @@ def reference_bases(kind: str, theta: Optional[float] = None) -> BasisFamily:
     return BasisFamily(2, params, states)
 
 
-def _chain(arrays) -> np.ndarray:
-    return reduce(np.kron, arrays)
+def _family_matrix(params: EjmParams, n: int) -> np.ndarray:
+    """Amplitudes of the whole n-qubit family, one row per basis label.
 
-
-def _tables(params: EjmParams) -> dict:
-    return {
-        "phi": [_two_qubit_amps(params, i, False) for i in range(4)],
-        "phip": [_two_qubit_amps(params, i, True) for i in range(4)],
-        "mp": [_single_amps(params, i, +1) for i in range(4)],
-        "mm": [_single_amps(params, i, -1) for i in range(4)],
-    }
-
-
-def _even_amps(tables: dict, gamma: float, i: int, js: tuple[int, ...]) -> np.ndarray:
-    sgn = 1.0 if i < 2 else -1.0
-    c, s = math.cos(gamma), math.sin(gamma)
-    plain = _chain([tables["phi"][i]] + [tables["phi"][j] for j in js])
-    primed = _chain([tables["phip"][i]] + [tables["phip"][j] for j in js])
-    return c * plain + sgn * s * primed
-
-
-def _odd_amps(tables: dict, gamma: float, i: int, js: tuple[int, ...], l: int) -> np.ndarray:
-    sgn = 1.0 if i < 2 else -1.0
-    c, s = math.cos(gamma), math.sin(gamma)
-    plain = [tables["phi"][i]] + [tables["phi"][j] for j in js]
-    primed = [tables["phip"][i]] + [tables["phip"][j] for j in js]
-    if l == 0:
-        return c * _chain(plain + [tables["mp"][i]]) + sgn * s * _chain(primed + [tables["mm"][i]])
-    return c * _chain(plain + [tables["mm"][i]]) - sgn * s * _chain(primed + [tables["mp"][i]])
+    Rows run over (i, j1, ..., jk) lexicographically, with the odd-n bit l
+    fastest.  Matrix Kronecker powers of the 4x4 tables Phi and Phi' (row i
+    holds |Phi_i>) give every chain ((Phi_i (x) Phi_j1) (x) ...) at once.
+    Their four row blocks, one per leading index i, are mixed as
+    cos(g) Phi... + (-1)^floor(i/2) sin(g) Phi'...; odd n first appends
+    |m_i>, |-m_i> (l = 0) or |-m_i>, |m_i> (l = 1) to the two terms and
+    flips the mixing sign for l = 1.  The products are taken in the order
+    of the per-label chain, so each amplitude equals it bit for bit.
+    """
+    phi = np.array([_two_qubit_amps(params, i, False) for i in range(4)])
+    if n == 2:
+        return phi
+    phip = np.array([_two_qubit_amps(params, i, True) for i in range(4)])
+    plain = reduce(np.kron, [phi] * (n // 2)).reshape(4, -1, 4 ** (n // 2))
+    primed = reduce(np.kron, [phip] * (n // 2)).reshape(plain.shape)
+    c, s = math.cos(params.gamma), math.sin(params.gamma)
+    blocks = []
+    for i in range(4):
+        mixed = s if i < 2 else -s
+        if n % 2 == 0:
+            blocks.append(c * plain[i] + mixed * primed[i])
+            continue
+        mp, mm = _single_amps(params, i, +1), _single_amps(params, i, -1)
+        kp, km = plain[i][:, None, :, None], primed[i][:, None, :, None]
+        l0 = c * (kp * mp) + mixed * (km * mm)
+        l1 = c * (kp * mm) - mixed * (km * mp)
+        blocks.append(np.concatenate([l0, l1], axis=1).reshape(-1, 2 * plain.shape[2]))
+    return np.concatenate(blocks)
 
 
 def three_qubit_ejm(params: EjmParams, i: int, k: int) -> StateVector:
@@ -272,7 +274,7 @@ def three_qubit_ejm(params: EjmParams, i: int, k: int) -> StateVector:
     """
     _check_i(i)
     _check_bit(k, "k")
-    return StateVector(_odd_amps(_tables(params), params.gamma, i, (), k))
+    return StateVector(_family_matrix(params, 3)[2 * i + k])
 
 
 def n_qubit_ejm(params: EjmParams, n: int, *, max_qubits: int = 8) -> BasisFamily:
@@ -288,22 +290,7 @@ def n_qubit_ejm(params: EjmParams, n: int, *, max_qubits: int = 8) -> BasisFamil
         raise ValueError(f"n={n!r} must be at least 2")
     if n > max_qubits:
         raise ResourceLimitError(f"n={n} exceeds the configured cap {max_qubits}")
-    tables = _tables(params)
-    states: dict[BasisLabel, StateVector] = {}
-    if n == 2:
-        for i in range(4):
-            states[BasisLabel(i)] = StateVector(tables["phi"][i])
-    elif n % 2 == 0:
-        k = n // 2 - 1
-        for combo in product(range(4), repeat=k + 1):
-            i, js = combo[0], combo[1:]
-            states[BasisLabel(i, js)] = StateVector(_even_amps(tables, params.gamma, i, js))
-    else:
-        k = (n - 1) // 2 - 1
-        for combo in product(range(4), repeat=k + 1):
-            i, js = combo[0], combo[1:]
-            for l in (0, 1):
-                states[BasisLabel(i, js, l)] = StateVector(
-                    _odd_amps(tables, params.gamma, i, js, l)
-                )
+    tail_bits = (0, 1) if n % 2 else (None,)
+    labels = [BasisLabel(c[0], c[1:], l) for c in product(range(4), repeat=n // 2) for l in tail_bits]
+    states = {label: StateVector(row) for label, row in zip(labels, _family_matrix(params, n))}
     return BasisFamily(n, params, states)

@@ -17,7 +17,7 @@ from .analysis import (
     three_tangle,
     verify_orthonormal_complete,
 )
-from .bases import BasisLabel, EjmParams, n_qubit_ejm
+from .bases import BasisLabel, EjmParams, ResourceLimitError, n_qubit_ejm
 from .network import trilocal_score
 from .optimize import DOMAIN, PARAM_NAMES, SweepSpec, maximize, sweep
 
@@ -326,10 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, payload = _COMMANDS[args.command](args)
         data = export(payload, args.format)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.output is not None:

@@ -172,14 +172,6 @@ def conjugate_amplitudes(state: StateVector) -> StateVector:
     return StateVector(np.conj(state.amplitudes))
 
 
-def apply_unitary(op: Operator, state: StateVector) -> StateVector:
-    """Apply a norm-preserving operator; non-unitary input is rejected by
-    the normalization check of the result."""
-    if op.dim != state.dim:
-        raise ValueError(f"dimension mismatch: state dim {state.dim}, operator dim {op.dim}")
-    return StateVector(op.entries @ state.amplitudes)
-
-
 def bloch_vector(rho: Operator) -> BlochVector:
     """Bloch vector of a single-qubit density matrix."""
     if rho.dim != 2:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ejm.analysis import (
+    _is_rectangular_box,
+    _mirror_symmetric,
     concurrence,
     m_prime_vector,
     reduced_bloch_vectors,
@@ -23,7 +25,7 @@ from ejm.bases import (
     three_qubit_ejm,
     two_qubit_ejm,
 )
-from ejm.qla import StateVector, ket, tensor_product
+from ejm.qla import StateVector, bloch_vector, ket, partial_trace, tensor_product
 
 GHZ = StateVector(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2))
 W = StateVector(np.array([0, 1, 1, 0, 1, 0, 0, 0]) / math.sqrt(3))
@@ -127,6 +129,21 @@ class TestReducedVectors:
             predicted = sign * block * m_prime_vector(params, index)
             assert np.max(np.abs(vec.as_array() - predicted)) < 1e-10
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_equals_per_state_partial_trace(self, n, small_grid):
+        for params in small_grid + [EjmParams(-p.z, p.phi, p.theta, p.gamma) for p in small_grid]:
+            family = n_qubit_ejm(params, n)
+            vectors = reduced_bloch_vectors(family)
+            expected = {
+                (label, q): bloch_vector(partial_trace(state, {q}))
+                for label, state in family.states.items()
+                for q in range(1, n + 1)
+            }
+            assert list(vectors) == list(expected)
+            got = np.array([v.as_array() for v in vectors.values()])
+            want = np.array([v.as_array() for v in expected.values()])
+            assert np.array_equal(got, want), (n, params)
+
     def test_odd_family_special_position(self):
         # exactly one qubit carries the +-cos(2*gamma) m_i reductions
         params = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
@@ -213,3 +230,73 @@ class TestVerifyOrthonormalComplete:
         states[BasisLabel(0, (), 0)] = ket("000")
         corrupted = BasisFamily(3, params, states)
         assert verify_orthonormal_complete(corrupted).gram_error >= 0.1
+
+
+def random_frame(rng, lengths):
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return [length * axis for length, axis in zip(lengths, q)]
+
+
+def box_octet(rng, a, b, c):
+    corners = np.array([s1 * a + s2 * b + s3 * c for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)])
+    return corners[rng.permutation(8)]
+
+
+class TestGeometryPredicates:
+    def test_box_accepts_rectangular_boxes(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            lengths = rng.uniform(0.01, 1.0, size=3)
+            assert _is_rectangular_box(box_octet(rng, *random_frame(rng, lengths)), 1e-9)
+
+    def test_box_accepts_long_edge_beyond_face_diagonal(self):
+        # the longest edge exceeds the diagonal of the face spanned by the
+        # other two, so a vertex's nearest neighbours do not span the box
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            short = rng.uniform(0.01, 0.3, size=2)
+            long = math.hypot(*short) * rng.uniform(1.1, 5.0)
+            assert _is_rectangular_box(box_octet(rng, *random_frame(rng, (*short, long))), 1e-9)
+
+    def test_box_rejects_sheared_octets(self):
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            a, b, c = random_frame(rng, rng.uniform(0.05, 1.0, size=3))
+            sheared = b + rng.uniform(0.05, 0.5) * a
+            assert not _is_rectangular_box(box_octet(rng, a, sheared, c), 1e-9)
+
+    def test_box_rejects_non_parallelepipeds(self):
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            u = rng.normal(size=(4, 3))
+            assert not _is_rectangular_box(np.concatenate([u, -u])[rng.permutation(8)], 1e-9)
+            assert not _is_rectangular_box(rng.normal(size=(8, 3)), 1e-9)
+
+    def test_box_tolerance_reaches_vertex_matching(self):
+        # A vertex moved by 5e-8: a + b - c or its antipode alone, which
+        # breaks the antipodal pairing, or both along c, which keeps the
+        # pairs and the edges 2a, 2b, 2c - d from vertex a + b + c
+        # orthogonal, so that only the vanishing signed sum sees it.
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            a, b, c = random_frame(rng, rng.uniform(0.1, 0.5, size=3))
+            octet = np.array([s1 * a + s2 * b + s3 * c for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)])
+            step = rng.normal(size=3)
+            first, second, pair = octet.copy(), octet.copy(), octet.copy()
+            first[1] += 5e-8 * step / np.linalg.norm(step)
+            second[6] += 5e-8 * step / np.linalg.norm(step)
+            pair[1] += 5e-8 * c / np.linalg.norm(c)
+            pair[6] -= 5e-8 * c / np.linalg.norm(c)
+            for moved in (first, second, pair):
+                assert not _is_rectangular_box(moved, 1e-9)
+                assert _is_rectangular_box(moved, 1e-7)
+
+    def test_mirror_fails_when_one_vector_flips(self):
+        params = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
+        vectors = reduced_bloch_vectors(n_qubit_ejm(params, 5))
+        stack = np.array([v.as_array() for v in vectors.values()])
+        assert _mirror_symmetric(stack, 1e-9)
+        for index in (0, 17, len(stack) - 1):
+            flipped = stack.copy()
+            flipped[index] *= -1
+            assert not _mirror_symmetric(flipped, 1e-9)

@@ -26,6 +26,39 @@ def inner(a, b):
     return np.vdot(a.amplitudes, b.amplitudes)
 
 
+def kron_chain_rows(params, family):
+    """Family rows from the per-label chains ((Phi_i (x) Phi_j1) (x) ...) (x) tail,
+    mixed by cos(gamma) and (-1)^floor(i/2) sin(gamma); odd n swaps the
+    |+-m_i> tails and flips the mixing sign for l = 1."""
+    c, s = math.cos(params.gamma), math.sin(params.gamma)
+    blocks = {p: [two_qubit_ejm(params, i, p).amplitudes for i in range(4)] for p in (False, True)}
+    tails = {+1: [single_qubit_m(params, i, +1).amplitudes for i in range(4)],
+             -1: [single_qubit_m(params, i, -1).amplitudes for i in range(4)]}
+    chains = {}
+
+    def chain(primed, idx):  # memoized on the prefix, so the association stays ((a b) c)
+        if (primed, idx) not in chains:
+            last = blocks[primed][idx[-1]]
+            chains[primed, idx] = last if len(idx) == 1 else np.kron(chain(primed, idx[:-1]), last)
+        return chains[primed, idx]
+
+    rows = []
+    for label in family.labels:
+        idx = (label.i, *label.j)
+        sgn = 1.0 if label.i < 2 else -1.0
+        if family.n_qubits == 2:
+            rows.append(chain(False, idx))
+        elif label.l is None:
+            rows.append(c * chain(False, idx) + sgn * s * chain(True, idx))
+        elif label.l == 0:
+            rows.append(c * np.kron(chain(False, idx), tails[+1][label.i])
+                        + sgn * s * np.kron(chain(True, idx), tails[-1][label.i]))
+        else:
+            rows.append(c * np.kron(chain(False, idx), tails[-1][label.i])
+                        - sgn * s * np.kron(chain(True, idx), tails[+1][label.i]))
+    return np.array(rows)
+
+
 class TestPhiZ:
     def test_z_one(self):
         assert abs(phi_z(1.0) - math.pi / 2) < 1e-15
@@ -286,6 +319,16 @@ class TestNQubitFamily:
             assert np.all(np.isfinite(matrix.view(float)))
             norms = np.linalg.norm(matrix, axis=1)
             assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matrix_equals_per_label_kron_chain(self, n, grid_params, small_grid):
+        # The Kronecker-built family against the label-wise definition, bit
+        # for bit: the 3^4 grid up to n = 6, its 2^4 corners beyond; both
+        # signs of z.
+        grid = grid_params if n <= 6 else small_grid
+        for params in grid + [EjmParams(-p.z, p.phi, p.theta, p.gamma) for p in grid]:
+            family = n_qubit_ejm(params, n)
+            assert np.array_equal(family.matrix(), kron_chain_rows(params, family)), params
 
     def test_size_validation(self):
         with pytest.raises(ValueError):

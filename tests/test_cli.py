@@ -158,6 +158,14 @@ class TestArgumentHandling:
     def test_unknown_flag(self, capsys):
         assert run(capsys, "network", "--frobnicate")[0] == 2
 
+    @pytest.mark.parametrize("command", ["verify", "reduce", "basis"])
+    def test_size_cap_is_invalid_input(self, capsys, command):
+        code, out, err = run(capsys, command, "--n", "9")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "cap 8" in err
+
     def test_out_of_domain_phi(self, capsys):
         code, _, err = run(capsys, "network", "--phi", "4.0")
         assert code == 2
