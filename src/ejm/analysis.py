@@ -11,7 +11,7 @@ from typing import Mapping
 import numpy as np
 
 from .bases import BasisFamily, BasisLabel, EjmParams
-from .qla import PAULIS, BlochVector, ContractError, StateVector
+from .qla import PAULIS, BlochVector, ContractError, StateVector, partial_trace
 
 TANGLE_CLAMP_ATOL = 1e-12
 GEOMETRY_ATOL = 1e-9
@@ -88,19 +88,15 @@ def reduction_coefficients(params: EjmParams) -> tuple[float, float]:
 def _bloch_array(family: BasisFamily) -> np.ndarray:
     """Bloch vectors of every single-qubit reduction, shape (states, qubits, 3).
 
-    One batched product psi psi^dagger per qubit position gives the 2x2
-    reduced density matrices of all states at once; each Pauli expectation
-    is then tr(rho sigma), the same arithmetic as partial_trace followed by
-    bloch_vector on one state.
+    Each 2x2 reduced density matrix comes from partial_trace on one state;
+    the Pauli expectations tr(rho sigma) of all of them are then taken in one
+    batched product, the same arithmetic as bloch_vector on each.
     """
-    amps = family.matrix()
-    rows, n = amps.shape[0], family.n_qubits
-    out = np.empty((rows, n, 3))
-    for q in range(n):
-        psi = amps.reshape(rows, 2**q, 2, -1).transpose(0, 2, 1, 3).reshape(rows, 2, -1)
-        rho = psi @ psi.conj().transpose(0, 2, 1)
-        out[:, q] = np.trace(rho[:, None] @ _PAULI_STACK, axis1=-2, axis2=-1).real
-    return out
+    qubits = range(1, family.n_qubits + 1)
+    rho = np.array(
+        [[partial_trace(state, {q}).entries for q in qubits] for state in family.states.values()]
+    )
+    return np.trace(rho[:, :, None] @ _PAULI_STACK, axis1=-2, axis2=-1).real
 
 
 def _vector_map(
