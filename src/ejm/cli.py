@@ -17,11 +17,11 @@ from .analysis import (
     three_tangle,
     verify_orthonormal_complete,
 )
-from .bases import BasisLabel, EjmParams, ResourceLimitError, n_qubit_ejm
+from .bases import _DOMAIN_ATOL, BasisLabel, EjmParams, ResourceLimitError, n_qubit_ejm
 from .network import trilocal_score
 from .optimize import DOMAIN, PARAM_NAMES, SweepSpec, maximize, sweep
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 _ANGLE_FLAGS = ("phi", "theta", "gamma")
 
 # The headline violation point, so `ejm network` with no flags demonstrates it.
@@ -81,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="maximize the score over a parameter box")
     add_common(p_opt, params=False)
     p_opt.add_argument("--budget", type=int, default=20000, help="maximum score evaluations")
-    p_opt.add_argument("--seed", type=int, default=0)
     for name in PARAM_NAMES:
         lo, hi = DOMAIN[name]
         p_opt.add_argument(f"--{name}-min", type=float, default=lo)
@@ -95,7 +94,7 @@ def _to_radians(value: float, deg: bool) -> float:
 
 
 def _check_flag(flag: str, value: float, lo: float, hi: float) -> None:
-    if not (lo - 1e-12 <= value <= hi + 1e-12):
+    if not (lo - _DOMAIN_ATOL <= value <= hi + _DOMAIN_ATOL):
         raise CliError(f"--{flag} out of domain: {value!r} not in [{lo:.12g}, {hi:.12g}]")
 
 
@@ -291,7 +290,7 @@ def _cmd_optimize(args: argparse.Namespace) -> tuple[int, dict]:
         bounds[name] = (lo, hi)
     if args.budget < 100:
         raise CliError(f"--budget out of domain: {args.budget!r} must be at least 100")
-    result = maximize(bounds, budget=args.budget, seed=args.seed)
+    result = maximize(bounds, budget=args.budget)
     payload = {
         "schema": "optimum",
         "version": SCHEMA_VERSION,
@@ -299,7 +298,6 @@ def _cmd_optimize(args: argparse.Namespace) -> tuple[int, dict]:
         "S": float(result.S),
         "violated": result.S > 2.0,
         "budget": args.budget,
-        "seed": args.seed,
         "n_evaluations": len(result.trace),
         "warning": result.warning,
     }

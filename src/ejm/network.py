@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable
 
 import numpy as np
 
@@ -38,32 +37,23 @@ ALICE_OBSERVABLES = (
 )
 
 
-def _bit_1(b1: int, b2: int, b3: int) -> int:
-    return b2 ^ b3 ^ 1
+# Bits (r1, r2, r3) of each index r = 4*r1 + 2*r2 + r3, one row per r.
+_BITS = np.array(list(product((0, 1), repeat=3)))
 
 
-def _bit_2(b1: int, b2: int, b3: int) -> int:
-    return b3
+def _signs(masks, flips=0) -> np.ndarray:
+    """Row m holds (-1)^(parity(r & masks[m]) XOR flips[m]) for r = 0..7."""
+    return (-1.0) ** ((np.array(masks) @ _BITS.T + np.reshape(flips, (-1, 1))) % 2)
 
 
-def _bit_3(b1: int, b2: int, b3: int) -> int:
-    return b1 ^ b3 ^ 1
-
-
-def _bit_4(b1: int, b2: int, b3: int) -> int:
-    return b1 ^ b2 ^ b3 ^ 1
-
-
-# Processed bit b^m derived from Bob's raw outputs, one map per correlator.
-PROCESSED_BIT_MAPS: tuple[Callable[[int, int, int], int], ...] = (
-    _bit_1,
-    _bit_2,
-    _bit_3,
-    _bit_4,
-)
-
-# Input-sign exponents g_m(x1,x2,x3) = dot(mask, x).
+# Processed bit b^m = parity(b & mask) XOR flip of Bob's raw output b = b1 b2 b3,
+# as the sign (-1)^(b^m) per output; one row per correlator m.
+_BOB_SIGNS = _signs(((0, 1, 1), (0, 0, 1), (1, 0, 1), (1, 1, 1)), (1, 0, 1, 1))
+# Input-sign exponents g_m(x1,x2,x3) = dot(mask, x), as (-1)^g_m per input triple.
 _G_MASKS = ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+_INPUT_SIGNS = _signs(_G_MASKS)
+# (-1)^(a1+a2+a3) per Alice output triple.
+_ALICE_SIGNS = _signs(((1, 1, 1),))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +70,6 @@ class StarScenario:
     source_state: StateVector = PSI_PLUS
     alice_observables: tuple[Operator, Operator] = ALICE_OBSERVABLES
     bob_basis: BasisFamily | None = None
-    bit_maps: tuple[Callable[[int, int, int], int], ...] = PROCESSED_BIT_MAPS
 
     def __post_init__(self) -> None:
         if self.source_state.n_qubits != 2:
@@ -99,8 +88,6 @@ class StarScenario:
         worst = max(report.gram_error, report.completeness_error)
         if worst > BASIS_ATOL:
             raise ValueError(f"bob_basis is not orthonormal/complete: worst error {worst:.3e}")
-        if len(self.bit_maps) != 4:
-            raise ValueError("need exactly four processed-bit maps")
 
 
 def _dichotomic_eigenvectors(obs: Operator) -> tuple[np.ndarray, np.ndarray]:
@@ -135,10 +122,6 @@ def star_state(scenario: StarScenario) -> StateVector:
     return permute_qubits(triple, (1, 3, 5, 2, 4, 6))
 
 
-def _alice_vectors(scenario: StarScenario) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [_dichotomic_eigenvectors(obs) for obs in scenario.alice_observables]
-
-
 def joint_probability(
     scenario: StarScenario,
     inputs: tuple[int, int, int],
@@ -149,34 +132,28 @@ def joint_probability(
 
     inputs are the Alice settings x1 x2 x3, alice_outputs the bits a1 a2 a3
     (output a corresponds to eigenvalue (-1)^a), bob_outputs the raw EJM
-    label b1 b2 b3.
+    label b1 b2 b3.  Read from ``outcome_table``.
     """
     for bit in (*inputs, *alice_outputs, *bob_outputs):
         if bit not in (0, 1):
             raise ValueError("all inputs and outputs must be bits")
-    vecs = _alice_vectors(scenario)
-    alice = [vecs[x][a] for x, a in zip(inputs, alice_outputs)]
-    v = np.kron(np.kron(alice[0], alice[1]), alice[2])
     b_index = bob_outputs[0] * 4 + bob_outputs[1] * 2 + bob_outputs[2]
-    bob = scenario.bob_basis.matrix()[b_index]
-    star = star_state(scenario).amplitudes.reshape(8, 8)
-    amplitude = v.conj() @ star @ bob.conj()
-    return float(abs(amplitude) ** 2)
+    return float(outcome_table(scenario)[(*inputs, *alice_outputs, b_index)])
 
 
 def outcome_table(scenario: StarScenario) -> np.ndarray:
     """Full joint distribution P[x1,x2,x3,a1,a2,a3,b] over raw outcomes,
-    shape (2,2,2,2,2,2,8)."""
-    vecs = _alice_vectors(scenario)
-    star = star_state(scenario).amplitudes.reshape(8, 8)
+    shape (2,2,2,2,2,2,8).
+
+    alice[x, a] holds the conjugated eigenvector of Alice's input x for
+    output a; projecting the star state onto all three Alices is one
+    contraction, and onto Bob's basis rows one product after it.
+    """
+    alice = np.array([_dichotomic_eigenvectors(obs) for obs in scenario.alice_observables]).conj()
+    star = star_state(scenario).amplitudes.reshape(2, 2, 2, 8)
     bob = scenario.bob_basis.matrix()
-    table = np.empty((2, 2, 2, 2, 2, 2, 8))
-    for x1, x2, x3 in product((0, 1), repeat=3):
-        for a1, a2, a3 in product((0, 1), repeat=3):
-            v = np.kron(np.kron(vecs[x1][a1], vecs[x2][a2]), vecs[x3][a3])
-            amps = (v.conj() @ star) @ bob.conj().T
-            table[x1, x2, x3, a1, a2, a3] = np.abs(amps) ** 2
-    return table
+    amps = np.einsum("pai,qbj,rck,ijkB->pqrabcB", alice, alice, alice, star) @ bob.conj().T
+    return np.abs(amps) ** 2
 
 
 def correlation_I_bruteforce(
@@ -191,21 +168,8 @@ def correlation_I_bruteforce(
         raise ValueError(f"m={m!r} must be 1..4")
     if table is None:
         table = outcome_table(scenario)
-    bit_map = scenario.bit_maps[m - 1]
-    bob_signs = np.array(
-        [(-1.0) ** bit_map(r >> 2 & 1, r >> 1 & 1, r & 1) for r in range(8)]
-    )
-    mask = _G_MASKS[m - 1]
-    total = 0.0
-    for x1, x2, x3 in product((0, 1), repeat=3):
-        g = mask[0] * x1 + mask[1] * x2 + mask[2] * x3
-        correlator = 0.0
-        for a1, a2, a3 in product((0, 1), repeat=3):
-            correlator += (-1.0) ** (a1 + a2 + a3) * float(
-                table[x1, x2, x3, a1, a2, a3] @ bob_signs
-            )
-        total += (-1.0) ** g * correlator
-    return total / 8.0
+    correlators = table.reshape(8, 8, 8) @ _BOB_SIGNS[m - 1]
+    return float(_INPUT_SIGNS[m - 1] @ correlators @ _ALICE_SIGNS) / 8.0
 
 
 def correlation_I_analytic(params: EjmParams, m: int) -> float:

@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .bases import INV_SQRT3, EjmParams
+from .bases import _DOMAIN_ATOL, INV_SQRT3, EjmParams, ResourceLimitError
 from .network import trilocal_score
 
 PARAM_NAMES = ("z", "phi", "theta", "gamma")
@@ -22,21 +20,13 @@ DOMAIN: dict[str, tuple[float, float]] = {
     "theta": (0.0, math.pi / 2),
     "gamma": (0.0, math.pi / 2),
 }
-_DOMAIN_ATOL = 1e-12
-
-
-def worker_count() -> int:
-    """Worker cap from the EJM_THREADS environment variable (default 1)."""
-    raw = os.environ.get("EJM_THREADS")
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"EJM_THREADS={raw!r} must be a positive integer")
-    return count
+# Size caps, checked before anything is allocated.  A sweep evaluates every
+# grid point (about 10 us each): 100 000 points take about a second and space
+# phi's full range by 6e-5, so a larger count only costs memory and time.
+MAX_SWEEP_POINTS = 100_000
+# maximize keeps one (EjmParams, score) trace entry of about 360 bytes per
+# evaluation: a million take about 0.4 GB and half a minute.
+MAX_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -60,33 +50,23 @@ class SweepSpec:
             )
         if self.points < 2:
             raise ValueError(f"points={self.points!r} must be at least 2")
+        if self.points > MAX_SWEEP_POINTS:
+            raise ResourceLimitError(f"points={self.points!r} exceeds the cap {MAX_SWEEP_POINTS}")
         expected = set(PARAM_NAMES) - {self.varying}
         if set(self.fixed) != expected:
             raise ValueError(f"fixed must supply exactly {sorted(expected)}")
         object.__setattr__(self, "fixed", dict(self.fixed))
 
 
-def sweep(spec: SweepSpec, *, workers: int | None = None) -> list[tuple[float, float]]:
+def sweep(spec: SweepSpec) -> list[tuple[float, float]]:
     """Evaluate the trilocal score on an inclusive equally spaced grid.
 
-    Returns (value, S) pairs in grid order; deterministic for a given spec
-    regardless of the worker count.
+    Returns (value, S) pairs in grid order.
     """
-    values = np.linspace(spec.lo, spec.hi, spec.points)
-
-    def evaluate(value: float) -> float:
-        kwargs = dict(spec.fixed)
-        kwargs[spec.varying] = float(value)
-        return trilocal_score(EjmParams(**kwargs)).S
-
-    if workers is None:
-        workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = list(pool.map(evaluate, values))
-    else:
-        scores = [evaluate(v) for v in values]
-    return [(float(v), float(s)) for v, s in zip(values, scores)]
+    return [
+        (float(v), trilocal_score(EjmParams(**{**spec.fixed, spec.varying: float(v)})).S)
+        for v in np.linspace(spec.lo, spec.hi, spec.points)
+    ]
 
 
 @dataclass(frozen=True)
@@ -123,18 +103,18 @@ def maximize(
     *,
     grid_points: int = 9,
     starts: int = 5,
-    seed: int = 0,
 ) -> OptimumResult:
     """Maximize the trilocal score over a box in (z, phi, theta, gamma).
 
     A coarse grid (grid_points per free dimension) seeds Nelder-Mead
     refinements from the best ``starts`` distinct cells.  The search is
-    deterministic; ``seed`` is reserved for optional restart jitter and
-    does not affect the default pipeline.  If the budget runs out before
-    any refinement the best grid point is returned with warning=True.
+    deterministic.  If the budget runs out before any refinement the best
+    grid point is returned with warning=True.
     """
     if budget < 100:
         raise ValueError(f"budget={budget!r} must be at least 100")
+    if budget > MAX_BUDGET:
+        raise ResourceLimitError(f"budget={budget!r} exceeds the cap {MAX_BUDGET}")
     box = _resolve_bounds(bounds)
     lows = np.array([box[name][0] for name in PARAM_NAMES])
     highs = np.array([box[name][1] for name in PARAM_NAMES])

@@ -107,6 +107,14 @@ class TestSweepCommand:
         assert code == 2
         assert "--z" in err
 
+    def test_points_above_cap_is_invalid_input(self, capsys):
+        code, out, err = run(capsys, "sweep", "--vary", "phi", "--lo", "0", "--hi", "1",
+                             "--points", "1000000000000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "cap" in err
+
     def test_csv_for_non_sweep_rejected(self, capsys):
         code, _, err = run(capsys, "network", "--format", "csv")
         assert code == 2
@@ -149,6 +157,24 @@ class TestOptimizeCommand:
         code, _, err = run(capsys, "optimize", "--budget", "5")
         assert code == 2
         assert "--budget" in err
+
+    def test_report_is_version_two_without_seed(self, capsys):
+        code, out, _ = run(capsys, "optimize", "--budget", "300")
+        assert code == 0
+        report = json.loads(out)
+        assert report["version"] == 2
+        assert "seed" not in report
+
+    def test_seed_flag_is_gone(self, capsys):
+        code, out, _ = run(capsys, "optimize", "--seed", "0")
+        assert code == 2
+        assert out == ""
+
+    def test_budget_above_cap_is_invalid_input(self, capsys):
+        code, out, err = run(capsys, "optimize", "--budget", "1000000000000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 class TestArgumentHandling:

@@ -4,8 +4,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ejm.bases import BasisFamily, BasisLabel, EjmParams, n_qubit_ejm, three_qubit_ejm
+from ejm.bases import INV_SQRT3, BasisFamily, BasisLabel, EjmParams, n_qubit_ejm, three_qubit_ejm
 from ejm.network import (
     ALICE_OBSERVABLES,
     CorrelationReport,
@@ -23,6 +25,12 @@ from ejm.qla import ContractError, Operator, StateVector, ket, partial_trace
 
 OPTIMUM = EjmParams(z=1.0, phi=0.1781, theta=math.pi / 2, gamma=math.pi / 4)
 GENERIC = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
+NEGATIVE_Z = EjmParams(z=-0.75, phi=-2.3, theta=0.3, gamma=1.1)
+# Complex Alice eigenvectors and source amplitudes make every complex
+# conjugation in the outcome table observable; the defaults are real.
+_SIGMA_Y = np.array([[0, -1j], [1j, 0]])
+COMPLEX_OBSERVABLES = [_SIGMA_Y, (np.array([[0, 1], [1, 0]]) + _SIGMA_Y) / math.sqrt(2)]
+COMPLEX_PAIR = np.array([0, 1, 1j, 0]) / math.sqrt(2)
 
 # Closed-form correlation values at the reported optimum, frozen from the
 # expressions in correlation_I_analytic (brute force must agree below).
@@ -34,13 +42,15 @@ FROZEN_I_OPTIMUM = (
 )
 
 
-def oracle_probability(params, inputs, alice_outputs, bob_outputs):
+def oracle_probability(params, inputs, alice_outputs, bob_outputs, observables=None, pair=None):
     """Independent Born-rule evaluation with explicitly assembled 64-dim
-    projectors, kept free of the library's fast path."""
+    projectors, kept free of the library's fast path.  observables and pair
+    default to the library's Alice observables and |psi+> source."""
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
     eye = np.eye(2, dtype=complex)
-    observables = [(sx + sz) / math.sqrt(2), (sx - sz) / math.sqrt(2)]
+    if observables is None:
+        observables = [(sx + sz) / math.sqrt(2), (sx - sz) / math.sqrt(2)]
     total = np.eye(1, dtype=complex)
     for x, a in zip(inputs, alice_outputs):
         projector = (eye + (-1.0) ** a * observables[x]) / 2.0
@@ -48,8 +58,9 @@ def oracle_probability(params, inputs, alice_outputs, bob_outputs):
     label = 2 * bob_outputs[0] + bob_outputs[1], bob_outputs[2]
     psi_b = three_qubit_ejm(params, label[0], label[1]).amplitudes
     total = np.kron(total, np.outer(psi_b, psi_b.conj()))
-    plus = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
-    six = np.kron(np.kron(plus, plus), plus)  # pair order A1 B1 A2 B2 A3 B3
+    if pair is None:
+        pair = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
+    six = np.kron(np.kron(pair, pair), pair)  # pair order A1 B1 A2 B2 A3 B3
     star = six.reshape([2] * 6).transpose([0, 2, 4, 1, 3, 5]).reshape(-1)
     return float(np.real(np.vdot(star, total @ star)))
 
@@ -163,6 +174,26 @@ class TestJointProbability:
                 joint_probability(scenario, x, a, b) - oracle_probability(GENERIC, x, a, b)
             ) < 1e-12
 
+    @pytest.mark.parametrize(
+        "params, observables, pair",
+        [(GENERIC, None, None), (NEGATIVE_Z, None, None), (NEGATIVE_Z, COMPLEX_OBSERVABLES, COMPLEX_PAIR)],
+        ids=["generic", "negative_z", "complex"],
+    )
+    def test_whole_table_matches_projector_oracle(self, params, observables, pair):
+        if observables is None:
+            scenario = StarScenario(params)
+        else:
+            scenario = StarScenario(
+                params,
+                source_state=StateVector(pair),
+                alice_observables=tuple(Operator(o) for o in observables),
+            )
+        table = outcome_table(scenario)
+        assert table.shape == (2, 2, 2, 2, 2, 2, 8)
+        for x, a, b in product(product((0, 1), repeat=3), repeat=3):
+            expected = oracle_probability(params, x, a, b, observables, pair)
+            assert abs(table[(*x, *a, 4 * b[0] + 2 * b[1] + b[2])] - expected) < 1e-12
+
     def test_normalization_per_input(self):
         table = outcome_table(StarScenario(GENERIC))
         for x in product((0, 1), repeat=3):
@@ -207,6 +238,22 @@ class TestCorrelations:
         params = EjmParams(z=1.0, phi=phi_z(1.0) - math.pi / 4, theta=math.pi / 2, gamma=0.3)
         assert abs(correlation_I_analytic(params, 4)) < 1e-15
         assert abs(correlation_I_analytic(params, 3) - 1.0 / (2.0 * math.sqrt(2.0))) < 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        z=st.floats(INV_SQRT3, 1.0),
+        negative=st.booleans(),
+        phi=st.floats(-math.pi, math.pi),
+        theta=st.floats(0.0, math.pi / 2),
+        gamma=st.floats(0.0, math.pi / 2),
+    )
+    def test_brute_force_equals_analytic_over_domain(self, z, negative, phi, theta, gamma):
+        params = EjmParams(z=-z if negative else z, phi=phi, theta=theta, gamma=gamma)
+        scenario = StarScenario(params)
+        table = outcome_table(scenario)
+        for m in range(1, 5):
+            brute = correlation_I_bruteforce(scenario, m, table=table)
+            assert abs(brute - correlation_I_analytic(params, m)) < 1e-12
 
     def test_m_validation(self):
         with pytest.raises(ValueError):

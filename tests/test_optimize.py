@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ejm.bases import EjmParams, INV_SQRT3
+import ejm.optimize
+from ejm.bases import EjmParams, INV_SQRT3, ResourceLimitError
 from ejm.network import trilocal_score
-from ejm.optimize import DOMAIN, PARAM_NAMES, SweepSpec, maximize, sweep, worker_count
+from ejm.optimize import MAX_BUDGET, MAX_SWEEP_POINTS, SweepSpec, maximize, sweep
 
 FIXED_TOP = {"z": 1.0, "theta": math.pi / 2, "gamma": math.pi / 4}
 
@@ -37,12 +38,6 @@ class TestSweep:
         assert len(values) == 5
         assert np.max(np.abs(np.diff(values) - math.pi / 4)) < 1e-12
 
-    def test_deterministic_across_workers(self, monkeypatch):
-        serial = phi_sweep(1.0, points=50)
-        monkeypatch.setenv("EJM_THREADS", "4")
-        threaded = phi_sweep(1.0, points=50)
-        assert serial == threaded
-
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="varying"):
             SweepSpec(varying="omega", lo=0, hi=1, points=3, fixed=FIXED_TOP)
@@ -56,21 +51,11 @@ class TestSweep:
         with pytest.raises(ValueError, match="fixed"):
             SweepSpec(varying="phi", lo=0.0, hi=1.0, points=3, fixed={"z": 1.0})
 
-
-class TestWorkerCount:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("EJM_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("EJM_THREADS", "3")
-        assert worker_count() == 3
-
-    @pytest.mark.parametrize("bad", ["0", "-2", "many"])
-    def test_invalid_values_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv("EJM_THREADS", bad)
-        with pytest.raises(ValueError, match="EJM_THREADS"):
-            worker_count()
+    def test_point_cap(self):
+        SweepSpec(varying="phi", lo=0.0, hi=1.0, points=MAX_SWEEP_POINTS, fixed=FIXED_TOP)
+        for points in (MAX_SWEEP_POINTS + 1, 10**12):
+            with pytest.raises(ResourceLimitError, match="cap"):
+                SweepSpec(varying="phi", lo=0.0, hi=1.0, points=points, fixed=FIXED_TOP)
 
 
 class TestMaximize:
@@ -139,3 +124,12 @@ class TestMaximize:
             maximize(bounds={"omega": (0, 1)})
         with pytest.raises(ValueError, match="invalid for z"):
             maximize(bounds={"z": (0.0, 1.0)})
+
+    def test_budget_cap_rejects_before_evaluating(self, monkeypatch):
+        def unreachable(params):
+            raise AssertionError("the score was evaluated past the budget cap")
+
+        monkeypatch.setattr(ejm.optimize, "trilocal_score", unreachable)
+        for budget in (MAX_BUDGET + 1, 10**12):
+            with pytest.raises(ResourceLimitError, match="cap"):
+                maximize(budget=budget)
