@@ -13,8 +13,12 @@ import numpy as np
 from .bases import BasisFamily, BasisLabel, EjmParams
 from .qla import PAULIS, BlochVector, ContractError, StateVector, partial_trace
 
+# A three-tangle rounds to within 1e-15 of [0, 1]; an excess beyond this is a bug.
 TANGLE_CLAMP_ATOL = 1e-12
+# Reduction vectors are exact to 1e-15; symmetry_report takes closer points as equal.
 GEOMETRY_ATOL = 1e-9
+# Basis acceptance (verify --tol, Bob's basis): built families stay below 1e-14.
+ORTHONORMAL_ATOL = 1e-9
 
 _PAULI_STACK = np.array([s.entries for s in PAULIS])
 

@@ -21,7 +21,19 @@ import numpy as np
 from .qla import StateVector
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
+PARAM_NAMES = ("z", "phi", "theta", "gamma")
+# Closed bounds of each parameter.  The z entry bounds |z|: every family is
+# defined for either sign of z.
+DOMAIN: Mapping[str, tuple[float, float]] = MappingProxyType({
+    "z": (INV_SQRT3, 1.0),
+    "phi": (-math.pi, math.pi),
+    "theta": (0.0, math.pi / 2),
+    "gamma": (0.0, math.pi / 2),
+})
+# Slack at each bound for values that round onto it (degrees, decimal 1/sqrt(3)); not clamped.
 _DOMAIN_ATOL = 1e-12
+# Largest n_qubit_ejm: a 1 MiB matrix at n = 8; each qubit more quadruples memory and time.
+MAX_QUBITS = 8
 
 # Azimuths and z-heights whose Bloch vectors are the fixed tetrahedron
 # (1,1,1)/sqrt(3), (1,-1,-1)/sqrt(3), (-1,1,-1)/sqrt(3), (-1,-1,1)/sqrt(3)
@@ -34,9 +46,16 @@ class ResourceLimitError(RuntimeError):
     """Requested construction exceeds the configured size cap."""
 
 
-def _check_z(z: float) -> None:
-    if not (INV_SQRT3 - _DOMAIN_ATOL <= abs(z) <= 1.0 + _DOMAIN_ATOL):
-        raise ValueError(f"z={z!r} outside domain 1/sqrt(3) <= |z| <= 1")
+def check_domain(name: str, value: float) -> float:
+    """Return value as a float, or raise ValueError if it lies outside
+    DOMAIN[name] (|value| for z) by more than 1e-12."""
+    value = float(value)
+    lo, hi = DOMAIN[name]
+    checked = abs(value) if name == "z" else value
+    if not (lo - _DOMAIN_ATOL <= checked <= hi + _DOMAIN_ATOL):
+        bounded = "|z|" if name == "z" else name
+        raise ValueError(f"{name}={value!r} outside {lo:.12g} <= {bounded} <= {hi:.12g}")
+    return value
 
 
 def phi_z(z: float) -> float:
@@ -45,7 +64,7 @@ def phi_z(z: float) -> float:
     Always lies in [0, pi/2]; the positive real denominator does not
     affect the argument.
     """
-    _check_z(z)
+    z = check_domain("z", z)
     re = math.sqrt(max(1.0 - z * z, 0.0))
     im = math.sqrt(max(3.0 * z * z - 1.0, 0.0))
     return math.atan2(im, re)
@@ -55,9 +74,9 @@ def phi_z(z: float) -> float:
 class EjmParams:
     """Parameter point (z, phi, theta, gamma) shared by all basis families.
 
-    Domains: 1/sqrt(3) <= |z| <= 1, phi in [-pi, pi], theta in [0, pi/2],
-    gamma in [0, pi/2].  The derived phase phi_z is computed once at
-    construction and cached as a field.
+    Each value is checked against DOMAIN: 1/sqrt(3) <= |z| <= 1, phi in
+    [-pi, pi], theta and gamma in [0, pi/2].  The derived phase phi_z is
+    computed once at construction and cached as a field.
     """
 
     z: float
@@ -67,19 +86,9 @@ class EjmParams:
     phi_z: float = field(init=False)
 
     def __post_init__(self) -> None:
-        z = float(self.z)
-        _check_z(z)
-        object.__setattr__(self, "z", z)
-        for name, lo, hi in (
-            ("phi", -math.pi, math.pi),
-            ("theta", 0.0, math.pi / 2),
-            ("gamma", 0.0, math.pi / 2),
-        ):
-            value = float(getattr(self, name))
-            if not (lo - _DOMAIN_ATOL <= value <= hi + _DOMAIN_ATOL):
-                raise ValueError(f"{name}={value!r} outside [{lo:.12g}, {hi:.12g}]")
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "phi_z", phi_z(z))
+        for name in PARAM_NAMES:
+            object.__setattr__(self, name, check_domain(name, getattr(self, name)))
+        object.__setattr__(self, "phi_z", phi_z(self.z))
 
     def phi_i(self, i: int) -> float:
         """Azimuth of vertex i: phi, phi+pi/2, phi+pi, phi-pi/2."""
@@ -216,9 +225,7 @@ def reference_bases(kind: str, theta: Optional[float] = None) -> BasisFamily:
     elif kind == "single_parameter":
         if theta is None:
             raise ValueError("single_parameter requires theta")
-        t = float(theta)
-        if not (-_DOMAIN_ATOL <= t <= math.pi / 2 + _DOMAIN_ATOL):
-            raise ValueError(f"theta={t!r} outside [0, {math.pi / 2:.12g}]")
+        t = check_domain("theta", theta)
     else:
         raise ValueError(f"unknown kind {kind!r}")
     e_theta = cmath.exp(1j * t)
@@ -277,7 +284,7 @@ def three_qubit_ejm(params: EjmParams, i: int, k: int) -> StateVector:
     return StateVector(_family_matrix(params, 3)[2 * i + k])
 
 
-def n_qubit_ejm(params: EjmParams, n: int, *, max_qubits: int = 8) -> BasisFamily:
+def n_qubit_ejm(params: EjmParams, n: int) -> BasisFamily:
     """Full 2**n state EJM family on n qubits.
 
     Even n chains two-qubit blocks Phi_i Phi_j1 ... Phi_jk (k = n/2 - 1)
@@ -288,8 +295,8 @@ def n_qubit_ejm(params: EjmParams, n: int, *, max_qubits: int = 8) -> BasisFamil
     """
     if n < 2:
         raise ValueError(f"n={n!r} must be at least 2")
-    if n > max_qubits:
-        raise ResourceLimitError(f"n={n} exceeds the configured cap {max_qubits}")
+    if n > MAX_QUBITS:
+        raise ResourceLimitError(f"n={n} exceeds the configured cap {MAX_QUBITS}")
     tail_bits = (0, 1) if n % 2 else (None,)
     labels = [BasisLabel(c[0], c[1:], l) for c in product(range(4), repeat=n // 2) for l in tail_bits]
     states = {label: StateVector(row) for label, row in zip(labels, _family_matrix(params, n))}

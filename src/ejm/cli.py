@@ -11,15 +11,16 @@ import sys
 from pathlib import Path
 
 from .analysis import (
+    ORTHONORMAL_ATOL,
     concurrence,
     symmetry_report,
     tangle_law,
     three_tangle,
     verify_orthonormal_complete,
 )
-from .bases import _DOMAIN_ATOL, BasisLabel, EjmParams, ResourceLimitError, n_qubit_ejm
+from .bases import DOMAIN, PARAM_NAMES, BasisLabel, EjmParams, ResourceLimitError, check_domain, n_qubit_ejm
 from .network import trilocal_score
-from .optimize import DOMAIN, PARAM_NAMES, SweepSpec, maximize, sweep
+from .optimize import SweepSpec, maximize, sweep
 
 SCHEMA_VERSION = 2
 _ANGLE_FLAGS = ("phi", "theta", "gamma")
@@ -52,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="orthonormality and completeness of a basis family")
     add_common(p_verify)
     p_verify.add_argument("--n", type=int, default=3, help="number of qubits")
-    p_verify.add_argument("--tol", type=float, default=1e-9, help="acceptance threshold for both errors")
+    p_verify.add_argument("--tol", type=float, default=ORTHONORMAL_ATOL, help="acceptance threshold for both errors")
 
     p_tangle = sub.add_parser("tangle", help="entanglement of every basis state (three-tangle for n=3, concurrence for n=2)")
     add_common(p_tangle)
@@ -89,25 +90,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _to_radians(value: float, deg: bool) -> float:
-    return math.radians(value) if deg else value
-
-
-def _check_flag(flag: str, value: float, lo: float, hi: float) -> None:
-    if not (lo - _DOMAIN_ATOL <= value <= hi + _DOMAIN_ATOL):
-        raise CliError(f"--{flag} out of domain: {value!r} not in [{lo:.12g}, {hi:.12g}]")
+def _param(args: argparse.Namespace, name: str, value: float, flag: str | None = None) -> float:
+    """value of parameter name in radians (angles under --deg), checked against
+    the library domain; outside it, a CliError that names --flag (--name)."""
+    if args.deg and name in _ANGLE_FLAGS:
+        value = math.radians(value)
+    try:
+        return check_domain(name, value)
+    except ValueError as exc:
+        raise CliError(f"--{flag or name} out of domain: {exc}") from None
 
 
 def _params_from_args(args: argparse.Namespace) -> EjmParams:
-    z = args.z
-    phi = _to_radians(args.phi, args.deg)
-    theta = _to_radians(args.theta, args.deg)
-    gamma = _to_radians(args.gamma, args.deg)
-    _check_flag("z", abs(z), DOMAIN["z"][0], DOMAIN["z"][1])
-    _check_flag("phi", phi, *DOMAIN["phi"])
-    _check_flag("theta", theta, *DOMAIN["theta"])
-    _check_flag("gamma", gamma, *DOMAIN["gamma"])
-    return EjmParams(z=z, phi=phi, theta=theta, gamma=gamma)
+    return EjmParams(**{name: _param(args, name, getattr(args, name)) for name in PARAM_NAMES})
 
 
 def _params_dict(params: EjmParams) -> dict:
@@ -240,26 +235,10 @@ def _cmd_network(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[int, dict]:
-    deg_applies = args.vary in _ANGLE_FLAGS and args.deg
-    lo = _to_radians(args.lo, deg_applies)
-    hi = _to_radians(args.hi, deg_applies)
-    fixed = {}
-    for name in PARAM_NAMES:
-        if name == args.vary:
-            continue
-        value = getattr(args, name)
-        if name in _ANGLE_FLAGS:
-            value = _to_radians(value, args.deg)
-        check = abs(value) if name == "z" else value
-        _check_flag(name, check, *DOMAIN[name])
-        fixed[name] = value
-    dlo, dhi = DOMAIN[args.vary]
-    _check_flag(args.vary, lo, dlo, dhi)
-    _check_flag(args.vary, hi, dlo, dhi)
-    try:
-        spec = SweepSpec(varying=args.vary, lo=lo, hi=hi, points=args.points, fixed=fixed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    fixed = {name: _param(args, name, getattr(args, name)) for name in PARAM_NAMES if name != args.vary}
+    lo = _param(args, args.vary, args.lo)
+    hi = _param(args, args.vary, args.hi)
+    spec = SweepSpec(varying=args.vary, lo=lo, hi=hi, points=args.points, fixed=fixed)
     samples = sweep(spec)
     payload = {
         "schema": "sweep",
@@ -275,19 +254,10 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> tuple[int, dict]:
-    bounds = {}
-    for name in PARAM_NAMES:
-        lo = getattr(args, f"{name}_min")
-        hi = getattr(args, f"{name}_max")
-        if name in _ANGLE_FLAGS:
-            lo = _to_radians(lo, args.deg)
-            hi = _to_radians(hi, args.deg)
-        dlo, dhi = DOMAIN[name]
-        _check_flag(f"{name}-min", lo, dlo, dhi)
-        _check_flag(f"{name}-max", hi, dlo, dhi)
-        if lo > hi:
-            raise CliError(f"--{name}-min exceeds --{name}-max")
-        bounds[name] = (lo, hi)
+    bounds = {
+        name: tuple(_param(args, name, getattr(args, f"{name}_{end}"), f"{name}-{end}") for end in ("min", "max"))
+        for name in PARAM_NAMES
+    }
     if args.budget < 100:
         raise CliError(f"--budget out of domain: {args.budget!r} must be at least 100")
     result = maximize(bounds, budget=args.budget)

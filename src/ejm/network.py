@@ -15,9 +15,11 @@ from itertools import product
 
 import numpy as np
 
+from .analysis import ORTHONORMAL_ATOL, verify_orthonormal_complete
 from .bases import BasisFamily, EjmParams, n_qubit_ejm
 from .qla import (
     ContractError,
+    HERMITIAN_ATOL,
     Operator,
     PAULI_X,
     PAULI_Z,
@@ -26,8 +28,10 @@ from .qla import (
     tensor_product,
 )
 
+# A 2x2 eigh is exact to 1e-16; an eigenvalue further from +-1 is another observable.
 EIGENVALUE_ATOL = 1e-10
-BASIS_ATOL = 1e-9
+# Analytic and brute-force I_m agree to 1e-15 over the domain; a larger gap is a bug.
+CROSS_CHECK_ATOL = 1e-9
 
 PSI_PLUS = StateVector(np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0))
 
@@ -82,11 +86,9 @@ class StarScenario:
             object.__setattr__(self, "bob_basis", n_qubit_ejm(self.params, 3))
         if self.bob_basis.n_qubits != 3 or len(self.bob_basis) != 8:
             raise ValueError("bob_basis must hold eight three-qubit states")
-        from .analysis import verify_orthonormal_complete
-
         report = verify_orthonormal_complete(self.bob_basis)
         worst = max(report.gram_error, report.completeness_error)
-        if worst > BASIS_ATOL:
+        if worst > ORTHONORMAL_ATOL:
             raise ValueError(f"bob_basis is not orthonormal/complete: worst error {worst:.3e}")
 
 
@@ -96,7 +98,7 @@ def _dichotomic_eigenvectors(obs: Operator) -> tuple[np.ndarray, np.ndarray]:
     if obs.dim != 2:
         raise ValueError("Alice observables act on a single qubit")
     deviation = float(np.max(np.abs(obs.entries - obs.entries.conj().T)))
-    if deviation > EIGENVALUE_ATOL:
+    if deviation > HERMITIAN_ATOL:
         raise ValueError(f"observable is not Hermitian: deviation {deviation:.3e}")
     values, vectors = np.linalg.eigh(obs.entries)
     if np.max(np.abs(values - np.array([-1.0, 1.0]))) > EIGENVALUE_ATOL:
@@ -203,13 +205,12 @@ def trilocal_score(
     *,
     method: str = "analytic",
     cross_check: bool = False,
-    atol: float = 1e-9,
 ) -> CorrelationReport:
     """Trilocal score S = sum_m |I_m|^(1/3) and whether it exceeds 2.
 
     method selects the I_m evaluation route ("analytic" or "brute_force");
     cross_check computes both and raises ContractError if they disagree
-    beyond atol.
+    beyond CROSS_CHECK_ATOL.
     """
     if method not in ("analytic", "brute_force"):
         raise ValueError(f"unknown method {method!r}")
@@ -225,7 +226,7 @@ def trilocal_score(
         )
     if cross_check:
         worst = max(abs(a - b) for a, b in zip(analytic, brute))
-        if worst > atol:
+        if worst > CROSS_CHECK_ATOL:
             raise ContractError(
                 f"analytic and brute-force correlations disagree by {worst:.3e}"
             )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Mapping
@@ -10,16 +9,9 @@ from typing import Mapping
 import numpy as np
 from scipy.optimize import minimize
 
-from .bases import _DOMAIN_ATOL, INV_SQRT3, EjmParams, ResourceLimitError
+from .bases import DOMAIN, PARAM_NAMES, EjmParams, ResourceLimitError, check_domain
 from .network import trilocal_score
 
-PARAM_NAMES = ("z", "phi", "theta", "gamma")
-DOMAIN: dict[str, tuple[float, float]] = {
-    "z": (INV_SQRT3, 1.0),
-    "phi": (-math.pi, math.pi),
-    "theta": (0.0, math.pi / 2),
-    "gamma": (0.0, math.pi / 2),
-}
 # Size caps, checked before anything is allocated.  A sweep evaluates every
 # grid point (about 10 us each): 100 000 points take about a second and space
 # phi's full range by 6e-5, so a larger count only costs memory and time.
@@ -27,6 +19,20 @@ MAX_SWEEP_POINTS = 100_000
 # maximize keeps one (EjmParams, score) trace entry of about 360 bytes per
 # evaluation: a million take about 0.4 GB and half a minute.
 MAX_BUDGET = 1_000_000
+
+
+def _check_range(name: str, lo: float, hi: float) -> tuple[float, float]:
+    """lo and hi as floats if both lie in the parameter's domain, lo <= hi,
+    and a z range keeps one sign (it cannot pass |z| < 1/sqrt(3))."""
+    try:
+        lo, hi = check_domain(name, lo), check_domain(name, hi)
+    except ValueError as exc:
+        raise ValueError(f"range [{lo!r}, {hi!r}] invalid for {name}: {exc}") from None
+    if lo > hi:
+        raise ValueError(f"range [{lo!r}, {hi!r}] invalid for {name}: lo exceeds hi")
+    if name == "z" and lo * hi < 0:
+        raise ValueError(f"range [{lo!r}, {hi!r}] invalid for z: it crosses zero")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -42,12 +48,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.varying not in PARAM_NAMES:
             raise ValueError(f"varying={self.varying!r} must be one of {PARAM_NAMES}")
-        lo, hi = DOMAIN[self.varying]
-        if not (lo - _DOMAIN_ATOL <= self.lo < self.hi <= hi + _DOMAIN_ATOL):
-            raise ValueError(
-                f"range [{self.lo!r}, {self.hi!r}] invalid for {self.varying} "
-                f"(domain [{lo:.12g}, {hi:.12g}], lo < hi required)"
-            )
+        _check_range(self.varying, self.lo, self.hi)
+        if self.lo == self.hi:
+            raise ValueError(f"range [{self.lo!r}, {self.hi!r}] invalid for {self.varying}: lo < hi required")
         if self.points < 2:
             raise ValueError(f"points={self.points!r} must be at least 2")
         if self.points > MAX_SWEEP_POINTS:
@@ -55,7 +58,7 @@ class SweepSpec:
         expected = set(PARAM_NAMES) - {self.varying}
         if set(self.fixed) != expected:
             raise ValueError(f"fixed must supply exactly {sorted(expected)}")
-        object.__setattr__(self, "fixed", dict(self.fixed))
+        object.__setattr__(self, "fixed", {name: check_domain(name, v) for name, v in self.fixed.items()})
 
 
 def sweep(spec: SweepSpec) -> list[tuple[float, float]]:
@@ -84,16 +87,13 @@ class _BudgetExhausted(Exception):
 
 
 def _resolve_bounds(bounds: Mapping[str, tuple[float, float]] | None) -> dict[str, tuple[float, float]]:
+    # The default box takes z >= 0 only: S is even in z, because every I_m is
+    # proportional to z and phi_z depends on z^2 alone.
     resolved = dict(DOMAIN)
     for name, (lo, hi) in (bounds or {}).items():
         if name not in PARAM_NAMES:
             raise ValueError(f"unknown parameter {name!r}")
-        dlo, dhi = DOMAIN[name]
-        if not (dlo - _DOMAIN_ATOL <= lo <= hi <= dhi + _DOMAIN_ATOL):
-            raise ValueError(
-                f"bounds ({lo!r}, {hi!r}) invalid for {name} (domain [{dlo:.12g}, {dhi:.12g}])"
-            )
-        resolved[name] = (float(lo), float(hi))
+        resolved[name] = _check_range(name, lo, hi)
     return resolved
 
 

@@ -7,7 +7,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# Built states are normalized to 1e-15; a norm further from 1 is a wrong construction.
 NORM_ATOL = 1e-12
+# Largest |A - A^dagger| entry or imaginary expectation that is still rounding.
 HERMITIAN_ATOL = 1e-10
 
 

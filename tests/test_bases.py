@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ejm.bases
 from ejm.analysis import three_tangle, verify_orthonormal_complete
 from ejm.bases import (
     BasisLabel,
@@ -330,12 +331,13 @@ class TestNQubitFamily:
             family = n_qubit_ejm(params, n)
             assert np.array_equal(family.matrix(), kron_chain_rows(params, family)), params
 
-    def test_size_validation(self):
+    def test_size_validation(self, monkeypatch):
         with pytest.raises(ValueError):
             n_qubit_ejm(PARAMS, 1)
         with pytest.raises(ResourceLimitError):
             n_qubit_ejm(PARAMS, 9)
-        assert len(n_qubit_ejm(PARAMS, 6, max_qubits=6)) == 64
+        monkeypatch.setattr(ejm.bases, "MAX_QUBITS", 6)
+        assert len(n_qubit_ejm(PARAMS, 6)) == 64
 
     def test_states_mapping_is_read_only(self):
         family = n_qubit_ejm(PARAMS, 2)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ejm.network
 from ejm.bases import INV_SQRT3, BasisFamily, BasisLabel, EjmParams, n_qubit_ejm, three_qubit_ejm
 from ejm.network import (
     ALICE_OBSERVABLES,
@@ -307,9 +308,10 @@ class TestTrilocalScore:
         report = trilocal_score(OPTIMUM, cross_check=True)
         assert report.method == "analytic"
 
-    def test_cross_check_detects_mismatch(self):
+    def test_cross_check_detects_mismatch(self, monkeypatch):
+        monkeypatch.setattr(ejm.network, "CROSS_CHECK_ATOL", 1e-18)
         with pytest.raises(ContractError, match="disagree"):
-            trilocal_score(GENERIC, cross_check=True, atol=1e-18)
+            trilocal_score(GENERIC, cross_check=True)
 
     def test_method_validation(self):
         with pytest.raises(ValueError, match="method"):
