@@ -11,10 +11,11 @@ from typing import Mapping
 import numpy as np
 
 from .bases import BasisFamily, BasisLabel, EjmParams
-from .qla import PAULIS, BlochVector, ContractError, StateVector, partial_trace
+from .qla import NORM_ATOL, PAULIS, BlochVector, ContractError, StateVector, partial_trace
 
-# A three-tangle rounds to within 1e-15 of [0, 1]; an excess beyond this is a bug.
-TANGLE_CLAMP_ATOL = 1e-12
+# The three-tangle is quartic in the amplitudes, so a norm off by up to NORM_ATOL
+# moves it by up to 4 * NORM_ATOL, plus rounding; an excess beyond this is a bug.
+TANGLE_CLAMP_ATOL = 5 * NORM_ATOL
 # Reduction vectors are exact to 1e-15; symmetry_report takes closer points as equal.
 GEOMETRY_ATOL = 1e-9
 # Basis acceptance (verify --tol, Bob's basis): built families stay below 1e-14.
@@ -28,8 +29,8 @@ def three_tangle(state: StateVector) -> float:
 
     Evaluates the degree-4 polynomial in the eight amplitudes (the modulus
     of Cayley's hyperdeterminant form): 0 for product and W-class states,
-    1 for GHZ.  The result is clamped into [0, 1]; a clamp beyond 1e-12
-    indicates a bug and raises ContractError.
+    1 for GHZ.  The result is clamped into [0, 1]; a clamp beyond
+    TANGLE_CLAMP_ATOL indicates a bug and raises ContractError.
     """
     if state.n_qubits != 3:
         raise ValueError(f"three_tangle needs a 3-qubit state, got {state.n_qubits} qubits")

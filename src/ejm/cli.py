@@ -21,6 +21,7 @@ from .analysis import (
 from .bases import DOMAIN, PARAM_NAMES, BasisLabel, EjmParams, ResourceLimitError, check_domain, n_qubit_ejm
 from .network import trilocal_score
 from .optimize import SweepSpec, maximize, sweep
+from .qla import ContractError
 
 SCHEMA_VERSION = 2
 _ANGLE_FLAGS = ("phi", "theta", "gamma")
@@ -297,6 +298,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ContractError as exc:  # a numeric contract failed: a failed verification
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.output is not None:
         args.output.write_bytes(data)
     else:

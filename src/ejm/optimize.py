@@ -7,7 +7,6 @@ from itertools import product
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bases import DOMAIN, PARAM_NAMES, EjmParams, ResourceLimitError, check_domain
 from .network import trilocal_score
@@ -95,6 +94,14 @@ def _resolve_bounds(bounds: Mapping[str, tuple[float, float]] | None) -> dict[st
             raise ValueError(f"unknown parameter {name!r}")
         resolved[name] = _check_range(name, lo, hi)
     return resolved
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first call: only the refinement
+    needs scipy, and loading it takes longer than the rest of ``import ejm``."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
 
 
 def maximize(

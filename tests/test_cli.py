@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from ejm import network
 from ejm.cli import CliError, export, main
 
 HEADLINE = ["--z", "1", "--phi", "0.1781", "--theta", "1.5707963267948966",
@@ -46,6 +47,13 @@ class TestNetworkCommand:
         assert code == 0
         assert abs(json.loads(out)["S"] - 2.2968) < 5e-4
 
+    def test_failed_cross_check_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(network, "CROSS_CHECK_ATOL", 1e-18)
+        code, out, err = run(capsys, "network", "--method", "brute_force", "--cross-check")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
 
 class TestTangleCommand:
     def test_three_qubit_values(self, capsys):
@@ -57,6 +65,17 @@ class TestTangleCommand:
         assert abs(report["iso_value"] - expected) < 1e-12
         assert report["spread"] < 1e-9
         assert len(report["values"]) == 8
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_slack_band_z_reports_unit_tangle(self, capsys, sign):
+        # |z| = 1/sqrt(3) - 5e-13 is inside the domain slack; at the default
+        # theta = pi/2, gamma = pi/4 every state's three-tangle is 1.
+        z = sign * (1.0 / math.sqrt(3.0) - 5e-13)
+        code, out, _ = run(capsys, "tangle", "--n", "3", f"--z={z!r}")
+        assert code == 0
+        report = json.loads(out)
+        assert report["iso_value"] == 1.0
+        assert [entry["value"] for entry in report["values"]] == [1.0] * 8
 
     def test_two_qubit_concurrence(self, capsys):
         code, out, _ = run(capsys, "tangle", "--n", "2",
