@@ -43,7 +43,6 @@ from .qla import (
     Operator,
     StateVector,
     bloch_vector,
-    conjugate_amplitudes,
     expectation,
     ket,
     partial_trace,

@@ -10,7 +10,7 @@ sum_m |I_m|^(1/3) <= 2 turns their cube roots into a violation score.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -19,7 +19,6 @@ from .analysis import ORTHONORMAL_ATOL, verify_orthonormal_complete
 from .bases import BasisFamily, EjmParams, n_qubit_ejm
 from .qla import (
     ContractError,
-    HERMITIAN_ATOL,
     Operator,
     PAULI_X,
     PAULI_Z,
@@ -28,8 +27,6 @@ from .qla import (
     tensor_product,
 )
 
-# A 2x2 eigh is exact to 1e-16; an eigenvalue further from +-1 is another observable.
-EIGENVALUE_ATOL = 1e-10
 # Analytic and brute-force I_m agree to 1e-15 over the domain; a larger gap is a bug.
 CROSS_CHECK_ATOL = 1e-9
 
@@ -60,50 +57,42 @@ _INPUT_SIGNS = _signs(_G_MASKS)
 _ALICE_SIGNS = _signs(((1, 1, 1),))[0]
 
 
+def star_state() -> StateVector:
+    """Six-qubit source state in qubit order A1 A2 A3 B1 B2 B3."""
+    triple = tensor_product(tensor_product(PSI_PLUS, PSI_PLUS), PSI_PLUS)
+    return permute_qubits(triple, (1, 3, 5, 2, 4, 6))
+
+
+# _ALICE[x, a] is the conjugated eigenvector of Alice's input x for output a
+# (eigenvalue (-1)^a); _ALICE_STAR is the star state projected onto all three
+# Alices, indexed [x1, x2, x3, a1, a2, a3, Bob's three-qubit index].
+_ALICE = np.array([np.linalg.eigh(o.entries)[1][:, ::-1].T for o in ALICE_OBSERVABLES]).conj()
+_ALICE_STAR = np.einsum(
+    "pai,qbj,rck,ijkB->pqrabcB", _ALICE, _ALICE, _ALICE, star_state().amplitudes.reshape(2, 2, 2, 8)
+)
+_ALICE.setflags(write=False)
+_ALICE_STAR.setflags(write=False)
+
+
 @dataclass(frozen=True, eq=False)
 class StarScenario:
-    """One fully specified network instance.
+    """The paper's star network with Bob's basis at ``params``.
 
-    Defaults: all three sources emit (|01>+|10>)/sqrt(2), the Alices
-    measure (sigma_x +- sigma_z)/sqrt(2), and Bob projects onto the
-    three-qubit EJM family at ``params`` labelled in raw-output order
-    b1 b2 b3 (i = 2*b1 + b2, k = b3).
+    All three sources emit PSI_PLUS and the Alices measure
+    ALICE_OBSERVABLES; Bob projects onto the three-qubit EJM family at
+    ``params`` labelled in raw-output order b1 b2 b3 (i = 2*b1 + b2, k = b3).
     """
 
     params: EjmParams
-    source_state: StateVector = PSI_PLUS
-    alice_observables: tuple[Operator, Operator] = ALICE_OBSERVABLES
-    bob_basis: BasisFamily | None = None
+    bob_basis: BasisFamily = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.source_state.n_qubits != 2:
-            raise ValueError("source_state must be a two-qubit state")
-        if len(self.alice_observables) != 2:
-            raise ValueError("need exactly two Alice observables (one per input)")
-        for obs in self.alice_observables:
-            _dichotomic_eigenvectors(obs)
-        if self.bob_basis is None:
-            object.__setattr__(self, "bob_basis", n_qubit_ejm(self.params, 3))
-        if self.bob_basis.n_qubits != 3 or len(self.bob_basis) != 8:
-            raise ValueError("bob_basis must hold eight three-qubit states")
-        report = verify_orthonormal_complete(self.bob_basis)
+        bob_basis = n_qubit_ejm(self.params, 3)
+        report = verify_orthonormal_complete(bob_basis)
         worst = max(report.gram_error, report.completeness_error)
         if worst > ORTHONORMAL_ATOL:
-            raise ValueError(f"bob_basis is not orthonormal/complete: worst error {worst:.3e}")
-
-
-def _dichotomic_eigenvectors(obs: Operator) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition of a qubit +-1-valued observable; returns the
-    eigenvectors for output 0 (eigenvalue +1) and output 1 (eigenvalue -1)."""
-    if obs.dim != 2:
-        raise ValueError("Alice observables act on a single qubit")
-    deviation = float(np.max(np.abs(obs.entries - obs.entries.conj().T)))
-    if deviation > HERMITIAN_ATOL:
-        raise ValueError(f"observable is not Hermitian: deviation {deviation:.3e}")
-    values, vectors = np.linalg.eigh(obs.entries)
-    if np.max(np.abs(values - np.array([-1.0, 1.0]))) > EIGENVALUE_ATOL:
-        raise ValueError(f"observable eigenvalues {values!r} are not +-1")
-    return vectors[:, 1], vectors[:, 0]
+            raise ContractError(f"bob_basis is not orthonormal/complete: worst error {worst:.3e}")
+        object.__setattr__(self, "bob_basis", bob_basis)
 
 
 def tilde_state(state: StateVector) -> StateVector:
@@ -115,13 +104,6 @@ def tilde_state(state: StateVector) -> StateVector:
     if state.n_qubits != 3:
         raise ValueError(f"tilde_state needs a 3-qubit state, got {state.n_qubits} qubits")
     return StateVector(np.conj(state.amplitudes)[::-1])
-
-
-def star_state(scenario: StarScenario) -> StateVector:
-    """Six-qubit source state in qubit order A1 A2 A3 B1 B2 B3."""
-    src = scenario.source_state
-    triple = tensor_product(tensor_product(src, src), src)
-    return permute_qubits(triple, (1, 3, 5, 2, 4, 6))
 
 
 def joint_probability(
@@ -145,17 +127,9 @@ def joint_probability(
 
 def outcome_table(scenario: StarScenario) -> np.ndarray:
     """Full joint distribution P[x1,x2,x3,a1,a2,a3,b] over raw outcomes,
-    shape (2,2,2,2,2,2,8).
-
-    alice[x, a] holds the conjugated eigenvector of Alice's input x for
-    output a; projecting the star state onto all three Alices is one
-    contraction, and onto Bob's basis rows one product after it.
-    """
-    alice = np.array([_dichotomic_eigenvectors(obs) for obs in scenario.alice_observables]).conj()
-    star = star_state(scenario).amplitudes.reshape(2, 2, 2, 8)
-    bob = scenario.bob_basis.matrix()
-    amps = np.einsum("pai,qbj,rck,ijkB->pqrabcB", alice, alice, alice, star) @ bob.conj().T
-    return np.abs(amps) ** 2
+    shape (2,2,2,2,2,2,8): the constant projected star tensor times Bob's
+    conjugated basis rows."""
+    return np.abs(_ALICE_STAR @ scenario.bob_basis.matrix().conj().T) ** 2
 
 
 def correlation_I_bruteforce(

@@ -94,10 +94,6 @@ PAULI_Z = Operator(np.array([[1, 0], [0, -1]], dtype=complex))
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
-def identity(dim: int) -> Operator:
-    return Operator(np.eye(dim, dtype=complex))
-
-
 def ket(bits: str) -> StateVector:
     """Computational basis state from its bit string, e.g. ket("01")."""
     if not bits or any(b not in "01" for b in bits):
@@ -167,11 +163,6 @@ def expectation(state: StateVector, obs: Operator) -> float:
     if abs(raw.imag) > HERMITIAN_ATOL:
         raise ContractError(f"expectation has imaginary residue {raw.imag:.3e}")
     return float(raw.real)
-
-
-def conjugate_amplitudes(state: StateVector) -> StateVector:
-    """State with every amplitude complex-conjugated."""
-    return StateVector(np.conj(state.amplitudes))
 
 
 def bloch_vector(rho: Operator) -> BlochVector:

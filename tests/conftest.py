@@ -1,13 +1,27 @@
 import math
 
 import pytest
+from hypothesis import strategies as st
 
-from ejm.bases import EjmParams
+from ejm.bases import DOMAIN, PARAM_NAMES, EjmParams
 
 GRID_Z = (1.0 / math.sqrt(3.0), 0.85, 1.0)
 GRID_PHI = (-2.0, 0.3, 2.5)
 GRID_THETA = (0.0, 0.8, math.pi / 2)
 GRID_GAMMA = (0.0, 0.5, math.pi / 2)
+
+
+def _signed(z, negative, phi, theta, gamma):
+    return EjmParams(z=-z if negative else z, phi=phi, theta=theta, gamma=gamma)
+
+
+# Points drawn over the whole parameter domain, either sign of z.
+domain_params = st.builds(
+    _signed,
+    st.floats(*DOMAIN["z"]),
+    st.booleans(),
+    *(st.floats(*DOMAIN[name]) for name in PARAM_NAMES[1:]),
+)
 
 
 def make_grid():

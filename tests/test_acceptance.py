@@ -152,8 +152,8 @@ def test_criterion_04_geometry(grid_params, grid_families):
 @criterion(5, "swap overlaps 1/(2 sqrt(2)); conjugated-state amplitude expansion")
 def test_criterion_05_entanglement_swapping(grid_params):
     coefficient = 1.0 / (2.0 * math.sqrt(2.0))
+    star = star_state()
     for params in grid_params:
-        star = star_state(StarScenario(params))
         for b1, b2, b3 in product((0, 1), repeat=3):
             psi = three_qubit_ejm(params, 2 * b1 + b2, b3)
             overlap = np.vdot(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from conftest import domain_params
+from hypothesis import given, settings
 
 from ejm.analysis import (
     _is_rectangular_box,
@@ -55,6 +57,13 @@ class TestThreeTangle:
                 for k in (0, 1):
                     tau = three_tangle(three_qubit_ejm(params, i, k))
                     assert abs(tau - expected) < 1e-9, (params, i, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(domain_params)
+    def test_iso_entangled_law_over_domain(self, params):
+        expected = tangle_law(params)
+        for state in n_qubit_ejm(params, 3).states.values():
+            assert abs(three_tangle(state) - expected) < 1e-12
 
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(42)

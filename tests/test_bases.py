@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import domain_params
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ejm.bases
 from ejm.analysis import three_tangle, verify_orthonormal_complete
@@ -18,7 +21,7 @@ from ejm.bases import (
     three_qubit_ejm,
     two_qubit_ejm,
 )
-from ejm.qla import PAULIS, bloch_vector, expectation, identity, partial_trace, tensor_product
+from ejm.qla import PAULIS, bloch_vector, expectation, partial_trace, tensor_product
 
 PARAMS = EjmParams(z=0.8, phi=0.3, theta=1.0, gamma=0.5)
 
@@ -330,6 +333,12 @@ class TestNQubitFamily:
         for params in grid + [EjmParams(-p.z, p.phi, p.theta, p.gamma) for p in grid]:
             family = n_qubit_ejm(params, n)
             assert np.array_equal(family.matrix(), kron_chain_rows(params, family)), params
+
+    @settings(max_examples=150, deadline=None)
+    @given(domain_params, st.integers(2, 6))
+    def test_matrix_equals_per_label_kron_chain_over_domain(self, params, n):
+        family = n_qubit_ejm(params, n)
+        assert np.array_equal(family.matrix(), kron_chain_rows(params, family))
 
     def test_size_validation(self, monkeypatch):
         with pytest.raises(ValueError):

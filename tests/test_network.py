@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import ejm.network
 from ejm.bases import INV_SQRT3, BasisFamily, BasisLabel, EjmParams, n_qubit_ejm, three_qubit_ejm
+from ejm.cli import main
 from ejm.network import (
     ALICE_OBSERVABLES,
     CorrelationReport,
-    PSI_PLUS,
     StarScenario,
     correlation_I_analytic,
     correlation_I_bruteforce,
@@ -22,16 +22,11 @@ from ejm.network import (
     tilde_state,
     trilocal_score,
 )
-from ejm.qla import ContractError, Operator, StateVector, ket, partial_trace
+from ejm.qla import ContractError, StateVector, ket, partial_trace
 
 OPTIMUM = EjmParams(z=1.0, phi=0.1781, theta=math.pi / 2, gamma=math.pi / 4)
 GENERIC = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
 NEGATIVE_Z = EjmParams(z=-0.75, phi=-2.3, theta=0.3, gamma=1.1)
-# Complex Alice eigenvectors and source amplitudes make every complex
-# conjugation in the outcome table observable; the defaults are real.
-_SIGMA_Y = np.array([[0, -1j], [1j, 0]])
-COMPLEX_OBSERVABLES = [_SIGMA_Y, (np.array([[0, 1], [1, 0]]) + _SIGMA_Y) / math.sqrt(2)]
-COMPLEX_PAIR = np.array([0, 1, 1j, 0]) / math.sqrt(2)
 
 # Closed-form correlation values at the reported optimum, frozen from the
 # expressions in correlation_I_analytic (brute force must agree below).
@@ -43,15 +38,13 @@ FROZEN_I_OPTIMUM = (
 )
 
 
-def oracle_probability(params, inputs, alice_outputs, bob_outputs, observables=None, pair=None):
+def oracle_probability(params, inputs, alice_outputs, bob_outputs):
     """Independent Born-rule evaluation with explicitly assembled 64-dim
-    projectors, kept free of the library's fast path.  observables and pair
-    default to the library's Alice observables and |psi+> source."""
+    projectors, kept free of the library's fast path."""
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
     eye = np.eye(2, dtype=complex)
-    if observables is None:
-        observables = [(sx + sz) / math.sqrt(2), (sx - sz) / math.sqrt(2)]
+    observables = [(sx + sz) / math.sqrt(2), (sx - sz) / math.sqrt(2)]
     total = np.eye(1, dtype=complex)
     for x, a in zip(inputs, alice_outputs):
         projector = (eye + (-1.0) ** a * observables[x]) / 2.0
@@ -59,8 +52,7 @@ def oracle_probability(params, inputs, alice_outputs, bob_outputs, observables=N
     label = 2 * bob_outputs[0] + bob_outputs[1], bob_outputs[2]
     psi_b = three_qubit_ejm(params, label[0], label[1]).amplitudes
     total = np.kron(total, np.outer(psi_b, psi_b.conj()))
-    if pair is None:
-        pair = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
+    pair = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
     six = np.kron(np.kron(pair, pair), pair)  # pair order A1 B1 A2 B2 A3 B3
     star = six.reshape([2] * 6).transpose([0, 2, 4, 1, 3, 5]).reshape(-1)
     return float(np.real(np.vdot(star, total @ star)))
@@ -116,17 +108,17 @@ class TestTildeState:
 
 class TestStarState:
     def test_norm(self):
-        star = star_state(StarScenario(GENERIC))
+        star = star_state()
         assert abs(np.linalg.norm(star.amplitudes) - 1.0) < 1e-12
 
     def test_bob_marginal_is_maximally_mixed(self):
-        star = star_state(StarScenario(GENERIC))
+        star = star_state()
         rho = partial_trace(star, {4, 5, 6})
         assert np.max(np.abs(rho.entries - np.eye(8) / 8.0)) < 1e-12
 
     @pytest.mark.parametrize("params", [GENERIC, OPTIMUM])
     def test_swap_overlaps(self, params):
-        star = star_state(StarScenario(params))
+        star = star_state()
         coefficient = 1.0 / (2.0 * math.sqrt(2.0))
         for b1, b2, b3 in product((0, 1), repeat=3):
             psi = three_qubit_ejm(params, 2 * b1 + b2, b3)
@@ -142,21 +134,30 @@ class TestScenarioValidation:
             values = np.linalg.eigvalsh(obs.entries)
             assert np.max(np.abs(values - np.array([-1.0, 1.0]))) < 1e-12
 
-    def test_bad_observable_rejected(self):
-        bad = Operator(np.array([[2, 0], [0, -1]], dtype=complex))
-        with pytest.raises(ValueError, match="eigenvalues"):
-            StarScenario(GENERIC, alice_observables=(bad, ALICE_OBSERVABLES[1]))
+    def test_corrupted_bob_basis_rejected(self, monkeypatch, capsys):
+        def corrupted(params, n):
+            states = dict(n_qubit_ejm(params, n).states)
+            states[BasisLabel(0, (), 0)] = ket("000")
+            return BasisFamily(n, params, states)
 
-    def test_corrupted_bob_basis_rejected(self):
-        family = n_qubit_ejm(GENERIC, 3)
-        states = dict(family.states)
-        states[BasisLabel(0, (), 0)] = ket("000")
-        with pytest.raises(ValueError, match="orthonormal"):
-            StarScenario(GENERIC, bob_basis=BasisFamily(3, GENERIC, states))
+        monkeypatch.setattr(ejm.network, "n_qubit_ejm", corrupted)
+        with pytest.raises(ContractError, match="orthonormal"):
+            StarScenario(GENERIC)
+        assert main(["network", "--method", "brute_force"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
-    def test_wrong_source_rejected(self):
-        with pytest.raises(ValueError, match="two-qubit"):
-            StarScenario(GENERIC, source_state=ket("000"))
+    def test_constants_are_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            ejm.network._ALICE_STAR[0, 0, 0, 0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ejm.network._ALICE[0, 0, 0] = 1.0
+        # A caller's write into one table must not reach a later one.
+        scenario = StarScenario(GENERIC)
+        before = outcome_table(scenario).copy()
+        outcome_table(scenario)[...] = 0.0
+        assert np.array_equal(outcome_table(scenario), before)
 
 
 class TestJointProbability:
@@ -175,24 +176,12 @@ class TestJointProbability:
                 joint_probability(scenario, x, a, b) - oracle_probability(GENERIC, x, a, b)
             ) < 1e-12
 
-    @pytest.mark.parametrize(
-        "params, observables, pair",
-        [(GENERIC, None, None), (NEGATIVE_Z, None, None), (NEGATIVE_Z, COMPLEX_OBSERVABLES, COMPLEX_PAIR)],
-        ids=["generic", "negative_z", "complex"],
-    )
-    def test_whole_table_matches_projector_oracle(self, params, observables, pair):
-        if observables is None:
-            scenario = StarScenario(params)
-        else:
-            scenario = StarScenario(
-                params,
-                source_state=StateVector(pair),
-                alice_observables=tuple(Operator(o) for o in observables),
-            )
-        table = outcome_table(scenario)
+    @pytest.mark.parametrize("params", [GENERIC, NEGATIVE_Z], ids=["generic", "negative_z"])
+    def test_whole_table_matches_projector_oracle(self, params):
+        table = outcome_table(StarScenario(params))
         assert table.shape == (2, 2, 2, 2, 2, 2, 8)
         for x, a, b in product(product((0, 1), repeat=3), repeat=3):
-            expected = oracle_probability(params, x, a, b, observables, pair)
+            expected = oracle_probability(params, x, a, b)
             assert abs(table[(*x, *a, 4 * b[0] + 2 * b[1] + b[2])] - expected) < 1e-12
 
     def test_normalization_per_input(self):

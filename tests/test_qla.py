@@ -16,9 +16,7 @@ from ejm.qla import (
     PAULIS,
     StateVector,
     bloch_vector,
-    conjugate_amplitudes,
     expectation,
-    identity,
     ket,
     partial_trace,
     permute_qubits,
@@ -70,7 +68,7 @@ class TestTensorProduct:
         assert np.array_equal(got.amplitudes, [0, 1, 0, 0])
 
     def test_identity_operators(self):
-        got = tensor_product(identity(2), identity(2))
+        got = tensor_product(Operator(np.eye(2)), Operator(np.eye(2)))
         assert np.array_equal(got.entries, np.eye(4))
 
     def test_first_term_of_parameter_free_family(self):
@@ -89,7 +87,7 @@ class TestTensorProduct:
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(TypeError, match="two states or two operators"):
-            tensor_product(ket("0"), identity(2))
+            tensor_product(ket("0"), Operator(np.eye(2)))
 
     def test_associative_bit_exact_on_dyadic_amplitudes(self):
         # Entries with power-of-two magnitudes multiply exactly, so the two
@@ -171,7 +169,7 @@ class TestExpectation:
         # cos(theta)/2 = 0.25 at theta = pi/3, cross-checked by matrix arithmetic.
         params = EjmParams(z=0.8, phi=0.3, theta=math.pi / 3, gamma=0.0)
         state = two_qubit_ejm(params, 0)
-        obs = tensor_product(PAULI_Z, identity(2))
+        obs = tensor_product(PAULI_Z, Operator(np.eye(2)))
         value = expectation(state, obs)
         assert abs(value - 0.25) < 1e-12
         direct = np.vdot(state.amplitudes, obs.entries @ state.amplitudes).real
@@ -185,23 +183,6 @@ class TestExpectation:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             expectation(ket("01"), PAULI_Z)
-
-
-class TestConjugateAmplitudes:
-    def test_phase_flip(self):
-        state = StateVector(np.array([1.0, 1.0j]) / math.sqrt(2))
-        got = conjugate_amplitudes(state)
-        assert np.max(np.abs(got.amplitudes - np.array([1.0, -1.0j]) / math.sqrt(2))) < 1e-16
-
-    def test_real_fixed_point(self):
-        state = StateVector(np.array([0.6, 0.8]))
-        assert np.array_equal(conjugate_amplitudes(state).amplitudes, state.amplitudes)
-
-    def test_involution_exact(self):
-        rng = np.random.default_rng(3)
-        state = random_state(rng, 2)
-        twice = conjugate_amplitudes(conjugate_amplitudes(state))
-        assert np.array_equal(twice.amplitudes, state.amplitudes)
 
 
 class TestPauliAlgebra:
@@ -255,7 +236,7 @@ class TestBlochVector:
 
     def test_dimension_check(self):
         with pytest.raises(ValueError, match="2x2"):
-            bloch_vector(identity(4))
+            bloch_vector(Operator(np.eye(4)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -271,14 +252,6 @@ def test_partial_trace_has_unit_trace(state):
     for keep in ({1}, {2}, {1, 3}):
         rho = partial_trace(state, keep)
         assert abs(np.trace(rho.entries).real - 1.0) < 1e-12
-
-
-@settings(max_examples=25, deadline=None)
-@given(state_strategy(2))
-def test_conjugation_is_involution(state):
-    assert np.array_equal(
-        conjugate_amplitudes(conjugate_amplitudes(state)).amplitudes, state.amplitudes
-    )
 
 
 _complexes = st.complex_numbers(
