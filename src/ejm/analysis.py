@@ -137,10 +137,9 @@ def verify_orthonormal_complete(family: BasisFamily) -> OrthonormalityReport:
     entry of |sum_s |s><s| - I|.  Both are reported, never asserted.
     """
     v = family.matrix()
-    eye_states = np.eye(v.shape[0])
-    eye_space = np.eye(v.shape[1])
-    gram_error = float(np.max(np.abs(v.conj() @ v.T - eye_states)))
-    completeness_error = float(np.max(np.abs(v.T @ v.conj() - eye_space)))
+    eye = np.eye(len(v))
+    gram_error = float(np.max(np.abs(v.conj() @ v.T - eye)))
+    completeness_error = float(np.max(np.abs(v.T @ v.conj() - eye)))
     return OrthonormalityReport(gram_error, completeness_error)
 
 

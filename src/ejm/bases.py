@@ -11,14 +11,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
-from .qla import StateVector
+from .qla import StateVector, check_normalized
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 PARAM_NAMES = ("z", "phi", "theta", "gamma")
@@ -109,27 +109,60 @@ class BasisLabel:
     l: Optional[int] = None
 
 
+@cache
+def _labels(n: int) -> Mapping[BasisLabel, int]:
+    """Row of each n-qubit label: (i, j1, ..., jk) lexicographic, odd-n bit l fastest."""
+    tail_bits = (0, 1) if n % 2 else (None,)
+    combos = product(product(range(4), repeat=n // 2), tail_bits)
+    return MappingProxyType({BasisLabel(c[0], c[1:], l): row for row, (c, l) in enumerate(combos)})
+
+
+@dataclass(frozen=True, eq=False)
+class _States(Mapping[BasisLabel, StateVector]):
+    """Read-only label -> StateVector view of a family's rows, built on read and not kept."""
+
+    family: BasisFamily
+
+    def __getitem__(self, label: BasisLabel) -> StateVector:
+        return StateVector(self.family.amplitudes[_labels(self.family.n_qubits)[label]])
+
+    def __iter__(self) -> Iterator[BasisLabel]:
+        return iter(_labels(self.family.n_qubits))
+
+    def __len__(self) -> int:
+        return len(self.family)
+
+
 @dataclass(frozen=True, eq=False)
 class BasisFamily:
-    """Ordered orthonormal family of same-size multi-qubit states."""
+    """Ordered orthonormal n-qubit family: a read-only 2**n x 2**n matrix, one normalized row per label."""
 
     n_qubits: int
     params: EjmParams
-    states: Mapping[BasisLabel, StateVector]
+    amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "states", MappingProxyType(dict(self.states)))
+        amps = np.array(self.amplitudes, dtype=np.complex128)
+        if self.n_qubits < 2 or amps.shape != (2**self.n_qubits,) * 2:
+            raise ValueError(f"amplitudes of shape {amps.shape} do not form a {self.n_qubits}-qubit family")
+        check_normalized(amps)
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def labels(self) -> tuple[BasisLabel, ...]:
-        return tuple(self.states)
+        return tuple(_labels(self.n_qubits))
+
+    @property
+    def states(self) -> Mapping[BasisLabel, StateVector]:
+        return _States(self)
 
     def matrix(self) -> np.ndarray:
-        """Amplitudes stacked row-wise in label order."""
-        return np.vstack([s.amplitudes for s in self.states.values()])
+        """Amplitudes, one row per label in label order (the stored array)."""
+        return self.amplitudes
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.amplitudes)
 
 
 def _check_i(i: int) -> None:
@@ -137,18 +170,13 @@ def _check_i(i: int) -> None:
         raise ValueError(f"vertex index i={i!r} must be 0..3")
 
 
-def _check_bit(value: int, name: str) -> None:
-    if value not in (0, 1):
-        raise ValueError(f"{name}={value!r} must be 0 or 1")
-
-
-def _single_amps(params: EjmParams, i: int, sign: int) -> np.ndarray:
-    zi = params.z_i(i)
-    half = 0.5 * params.phi_i(i)
+def _qubit_amps(z: float, phi: float, sign: int) -> np.ndarray:
+    """|m> (sign=+1) or |-m> (sign=-1) for the Bloch vector at height z and azimuth phi."""
+    half = 0.5 * phi
     lo = cmath.exp(-1j * half)
     hi = cmath.exp(1j * half)
-    a = math.sqrt(max(1.0 + zi, 0.0) / 2.0)
-    b = math.sqrt(max(1.0 - zi, 0.0) / 2.0)
+    a = math.sqrt(max(1.0 + z, 0.0) / 2.0)
+    b = math.sqrt(max(1.0 - z, 0.0) / 2.0)
     if sign > 0:
         return np.array([a * lo, b * hi])
     return np.array([b * lo, -a * hi])
@@ -160,7 +188,7 @@ def single_qubit_m(params: EjmParams, i: int, sign: int = +1) -> StateVector:
     _check_i(i)
     if sign not in (1, -1):
         raise ValueError(f"sign={sign!r} must be +1 or -1")
-    return StateVector(_single_amps(params, i, sign))
+    return StateVector(_qubit_amps(params.z_i(i), params.phi_i(i), sign))
 
 
 def m_vector(params: EjmParams, i: int) -> np.ndarray:
@@ -198,18 +226,6 @@ def two_qubit_ejm(params: EjmParams, i: int, primed: bool = False) -> StateVecto
     return StateVector(_two_qubit_amps(params, i, primed))
 
 
-def _reference_amps(i: int, sign: int) -> np.ndarray:
-    zi = _REFERENCE_Z[i]
-    half = 0.5 * _REFERENCE_PHI[i]
-    lo = cmath.exp(-1j * half)
-    hi = cmath.exp(1j * half)
-    a = math.sqrt((1.0 + zi) / 2.0)
-    b = math.sqrt((1.0 - zi) / 2.0)
-    if sign > 0:
-        return np.array([a * lo, b * hi])
-    return np.array([b * lo, -a * hi])
-
-
 def reference_bases(kind: str, theta: Optional[float] = None) -> BasisFamily:
     """Two-qubit reference families on the fixed (1,+-1,+-1)/sqrt(3) tetrahedron.
 
@@ -230,14 +246,12 @@ def reference_bases(kind: str, theta: Optional[float] = None) -> BasisFamily:
         raise ValueError(f"unknown kind {kind!r}")
     e_theta = cmath.exp(1j * t)
     s3 = math.sqrt(3.0)
-    states: dict[BasisLabel, StateVector] = {}
-    for i in range(4):
-        fwd = np.kron(_reference_amps(i, +1), _reference_amps(i, -1))
-        rev = np.kron(_reference_amps(i, -1), _reference_amps(i, +1))
-        amps = ((s3 + e_theta) * fwd + (s3 - e_theta) * rev) / (2.0 * math.sqrt(2.0))
-        states[BasisLabel(i)] = StateVector(amps)
+    rows = []
+    for zi, phi in zip(_REFERENCE_Z, _REFERENCE_PHI):
+        mp, mm = (_qubit_amps(zi, phi, sign) for sign in (+1, -1))
+        rows.append(((s3 + e_theta) * np.kron(mp, mm) + (s3 - e_theta) * np.kron(mm, mp)) / (2.0 * math.sqrt(2.0)))
     params = EjmParams(z=INV_SQRT3, phi=math.pi / 4, theta=t, gamma=0.0)
-    return BasisFamily(2, params, states)
+    return BasisFamily(2, params, np.array(rows))
 
 
 def _family_matrix(params: EjmParams, n: int) -> np.ndarray:
@@ -265,7 +279,7 @@ def _family_matrix(params: EjmParams, n: int) -> np.ndarray:
         if n % 2 == 0:
             blocks.append(c * plain[i] + mixed * primed[i])
             continue
-        mp, mm = _single_amps(params, i, +1), _single_amps(params, i, -1)
+        mp, mm = (_qubit_amps(params.z_i(i), params.phi_i(i), sign) for sign in (+1, -1))
         kp, km = plain[i][:, None, :, None], primed[i][:, None, :, None]
         l0 = c * (kp * mp) + mixed * (km * mm)
         l1 = c * (kp * mm) - mixed * (km * mp)
@@ -280,7 +294,8 @@ def three_qubit_ejm(params: EjmParams, i: int, k: int) -> StateVector:
     k=1 the partner with |+-m_i> swapped and the mixing sign flipped.
     """
     _check_i(i)
-    _check_bit(k, "k")
+    if k not in (0, 1):
+        raise ValueError(f"k={k!r} must be 0 or 1")
     return StateVector(_family_matrix(params, 3)[2 * i + k])
 
 
@@ -297,7 +312,4 @@ def n_qubit_ejm(params: EjmParams, n: int) -> BasisFamily:
         raise ValueError(f"n={n!r} must be at least 2")
     if n > MAX_QUBITS:
         raise ResourceLimitError(f"n={n} exceeds the configured cap {MAX_QUBITS}")
-    tail_bits = (0, 1) if n % 2 else (None,)
-    labels = [BasisLabel(c[0], c[1:], l) for c in product(range(4), repeat=n // 2) for l in tail_bits]
-    states = {label: StateVector(row) for label, row in zip(labels, _family_matrix(params, n))}
-    return BasisFamily(n, params, states)
+    return BasisFamily(n, params, _family_matrix(params, n))

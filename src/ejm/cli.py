@@ -107,13 +107,7 @@ def _params_from_args(args: argparse.Namespace) -> EjmParams:
 
 
 def _params_dict(params: EjmParams) -> dict:
-    return {
-        "z": float(params.z),
-        "phi": float(params.phi),
-        "theta": float(params.theta),
-        "gamma": float(params.gamma),
-        "phi_z": float(params.phi_z),
-    }
+    return {name: float(getattr(params, name)) for name in (*PARAM_NAMES, "phi_z")}
 
 
 def _label_dict(label: BasisLabel) -> dict:
@@ -204,11 +198,8 @@ def _cmd_basis(args: argparse.Namespace) -> tuple[int, dict]:
     params = _params_from_args(args)
     family = n_qubit_ejm(params, args.n)
     states = [
-        {
-            **_label_dict(label),
-            "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
-        }
-        for label, state in family.states.items()
+        {**_label_dict(label), "amplitudes": [[float(a.real), float(a.imag)] for a in row]}
+        for label, row in zip(family.labels, family.matrix())
     ]
     payload = {
         "schema": "basis",
@@ -295,12 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, payload = _COMMANDS[args.command](args)
         data = export(payload, args.format)
-    except (CliError, ValueError, ResourceLimitError) as exc:
+    except (CliError, ValueError, ResourceLimitError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ContractError as exc:  # a numeric contract failed: a failed verification
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, ContractError) else 2  # 1: a numeric contract failed
     if args.output is not None:
         args.output.write_bytes(data)
     else:

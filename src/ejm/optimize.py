@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -18,6 +19,10 @@ MAX_SWEEP_POINTS = 100_000
 # maximize keeps one (EjmParams, score) trace entry of about 360 bytes per
 # evaluation: a million take about 0.4 GB and half a minute.
 MAX_BUDGET = 1_000_000
+# Grid points per free dimension: the bounds and every eighth between; 9^4 cells fit the default budget.
+GRID_POINTS = 9
+# Nelder-Mead refinements, one from each of this many best distinct grid cells.
+STARTS = 5
 
 
 def _check_range(name: str, lo: float, hi: float) -> tuple[float, float]:
@@ -107,14 +112,11 @@ def minimize(*args, **kwargs):
 def maximize(
     bounds: Mapping[str, tuple[float, float]] | None = None,
     budget: int = 20000,
-    *,
-    grid_points: int = 9,
-    starts: int = 5,
 ) -> OptimumResult:
     """Maximize the trilocal score over a box in (z, phi, theta, gamma).
 
-    A coarse grid (grid_points per free dimension) seeds Nelder-Mead
-    refinements from the best ``starts`` distinct cells.  The search is
+    A coarse grid (GRID_POINTS per free dimension) seeds Nelder-Mead
+    refinements from the best STARTS distinct cells.  The search is
     deterministic.  If the budget runs out before any refinement the best
     grid point is returned with warning=True.
     """
@@ -138,38 +140,28 @@ def maximize(
         trace.append((params, score))
         return score
 
-    def best_so_far() -> tuple[EjmParams, float]:
-        best_params, best_score = trace[0]
-        for params, score in trace[1:]:
-            if score > best_score:
-                best_params, best_score = params, score
-        return best_params, best_score
+    def result(warning: bool = False) -> OptimumResult:
+        return OptimumResult(*max(trace, key=itemgetter(1)), tuple(trace), warning=warning)
 
     axes = [
-        np.linspace(lows[idx], highs[idx], grid_points) if idx in free else np.array([lows[idx]])
+        np.linspace(lows[idx], highs[idx], GRID_POINTS) if idx in free else np.array([lows[idx]])
         for idx in range(4)
     ]
     grid_cells = []
-    grid_done = True
-    for cell in product(*axes):
-        x = np.array(cell)
-        try:
+    try:
+        for cell in product(*axes):
+            x = np.array(cell)
             grid_cells.append((evaluate(x), x))
-        except _BudgetExhausted:
-            grid_done = False
-            break
+    except _BudgetExhausted:
+        return result(warning=True)
+    if not free or len(trace) >= budget:
+        return result()
 
-    if not free or not grid_done or len(trace) >= budget:
-        best_params, best_score = best_so_far()
-        return OptimumResult(best_params, best_score, tuple(trace), warning=not grid_done)
-
-    ranked = sorted(range(len(grid_cells)), key=lambda idx: -grid_cells[idx][0])
     seeds: list[np.ndarray] = []
-    for idx in ranked:
-        x = grid_cells[idx][1]
+    for _, x in sorted(grid_cells, key=lambda cell: -cell[0]):
         if not any(np.array_equal(x, s) for s in seeds):
             seeds.append(x)
-        if len(seeds) == starts:
+        if len(seeds) == STARTS:
             break
 
     sub_bounds = [(lows[idx], highs[idx]) for idx in free]
@@ -194,5 +186,4 @@ def maximize(
         except _BudgetExhausted:
             break
 
-    best_params, best_score = best_so_far()
-    return OptimumResult(best_params, best_score, tuple(trace), warning=False)
+    return result()

@@ -235,9 +235,9 @@ class TestVerifyOrthonormalComplete:
     def test_corrupted_family_detected(self):
         params = EjmParams(z=0.8, phi=0.3, theta=1.0, gamma=0.5)
         family = n_qubit_ejm(params, 3)
-        states = dict(family.states)
-        states[BasisLabel(0, (), 0)] = ket("000")
-        corrupted = BasisFamily(3, params, states)
+        rows = family.matrix().copy()
+        rows[family.labels.index(BasisLabel(0, (), 0))] = ket("000").amplitudes
+        corrupted = BasisFamily(3, params, rows)
         assert verify_orthonormal_complete(corrupted).gram_error >= 0.1
 
 

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import ejm.bases
 from ejm.analysis import three_tangle, verify_orthonormal_complete
 from ejm.bases import (
+    BasisFamily,
     BasisLabel,
     EjmParams,
     INV_SQRT3,
@@ -21,7 +23,7 @@ from ejm.bases import (
     three_qubit_ejm,
     two_qubit_ejm,
 )
-from ejm.qla import PAULIS, bloch_vector, expectation, partial_trace, tensor_product
+from ejm.qla import PAULIS, StateVector, bloch_vector, expectation, partial_trace, tensor_product
 
 PARAMS = EjmParams(z=0.8, phi=0.3, theta=1.0, gamma=0.5)
 
@@ -352,3 +354,65 @@ class TestNQubitFamily:
         family = n_qubit_ejm(PARAMS, 2)
         with pytest.raises(TypeError):
             family.states[BasisLabel(0)] = None
+
+
+class TestBasisFamilyContract:
+    def test_wrong_shape_rejected(self):
+        rows = n_qubit_ejm(PARAMS, 3).matrix()
+        for bad in (rows[:4], rows[:, :4], rows[0], np.eye(4)):
+            with pytest.raises(ValueError, match="do not form a 3-qubit family"):
+                BasisFamily(3, PARAMS, bad)
+        with pytest.raises(ValueError, match="do not form a 1-qubit family"):
+            BasisFamily(1, PARAMS, np.eye(2))
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-9, np.nan])
+    def test_unnormalized_row_rejected(self, scale):
+        rows = n_qubit_ejm(PARAMS, 3).matrix().copy()
+        rows[5] *= scale
+        with pytest.raises(ValueError, match="not normalized"):
+            BasisFamily(3, PARAMS, rows)
+
+    def test_matrix_is_stored_read_only(self):
+        family = n_qubit_ejm(PARAMS, 4)
+        matrix = family.matrix()
+        assert family.matrix() is matrix
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
+
+    def test_caller_array_is_copied(self):
+        rows = np.eye(4, dtype=complex)
+        family = BasisFamily(2, PARAMS, rows)
+        rows[0, 0] = 2.0
+        assert family.matrix()[0, 0] == 1.0
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_states_are_the_matrix_rows_in_label_order(self, n):
+        family = n_qubit_ejm(PARAMS, n)
+        tail_bits = (0, 1) if n % 2 else (None,)
+        expected = [BasisLabel(c[0], c[1:], l) for c in product(range(4), repeat=n // 2) for l in tail_bits]
+        assert list(family.labels) == expected
+        assert list(family.states) == expected and len(family.states) == 2**n
+        for row, (label, state) in zip(family.matrix(), family.states.items()):
+            assert np.array_equal(state.amplitudes, row), label
+        assert np.array_equal(family.states[expected[-1]].amplitudes, family.matrix()[-1])
+
+    def test_unknown_label_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            n_qubit_ejm(PARAMS, 3).states[BasisLabel(0)]
+
+    def test_builders_construct_no_state_vector(self, monkeypatch):
+        calls = []
+        original = StateVector.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(StateVector, "__post_init__", counting)
+        for n in range(2, 9):
+            n_qubit_ejm(PARAMS, n)
+        reference_bases("parameter_free")
+        reference_bases("single_parameter", 0.7)
+        assert calls == []
+        next(iter(n_qubit_ejm(PARAMS, 2).states.values()))
+        assert len(calls) == 1

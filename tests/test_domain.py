@@ -97,15 +97,15 @@ class TestNegativeZ:
         assert negative == positive
 
     def test_maximize_over_pinned_negative_z_mirrors_positive_z(self):
-        positive = maximize({"z": (0.9, 0.9)}, budget=1500, grid_points=5, starts=2)
-        negative = maximize({"z": (-0.9, -0.9)}, budget=1500, grid_points=5, starts=2)
+        positive = maximize({"z": (0.9, 0.9)}, budget=1500)
+        negative = maximize({"z": (-0.9, -0.9)}, budget=1500)
         assert negative.S == positive.S
         assert negative.params.z == -positive.params.z
         assert [s for _, s in negative.trace] == [s for _, s in positive.trace]
 
     def test_maximize_over_negative_z_box(self):
-        positive = maximize({"z": (0.6, 1.0)}, budget=3000, grid_points=5, starts=2)
-        negative = maximize({"z": (-1.0, -0.6)}, budget=3000, grid_points=5, starts=2)
+        positive = maximize({"z": (0.6, 1.0)}, budget=8000)
+        negative = maximize({"z": (-1.0, -0.6)}, budget=8000)
         assert -1.0 <= negative.params.z <= -0.6
         assert abs(negative.S - positive.S) < 1e-6
         assert negative.S > 2.29

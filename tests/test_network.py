@@ -136,9 +136,10 @@ class TestScenarioValidation:
 
     def test_corrupted_bob_basis_rejected(self, monkeypatch, capsys):
         def corrupted(params, n):
-            states = dict(n_qubit_ejm(params, n).states)
-            states[BasisLabel(0, (), 0)] = ket("000")
-            return BasisFamily(n, params, states)
+            family = n_qubit_ejm(params, n)
+            rows = family.matrix().copy()
+            rows[family.labels.index(BasisLabel(0, (), 0))] = ket("000").amplitudes
+            return BasisFamily(n, params, rows)
 
         monkeypatch.setattr(ejm.network, "n_qubit_ejm", corrupted)
         with pytest.raises(ContractError, match="orthonormal"):

@@ -70,7 +70,7 @@ class TestMaximize:
         assert min(abs(params.phi - 0.1781), abs(params.phi - 1.3921)) < 0.02
 
     def test_result_reevaluates_consistently(self):
-        result = maximize(budget=2000, grid_points=5, starts=2)
+        result = maximize(budget=8000)
         assert abs(result.S - trilocal_score(result.params).S) < 1e-12
 
     def test_z_floor_hyperplane_never_violates(self):
@@ -84,15 +84,15 @@ class TestMaximize:
         assert abs(result.S - trilocal_score(EjmParams(**point)).S) < 1e-15
 
     def test_deterministic(self):
-        first = maximize(budget=1500, grid_points=5, starts=2)
-        second = maximize(budget=1500, grid_points=5, starts=2)
+        first = maximize(budget=8000)
+        second = maximize(budget=8000)
         assert first.S == second.S
         assert len(first.trace) == len(second.trace)
         for (pa, sa), (pb, sb) in zip(first.trace, second.trace):
             assert pa == pb and sa == sb
 
     def test_best_so_far_is_monotone(self):
-        result = maximize(budget=2000, grid_points=5, starts=3)
+        result = maximize(budget=8000)
         best = -math.inf
         records = []
         for _, score in result.trace:
@@ -103,7 +103,7 @@ class TestMaximize:
 
     def test_trace_stays_inside_bounds(self):
         bounds = {"z": (0.8, 0.9), "phi": (0.0, 1.0), "theta": (0.3, 1.2), "gamma": (0.1, 0.7)}
-        result = maximize(bounds, budget=1500, grid_points=4, starts=2)
+        result = maximize(bounds, budget=8000)
         for params, _ in result.trace:
             assert 0.8 - 1e-12 <= params.z <= 0.9 + 1e-12
             assert 0.0 - 1e-12 <= params.phi <= 1.0 + 1e-12

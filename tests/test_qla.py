@@ -48,8 +48,9 @@ class TestStateVector:
             StateVector(np.array([1.0, 0.0, 0.0]))
 
     def test_requires_normalization(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            StateVector(np.array([1.0, 1.0]))
+        for amps in ([1.0, 1.0], [np.nan, 0.0]):
+            with pytest.raises(ValueError, match="not normalized"):
+                StateVector(np.array(amps))
 
     def test_amplitudes_are_frozen(self):
         state = ket("0")
