@@ -30,10 +30,8 @@ from .network import (
     StarScenario,
     correlation_I_analytic,
     correlation_I_bruteforce,
-    joint_probability,
     outcome_table,
     star_state,
-    tilde_state,
     trilocal_score,
 )
 from .optimize import OptimumResult, SweepSpec, maximize, sweep
@@ -43,8 +41,6 @@ from .qla import (
     Operator,
     StateVector,
     bloch_vector,
-    expectation,
-    ket,
     partial_trace,
     permute_qubits,
     tensor_product,

@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .bases import BasisFamily, BasisLabel, EjmParams
-from .qla import NORM_ATOL, PAULIS, BlochVector, ContractError, StateVector, partial_trace
+from .bases import BasisFamily, BasisLabel, EjmParams, _labels
+from .qla import NORM_ATOL, PAULIS, BlochVector, ContractError, RowView, StateVector, partial_trace
 
 # The three-tangle is quartic in the amplitudes, so a norm off by up to NORM_ATOL
 # moves it by up to 4 * NORM_ATOL, plus rounding; an excess beyond this is a bug.
@@ -91,7 +93,7 @@ def reduction_coefficients(params: EjmParams) -> tuple[float, float]:
 
 
 def _bloch_array(family: BasisFamily) -> np.ndarray:
-    """Bloch vectors of every single-qubit reduction, shape (states, qubits, 3).
+    """Bloch vectors of every single-qubit reduction, shape (states, qubits, 3), read-only.
 
     Each 2x2 reduced density matrix comes from partial_trace on one state;
     the Pauli expectations tr(rho sigma) of all of them are then taken in one
@@ -101,25 +103,27 @@ def _bloch_array(family: BasisFamily) -> np.ndarray:
     rho = np.array(
         [[partial_trace(state, {q}).entries for q in qubits] for state in family.states.values()]
     )
-    return np.trace(rho[:, :, None] @ _PAULI_STACK, axis1=-2, axis2=-1).real
+    vectors = np.trace(rho[:, :, None] @ _PAULI_STACK, axis1=-2, axis2=-1).real
+    vectors.setflags(write=False)
+    return vectors
 
 
-def _vector_map(
-    family: BasisFamily, vectors: np.ndarray
-) -> dict[tuple[BasisLabel, int], BlochVector]:
-    return {
-        (label, qubit): BlochVector(*xyz)
-        for label, row in zip(family.labels, vectors.tolist())
-        for qubit, xyz in enumerate(row, start=1)
-    }
+@cache
+def _vector_index(n: int) -> Mapping[tuple[BasisLabel, int], tuple[int, int]]:
+    """(label, 1-based qubit) -> (row, qubit - 1), by label in family order, then qubit."""
+    return MappingProxyType(
+        {(label, q): (row, q - 1) for label, row in _labels(n).items() for q in range(1, n + 1)}
+    )
 
 
-def reduced_bloch_vectors(
-    family: BasisFamily,
-) -> dict[tuple[BasisLabel, int], BlochVector]:
-    """Bloch vector of every single-qubit reduction, keyed by
-    (basis label, 1-based qubit position)."""
-    return _vector_map(family, _bloch_array(family))
+def _bloch(xyz: np.ndarray) -> BlochVector:
+    return BlochVector(*xyz.tolist())
+
+
+def reduced_bloch_vectors(family: BasisFamily) -> RowView[tuple[BasisLabel, int], BlochVector]:
+    """Bloch vector of every single-qubit reduction, keyed by (basis label,
+    1-based qubit position): a read-only view that builds each on read."""
+    return RowView(_bloch_array(family), _vector_index(family.n_qubits), _bloch)
 
 
 @dataclass(frozen=True)
@@ -218,7 +222,7 @@ def _is_rectangular_box(points: np.ndarray, tol: float) -> bool:
     return bool(np.any(vanishing & nonzero & orthogonal))
 
 
-def symmetry_report(family: BasisFamily, *, tol: float = GEOMETRY_ATOL) -> SymmetryReport:
+def symmetry_report(family: BasisFamily) -> SymmetryReport:
     """Collect the reduction vectors of a family and check its symmetry.
 
     Checks performed: the total vector sum (over every basis state and
@@ -226,26 +230,28 @@ def symmetry_report(family: BasisFamily, *, tol: float = GEOMETRY_ATOL) -> Symme
     pairing of the full vector multiset, and for each qubit position the
     rectangular-parallelepiped predicate on the eight points +-v formed
     by that position's reduction directions.  Positions whose vertex set
-    collapses (radius below tol or coincident vertices) are flagged
-    degenerate and skipped, leaving the predicate vacuously true.
+    collapses (radius below GEOMETRY_ATOL or coincident vertices) are
+    flagged degenerate and skipped, leaving the predicate vacuously true.
+    Points within GEOMETRY_ATOL of each other count as equal.
     """
-    vectors = _bloch_array(family)
+    view = reduced_bloch_vectors(family)
+    vectors = view.rows
     stack = vectors.reshape(-1, 3)
     vector_sum = BlochVector(*stack.sum(axis=0).tolist())
-    radii = _cluster_magnitudes(np.linalg.norm(stack, axis=1), tol)
-    mirror_ok = _mirror_symmetric(stack, tol)
+    radii = _cluster_magnitudes(np.linalg.norm(stack, axis=1), GEOMETRY_ATOL)
+    mirror_ok = _mirror_symmetric(stack, GEOMETRY_ATOL)
 
     parallelepiped_ok = True
     degenerate = False
     for at_position in vectors.transpose(1, 0, 2):
-        octet, _ = _clusters(np.concatenate([at_position, -at_position]), tol)
-        if np.max(np.linalg.norm(octet, axis=1)) <= tol or len(octet) < 8:
+        octet, _ = _clusters(np.concatenate([at_position, -at_position]), GEOMETRY_ATOL)
+        if np.max(np.linalg.norm(octet, axis=1)) <= GEOMETRY_ATOL or len(octet) < 8:
             degenerate = True
             continue
-        if not _is_rectangular_box(octet, tol):
+        if not _is_rectangular_box(octet, GEOMETRY_ATOL):
             parallelepiped_ok = False
     return SymmetryReport(
-        vectors=_vector_map(family, vectors),
+        vectors=view,
         radii=radii,
         vector_sum=vector_sum,
         parallelepiped_ok=parallelepiped_ok,

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import product
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .qla import StateVector, check_normalized
+from .qla import RowView, StateVector, check_normalized
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 PARAM_NAMES = ("z", "phi", "theta", "gamma")
@@ -118,22 +118,6 @@ def _labels(n: int) -> Mapping[BasisLabel, int]:
 
 
 @dataclass(frozen=True, eq=False)
-class _States(Mapping[BasisLabel, StateVector]):
-    """Read-only label -> StateVector view of a family's rows, built on read and not kept."""
-
-    family: BasisFamily
-
-    def __getitem__(self, label: BasisLabel) -> StateVector:
-        return StateVector(self.family.amplitudes[_labels(self.family.n_qubits)[label]])
-
-    def __iter__(self) -> Iterator[BasisLabel]:
-        return iter(_labels(self.family.n_qubits))
-
-    def __len__(self) -> int:
-        return len(self.family)
-
-
-@dataclass(frozen=True, eq=False)
 class BasisFamily:
     """Ordered orthonormal n-qubit family: a read-only 2**n x 2**n matrix, one normalized row per label."""
 
@@ -155,7 +139,7 @@ class BasisFamily:
 
     @property
     def states(self) -> Mapping[BasisLabel, StateVector]:
-        return _States(self)
+        return RowView(self.amplitudes, _labels(self.n_qubits), StateVector)
 
     def matrix(self) -> np.ndarray:
         """Amplitudes, one row per label in label order (the stored array)."""

@@ -138,7 +138,6 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     ok = max(report.gram_error, report.completeness_error) < args.tol
     payload = {
         "schema": "verify-report",
-        "version": SCHEMA_VERSION,
         "n": args.n,
         "params": _params_dict(params),
         "gram_error": report.gram_error,
@@ -160,7 +159,6 @@ def _cmd_tangle(args: argparse.Namespace) -> tuple[int, dict]:
     numbers = [entry["value"] for entry in values]
     payload = {
         "schema": "entanglement-report",
-        "version": SCHEMA_VERSION,
         "n": args.n,
         "measure": "three_tangle" if args.n == 3 else "concurrence",
         "params": _params_dict(params),
@@ -181,7 +179,6 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[int, dict]:
     ]
     payload = {
         "schema": "symmetry-report",
-        "version": SCHEMA_VERSION,
         "n": args.n,
         "params": _params_dict(params),
         "vectors": vectors,
@@ -203,7 +200,6 @@ def _cmd_basis(args: argparse.Namespace) -> tuple[int, dict]:
     ]
     payload = {
         "schema": "basis",
-        "version": SCHEMA_VERSION,
         "n": args.n,
         "params": _params_dict(params),
         "states": states,
@@ -216,7 +212,6 @@ def _cmd_network(args: argparse.Namespace) -> tuple[int, dict]:
     report = trilocal_score(params, method=args.method, cross_check=args.cross_check)
     payload = {
         "schema": "correlation-report",
-        "version": SCHEMA_VERSION,
         "params": _params_dict(params),
         "I": [float(v) for v in report.I],
         "S": float(report.S),
@@ -234,7 +229,6 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[int, dict]:
     samples = sweep(spec)
     payload = {
         "schema": "sweep",
-        "version": SCHEMA_VERSION,
         "varying": args.vary,
         "lo": float(lo),
         "hi": float(hi),
@@ -255,7 +249,6 @@ def _cmd_optimize(args: argparse.Namespace) -> tuple[int, dict]:
     result = maximize(bounds, budget=args.budget)
     payload = {
         "schema": "optimum",
-        "version": SCHEMA_VERSION,
         "params": _params_dict(result.params),
         "S": float(result.S),
         "violated": result.S > 2.0,
@@ -285,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         code, payload = _COMMANDS[args.command](args)
-        data = export(payload, args.format)
+        data = export({**payload, "version": SCHEMA_VERSION}, args.format)
     except (CliError, ValueError, ResourceLimitError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ContractError) else 2  # 1: a numeric contract failed

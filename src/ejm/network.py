@@ -95,36 +95,6 @@ class StarScenario:
         object.__setattr__(self, "bob_basis", bob_basis)
 
 
-def tilde_state(state: StateVector) -> StateVector:
-    """Conjugate every amplitude, then flip all three qubits.
-
-    In the big-endian index convention the bit flip is an index reversal,
-    so the result is conj(amplitudes)[::-1].
-    """
-    if state.n_qubits != 3:
-        raise ValueError(f"tilde_state needs a 3-qubit state, got {state.n_qubits} qubits")
-    return StateVector(np.conj(state.amplitudes)[::-1])
-
-
-def joint_probability(
-    scenario: StarScenario,
-    inputs: tuple[int, int, int],
-    alice_outputs: tuple[int, int, int],
-    bob_outputs: tuple[int, int, int],
-) -> float:
-    """Born-rule probability of one raw outcome pattern.
-
-    inputs are the Alice settings x1 x2 x3, alice_outputs the bits a1 a2 a3
-    (output a corresponds to eigenvalue (-1)^a), bob_outputs the raw EJM
-    label b1 b2 b3.  Read from ``outcome_table``.
-    """
-    for bit in (*inputs, *alice_outputs, *bob_outputs):
-        if bit not in (0, 1):
-            raise ValueError("all inputs and outputs must be bits")
-    b_index = bob_outputs[0] * 4 + bob_outputs[1] * 2 + bob_outputs[2]
-    return float(outcome_table(scenario)[(*inputs, *alice_outputs, b_index)])
-
-
 def outcome_table(scenario: StarScenario) -> np.ndarray:
     """Full joint distribution P[x1,x2,x3,a1,a2,a3,b] over raw outcomes,
     shape (2,2,2,2,2,2,8): the constant projected star tensor times Bob's
@@ -132,18 +102,15 @@ def outcome_table(scenario: StarScenario) -> np.ndarray:
     return np.abs(_ALICE_STAR @ scenario.bob_basis.matrix().conj().T) ** 2
 
 
-def correlation_I_bruteforce(
-    scenario: StarScenario, m: int, *, table: np.ndarray | None = None
-) -> float:
-    """Correlation quantity I_m from the joint outcome distribution.
+def correlation_I_bruteforce(table: np.ndarray, m: int) -> float:
+    """Correlation quantity I_m from the joint outcome distribution
+    ``table`` (as returned by outcome_table).
 
     Averages the signed correlator <A1 A2 A3 B^m> over the eight input
     triples with the input-dependent sign (-1)^g_m.
     """
     if m not in (1, 2, 3, 4):
         raise ValueError(f"m={m!r} must be 1..4")
-    if table is None:
-        table = outcome_table(scenario)
     correlators = table.reshape(8, 8, 8) @ _BOB_SIGNS[m - 1]
     return float(_INPUT_SIGNS[m - 1] @ correlators @ _ALICE_SIGNS) / 8.0
 
@@ -193,11 +160,8 @@ def trilocal_score(
     if method == "analytic" or cross_check:
         analytic = tuple(correlation_I_analytic(params, m) for m in range(1, 5))
     if method == "brute_force" or cross_check:
-        scenario = StarScenario(params)
-        table = outcome_table(scenario)
-        brute = tuple(
-            correlation_I_bruteforce(scenario, m, table=table) for m in range(1, 5)
-        )
+        table = outcome_table(StarScenario(params))
+        brute = tuple(correlation_I_bruteforce(table, m) for m in range(1, 5))
     if cross_check:
         worst = max(abs(a - b) for a, b in zip(analytic, brute))
         if worst > CROSS_CHECK_ATOL:

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 # Built states are normalized to 1e-15; a norm further from 1 is a wrong construction.
 NORM_ATOL = 1e-12
-# Largest |A - A^dagger| entry or imaginary expectation that is still rounding.
-HERMITIAN_ATOL = 1e-10
 
 
 class ContractError(RuntimeError):
@@ -92,23 +90,34 @@ class BlochVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
+
+K = TypeVar("K")
+V = TypeVar("V")
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class RowView(Mapping[K, V]):
+    """Read-only key -> make(rows[index[key]]) view of an array; each value is
+    built when it is read and not kept.  Keys run in index order."""
+
+    rows: np.ndarray
+    index: Mapping[K, Any]
+    make: Callable[[np.ndarray], V]
+
+    def __getitem__(self, key: K) -> V:
+        return self.make(self.rows[self.index[key]])
+
+    def __iter__(self) -> Iterator[K]:
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
 
 
 PAULI_X = Operator(np.array([[0, 1], [1, 0]], dtype=complex))
 PAULI_Y = Operator(np.array([[0, -1j], [1j, 0]], dtype=complex))
 PAULI_Z = Operator(np.array([[1, 0], [0, -1]], dtype=complex))
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
-
-
-def ket(bits: str) -> StateVector:
-    """Computational basis state from its bit string, e.g. ket("01")."""
-    if not bits or any(b not in "01" for b in bits):
-        raise ValueError(f"invalid bit string {bits!r}")
-    amps = np.zeros(2 ** len(bits), dtype=complex)
-    amps[int(bits, 2)] = 1.0
-    return StateVector(amps)
 
 
 def tensor_product(a, b):
@@ -158,19 +167,6 @@ def partial_trace(state: StateVector, keep: Iterable[int]) -> Operator:
     psi = state.amplitudes.reshape([2] * state.n_qubits)
     psi = psi.transpose(axes + rest).reshape(2 ** len(axes), -1)
     return Operator(psi @ psi.conj().T)
-
-
-def expectation(state: StateVector, obs: Operator) -> float:
-    """Expectation value <state|obs|state> of a Hermitian observable."""
-    if obs.dim != state.dim:
-        raise ValueError(f"dimension mismatch: state dim {state.dim}, operator dim {obs.dim}")
-    deviation = float(np.max(np.abs(obs.entries - obs.entries.conj().T)))
-    if deviation > HERMITIAN_ATOL:
-        raise ContractError(f"observable is not Hermitian: max deviation {deviation:.3e}")
-    raw = np.vdot(state.amplitudes, obs.entries @ state.amplitudes)
-    if abs(raw.imag) > HERMITIAN_ATOL:
-        raise ContractError(f"expectation has imaginary residue {raw.imag:.3e}")
-    return float(raw.real)
 
 
 def bloch_vector(rho: Operator) -> BlochVector:

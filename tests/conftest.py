@@ -1,14 +1,33 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from ejm.bases import DOMAIN, PARAM_NAMES, EjmParams
+from ejm.qla import StateVector
 
 GRID_Z = (1.0 / math.sqrt(3.0), 0.85, 1.0)
 GRID_PHI = (-2.0, 0.3, 2.5)
 GRID_THETA = (0.0, 0.8, math.pi / 2)
 GRID_GAMMA = (0.0, 0.5, math.pi / 2)
+
+
+def ket(bits):
+    """Computational basis state from its big-endian bit string, e.g. ket("01")."""
+    amps = np.zeros(2 ** len(bits), dtype=complex)
+    amps[int(bits, 2)] = 1.0
+    return StateVector(amps)
+
+
+def expectation(state, obs):
+    """<state|obs|state> of a Hermitian observable by plain matrix arithmetic."""
+    return float(np.vdot(state.amplitudes, obs.entries @ state.amplitudes).real)
+
+
+def tilde_state(state):
+    """Conjugate every amplitude, then flip every qubit (an index reversal)."""
+    return StateVector(np.conj(state.amplitudes)[::-1])
 
 
 def _signed(z, negative, phi, theta, gamma):

@@ -36,12 +36,12 @@ from ejm.network import (
     correlation_I_bruteforce,
     outcome_table,
     star_state,
-    tilde_state,
     trilocal_score,
 )
 from ejm.optimize import SweepSpec, maximize, sweep
 from ejm.qla import StateVector, partial_trace
 
+from conftest import tilde_state
 from test_network import no_signaling_deviation, tilde_000_expansion
 
 
@@ -71,11 +71,7 @@ def grid_families(grid_params):
 
 @pytest.fixture(scope="module")
 def grid_tables(grid_params):
-    tables = []
-    for params in grid_params:
-        scenario = StarScenario(params)
-        tables.append((params, scenario, outcome_table(scenario)))
-    return tables
+    return [(params, outcome_table(StarScenario(params))) for params in grid_params]
 
 
 @criterion(1, "orthonormality and completeness on the full grid, n = 2..5")
@@ -166,9 +162,9 @@ def test_criterion_05_entanglement_swapping(grid_params):
 
 @criterion(6, "brute-force Born-rule correlations equal the closed forms")
 def test_criterion_06_oracle_equivalence(grid_tables):
-    for params, scenario, table in grid_tables:
+    for params, table in grid_tables:
         for m in range(1, 5):
-            brute = correlation_I_bruteforce(scenario, m, table=table)
+            brute = correlation_I_bruteforce(table, m)
             analytic = correlation_I_analytic(params, m)
             assert abs(brute - analytic) < 1e-9, (params, m)
 
@@ -216,7 +212,7 @@ def test_criterion_09_known_bases():
 
 @criterion(10, "normalization and no-signaling on the grid; reproducible CLI")
 def test_criterion_10_property_suite(grid_tables, capsys, tmp_path):
-    for params, scenario, table in grid_tables:
+    for params, table in grid_tables:
         for x in product((0, 1), repeat=3):
             assert abs(table[x].sum() - 1.0) < 1e-10, (params, x)
         assert no_signaling_deviation(table) < 1e-10, params

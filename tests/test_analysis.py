@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from conftest import domain_params
+from conftest import domain_params, ket
 from hypothesis import given, settings
 
+import ejm.analysis
 from ejm.analysis import (
+    _bloch_array,
     _is_rectangular_box,
     _mirror_symmetric,
     concurrence,
@@ -27,7 +30,7 @@ from ejm.bases import (
     three_qubit_ejm,
     two_qubit_ejm,
 )
-from ejm.qla import StateVector, bloch_vector, ket, partial_trace, tensor_product
+from ejm.qla import BlochVector, StateVector, bloch_vector, partial_trace, tensor_product
 
 GHZ = StateVector(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2))
 W = StateVector(np.array([0, 1, 1, 0, 1, 0, 0, 0]) / math.sqrt(3))
@@ -118,7 +121,7 @@ class TestReducedVectors:
         axis = np.array([0.0, 0.0, math.cos(params.theta) / 2.0])
         for (label, qubit), vec in vectors.items():
             if qubit == 3:
-                assert vec.norm() < 1e-10
+                assert np.linalg.norm(vec.as_array()) < 1e-10
             else:
                 direction = (-1.0) ** label.i * (1.0 if qubit == 1 else -1.0)
                 assert np.max(np.abs(vec.as_array() - direction * axis)) < 1e-10
@@ -126,7 +129,7 @@ class TestReducedVectors:
     def test_all_vectors_vanish_at_max_entanglement(self):
         params = EjmParams(z=0.9, phi=0.5, theta=math.pi / 2, gamma=math.pi / 4)
         vectors = reduced_bloch_vectors(n_qubit_ejm(params, 3))
-        assert max(v.norm() for v in vectors.values()) < 1e-10
+        assert max(np.linalg.norm(v.as_array()) for v in vectors.values()) < 1e-10
 
     def test_even_family_block_pattern(self):
         params = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
@@ -168,12 +171,67 @@ class TestReducedVectors:
             assert np.max(np.abs(vec.as_array() - predicted)) < 1e-9
 
 
+class TestVectorView:
+    """SymmetryReport.vectors and reduced_bloch_vectors are read-only views
+    over the (states, qubits, 3) reduction array."""
+
+    PARAMS = EjmParams(z=-0.9, phi=0.5, theta=1.0, gamma=0.4)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_keys_in_family_order_and_values_bit_exact(self, n):
+        family = n_qubit_ejm(self.PARAMS, n)
+        want_keys = [(label, q) for label in family.labels for q in range(1, n + 1)]
+        want = _bloch_array(family).reshape(-1, 3)
+        for view in (symmetry_report(family).vectors, reduced_bloch_vectors(family)):
+            assert list(view) == want_keys
+            assert len(view) == len(want_keys)
+            got = np.array([[v.x, v.y, v.z] for v in view.values()])
+            assert np.array_equal(got, want)
+            assert all(type(c) is float for v in view.values() for c in (v.x, v.y, v.z))
+
+    def test_read_only(self):
+        family = n_qubit_ejm(self.PARAMS, 3)
+        for view in (symmetry_report(family).vectors, reduced_bloch_vectors(family)):
+            key = next(iter(view))
+            with pytest.raises(TypeError):
+                view[key] = BlochVector(0.0, 0.0, 0.0)
+            with pytest.raises(ValueError, match="read-only"):
+                view.rows[0, 0, 0] = 0.0
+            with pytest.raises(KeyError):
+                view[(BasisLabel(0, (), 0), 4)]
+
+    def test_one_view_class_for_states_and_vectors(self):
+        family = n_qubit_ejm(self.PARAMS, 3)
+        assert type(family.states) is type(symmetry_report(family).vectors)
+
+    def test_report_builds_only_the_vector_sum(self, monkeypatch):
+        family = n_qubit_ejm(self.PARAMS, 8)
+        made = []
+
+        def counting(*xyz):
+            made.append(xyz)
+            return BlochVector(*xyz)
+
+        monkeypatch.setattr(ejm.analysis, "BlochVector", counting)
+        report = symmetry_report(family)
+        assert made == [(report.vector_sum.x, report.vector_sum.y, report.vector_sum.z)]
+        assert len(list(report.vectors.values())) == 2**8 * 8
+        assert len(made) == 1 + 2**8 * 8  # values are built on read
+
+    def test_replace_vector_sum(self):
+        report = symmetry_report(n_qubit_ejm(self.PARAMS, 3))
+        moved = dataclasses.replace(report, vector_sum=BlochVector(1.0, 0.0, 0.0))
+        assert moved.vector_sum == BlochVector(1.0, 0.0, 0.0)
+        assert moved.vectors is report.vectors
+        assert moved.radii == report.radii
+
+
 class TestSymmetryReport:
     def test_vector_sum_vanishes(self, small_grid):
         for params in small_grid:
             for n in (3, 4, 5):
                 report = symmetry_report(n_qubit_ejm(params, n))
-                assert report.vector_sum.norm() < 1e-9
+                assert np.linalg.norm(report.vector_sum.as_array()) < 1e-9
 
     def test_equal_radii_at_theta_zero_gamma_eighth_pi(self):
         params = EjmParams(z=0.9, phi=0.5, theta=0.0, gamma=math.pi / 8)

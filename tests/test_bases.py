@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import domain_params
+from conftest import domain_params, expectation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +23,7 @@ from ejm.bases import (
     three_qubit_ejm,
     two_qubit_ejm,
 )
-from ejm.qla import PAULIS, StateVector, bloch_vector, expectation, partial_trace, tensor_product
+from ejm.qla import PAULIS, StateVector, bloch_vector, partial_trace, tensor_product
 
 PARAMS = EjmParams(z=0.8, phi=0.3, theta=1.0, gamma=0.5)
 

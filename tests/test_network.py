@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import ket, tilde_state
 from hypothesis import strategies as st
 
 import ejm.network
@@ -16,13 +17,11 @@ from ejm.network import (
     StarScenario,
     correlation_I_analytic,
     correlation_I_bruteforce,
-    joint_probability,
     outcome_table,
     star_state,
-    tilde_state,
     trilocal_score,
 )
-from ejm.qla import ContractError, StateVector, ket, partial_trace
+from ejm.qla import ContractError, StateVector, partial_trace
 
 OPTIMUM = EjmParams(z=1.0, phi=0.1781, theta=math.pi / 2, gamma=math.pi / 4)
 GENERIC = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
@@ -101,10 +100,6 @@ class TestTildeState:
         twice = tilde_state(tilde_state(state))
         assert np.max(np.abs(twice.amplitudes - state.amplitudes)) < 1e-15
 
-    def test_qubit_count_check(self):
-        with pytest.raises(ValueError, match="3-qubit"):
-            tilde_state(ket("01"))
-
 
 class TestStarState:
     def test_norm(self):
@@ -163,19 +158,18 @@ class TestScenarioValidation:
 
 class TestJointProbability:
     def test_matches_frozen_oracle_value(self):
-        got = joint_probability(StarScenario(OPTIMUM), (0, 0, 0), (0, 0, 0), (0, 0, 0))
+        got = outcome_table(StarScenario(OPTIMUM))[(0, 0, 0, 0, 0, 0, 0)]
         assert abs(got - 0.02781307906816021) < 1e-12
         assert abs(got - oracle_probability(OPTIMUM, (0, 0, 0), (0, 0, 0), (0, 0, 0))) < 1e-12
 
     def test_matches_projector_oracle_generic(self):
-        scenario = StarScenario(GENERIC)
+        table = outcome_table(StarScenario(GENERIC))
         rng = np.random.default_rng(0)
         for _ in range(10):
             bits = tuple(int(b) for b in rng.integers(0, 2, size=9))
             x, a, b = bits[:3], bits[3:6], bits[6:]
-            assert abs(
-                joint_probability(scenario, x, a, b) - oracle_probability(GENERIC, x, a, b)
-            ) < 1e-12
+            got = table[(*x, *a, 4 * b[0] + 2 * b[1] + b[2])]
+            assert abs(got - oracle_probability(GENERIC, x, a, b)) < 1e-12
 
     @pytest.mark.parametrize("params", [GENERIC, NEGATIVE_Z], ids=["generic", "negative_z"])
     def test_whole_table_matches_projector_oracle(self, params):
@@ -194,33 +188,26 @@ class TestJointProbability:
         table = outcome_table(StarScenario(GENERIC))
         assert table.min() >= -1e-12
 
-    def test_bit_validation(self):
-        with pytest.raises(ValueError, match="bits"):
-            joint_probability(StarScenario(GENERIC), (0, 0, 2), (0, 0, 0), (0, 0, 0))
-
 
 class TestCorrelations:
     def test_brute_force_equals_analytic_generic(self):
-        scenario = StarScenario(GENERIC)
-        table = outcome_table(scenario)
+        table = outcome_table(StarScenario(GENERIC))
         for m in range(1, 5):
-            brute = correlation_I_bruteforce(scenario, m, table=table)
+            brute = correlation_I_bruteforce(table, m)
             assert abs(brute - correlation_I_analytic(GENERIC, m)) < 1e-9
 
     def test_gamma_zero_kills_first_two(self):
         params = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.0)
-        scenario = StarScenario(params)
-        table = outcome_table(scenario)
+        table = outcome_table(StarScenario(params))
         for m in (1, 2):
             assert correlation_I_analytic(params, m) == 0.0
-            assert abs(correlation_I_bruteforce(scenario, m, table=table)) < 1e-10
+            assert abs(correlation_I_bruteforce(table, m)) < 1e-10
 
     def test_frozen_values_at_optimum(self):
-        scenario = StarScenario(OPTIMUM)
-        table = outcome_table(scenario)
+        table = outcome_table(StarScenario(OPTIMUM))
         for m, frozen in zip(range(1, 5), FROZEN_I_OPTIMUM):
             assert abs(correlation_I_analytic(OPTIMUM, m) - frozen) < 1e-15
-            assert abs(correlation_I_bruteforce(scenario, m, table=table) - frozen) < 1e-6
+            assert abs(correlation_I_bruteforce(table, m) - frozen) < 1e-6
 
     def test_analytic_zero_structure(self):
         # phi = phi_z - pi/4 makes the last correlator vanish and the third maximal
@@ -240,17 +227,16 @@ class TestCorrelations:
     )
     def test_brute_force_equals_analytic_over_domain(self, z, negative, phi, theta, gamma):
         params = EjmParams(z=-z if negative else z, phi=phi, theta=theta, gamma=gamma)
-        scenario = StarScenario(params)
-        table = outcome_table(scenario)
+        table = outcome_table(StarScenario(params))
         for m in range(1, 5):
-            brute = correlation_I_bruteforce(scenario, m, table=table)
+            brute = correlation_I_bruteforce(table, m)
             assert abs(brute - correlation_I_analytic(params, m)) < 1e-12
 
     def test_m_validation(self):
         with pytest.raises(ValueError):
             correlation_I_analytic(GENERIC, 5)
         with pytest.raises(ValueError):
-            correlation_I_bruteforce(StarScenario(GENERIC), 0)
+            correlation_I_bruteforce(outcome_table(StarScenario(GENERIC)), 0)
 
 
 def single_expression_score(params):
