@@ -38,7 +38,6 @@ from .optimize import OptimumResult, SweepSpec, maximize, sweep
 from .qla import (
     BlochVector,
     ContractError,
-    Operator,
     StateVector,
     bloch_vector,
     partial_trace,

@@ -13,7 +13,7 @@ from typing import Mapping
 import numpy as np
 
 from .bases import BasisFamily, BasisLabel, EjmParams, _labels
-from .qla import NORM_ATOL, PAULIS, BlochVector, ContractError, RowView, StateVector, partial_trace
+from .qla import NORM_ATOL, BlochVector, ContractError, RowView, StateVector, bloch_vector, partial_trace
 
 # The three-tangle is quartic in the amplitudes, so a norm off by up to NORM_ATOL
 # moves it by up to 4 * NORM_ATOL, plus rounding; an excess beyond this is a bug.
@@ -22,8 +22,6 @@ TANGLE_CLAMP_ATOL = 5 * NORM_ATOL
 GEOMETRY_ATOL = 1e-9
 # Basis acceptance (verify --tol, Bob's basis): built families stay below 1e-14.
 ORTHONORMAL_ATOL = 1e-9
-
-_PAULI_STACK = np.array([s.entries for s in PAULIS])
 
 
 def three_tangle(state: StateVector) -> float:
@@ -96,14 +94,11 @@ def _bloch_array(family: BasisFamily) -> np.ndarray:
     """Bloch vectors of every single-qubit reduction, shape (states, qubits, 3), read-only.
 
     Each 2x2 reduced density matrix comes from partial_trace on one state;
-    the Pauli expectations tr(rho sigma) of all of them are then taken in one
-    batched product, the same arithmetic as bloch_vector on each.
+    one bloch_vector call then takes the vectors of the whole stack.
     """
     qubits = range(1, family.n_qubits + 1)
-    rho = np.array(
-        [[partial_trace(state, {q}).entries for q in qubits] for state in family.states.values()]
-    )
-    vectors = np.trace(rho[:, :, None] @ _PAULI_STACK, axis1=-2, axis2=-1).real
+    rho = np.array([[partial_trace(state, {q}) for q in qubits] for state in family.states.values()])
+    vectors = bloch_vector(rho)
     vectors.setflags(write=False)
     return vectors
 

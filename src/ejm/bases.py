@@ -31,13 +31,15 @@ DOMAIN: Mapping[str, tuple[float, float]] = MappingProxyType({
     "gamma": (0.0, math.pi / 2),
 })
 # Slack at each bound for values that round onto it (degrees, decimal 1/sqrt(3)); not clamped.
-_DOMAIN_ATOL = 1e-12
+# n = 8 families built 1.45e-13 below |z| = 1/sqrt(3) already fail the norm
+# check, so the slack stays an order of magnitude inside what builders tolerate.
+_DOMAIN_ATOL = 1e-14
 # Largest n_qubit_ejm: a 1 MiB matrix at n = 8; each qubit more quadruples memory and time.
 MAX_QUBITS = 8
 
 # Azimuths and z-heights whose Bloch vectors are the fixed tetrahedron
 # (1,1,1)/sqrt(3), (1,-1,-1)/sqrt(3), (-1,1,-1)/sqrt(3), (-1,-1,1)/sqrt(3)
-# used by the two reference (parameter-free / single-parameter) families.
+# used by the reference family (parameter-free at theta = 0).
 _REFERENCE_PHI = (math.pi / 4, -math.pi / 4, 3 * math.pi / 4, -3 * math.pi / 4)
 _REFERENCE_Z = (INV_SQRT3, -INV_SQRT3, -INV_SQRT3, INV_SQRT3)
 
@@ -48,7 +50,7 @@ class ResourceLimitError(RuntimeError):
 
 def check_domain(name: str, value: float) -> float:
     """Return value as a float, or raise ValueError if it lies outside
-    DOMAIN[name] (|value| for z) by more than 1e-12."""
+    DOMAIN[name] (|value| for z) by more than _DOMAIN_ATOL."""
     value = float(value)
     lo, hi = DOMAIN[name]
     checked = abs(value) if name == "z" else value
@@ -210,24 +212,14 @@ def two_qubit_ejm(params: EjmParams, i: int, primed: bool = False) -> StateVecto
     return StateVector(_two_qubit_amps(params, i, primed))
 
 
-def reference_bases(kind: str, theta: Optional[float] = None) -> BasisFamily:
-    """Two-qubit reference families on the fixed (1,+-1,+-1)/sqrt(3) tetrahedron.
+def reference_bases(theta: float = 0.0) -> BasisFamily:
+    """Two-qubit reference family on the fixed (1,+-1,+-1)/sqrt(3) tetrahedron.
 
-    kind="parameter_free" builds the weights (sqrt(3)+1, sqrt(3)-1);
-    kind="single_parameter" replaces 1 by exp(i*theta), interpolating
+    The weights (sqrt(3) + exp(i*theta), sqrt(3) - exp(i*theta)) interpolate
     between the parameter-free family (theta=0) and the Bell-state
     measurement (theta=pi/2).
     """
-    if kind == "parameter_free":
-        if theta is not None:
-            raise ValueError("parameter_free takes no theta")
-        t = 0.0
-    elif kind == "single_parameter":
-        if theta is None:
-            raise ValueError("single_parameter requires theta")
-        t = check_domain("theta", theta)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    t = check_domain("theta", theta)
     e_theta = cmath.exp(1j * t)
     s3 = math.sqrt(3.0)
     rows = []

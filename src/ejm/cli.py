@@ -39,6 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ejm",
         description="Symmetric joint-measurement bases and the trilocal star network.",
     )
+    parser.set_defaults(format="json")  # --format belongs to sweep; every other report is JSON
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, params: bool = True) -> None:
@@ -49,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--gamma", type=float, default=_DEFAULTS["gamma"], help="entangling angle in [0, pi/2] (radians)")
         p.add_argument("--deg", action="store_true", help="interpret angle flags as degrees")
         p.add_argument("--output", type=Path, default=None, help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json", help="report format (csv: sweep only)")
 
     p_verify = sub.add_parser("verify", help="orthonormality and completeness of a basis family")
     add_common(p_verify)
@@ -79,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lo", type=float, required=True)
     p_sweep.add_argument("--hi", type=float, required=True)
     p_sweep.add_argument("--points", type=int, default=200)
+    p_sweep.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
 
     p_opt = sub.add_parser("optimize", help="maximize the score over a parameter box")
     add_common(p_opt, params=False)

@@ -17,25 +17,16 @@ import numpy as np
 
 from .analysis import ORTHONORMAL_ATOL, verify_orthonormal_complete
 from .bases import BasisFamily, EjmParams, n_qubit_ejm
-from .qla import (
-    ContractError,
-    Operator,
-    PAULI_X,
-    PAULI_Z,
-    StateVector,
-    permute_qubits,
-    tensor_product,
-)
+from .qla import PAULI_X, PAULI_Z, ContractError, StateVector, permute_qubits, tensor_product
 
 # Analytic and brute-force I_m agree to 1e-15 over the domain; a larger gap is a bug.
 CROSS_CHECK_ATOL = 1e-9
 
 PSI_PLUS = StateVector(np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0))
 
-ALICE_OBSERVABLES = (
-    Operator((PAULI_X.entries + PAULI_Z.entries) / math.sqrt(2.0)),
-    Operator((PAULI_X.entries - PAULI_Z.entries) / math.sqrt(2.0)),
-)
+# Alice's two dichotomic observables (X + Z)/sqrt(2) and (X - Z)/sqrt(2), one read-only array.
+ALICE_OBSERVABLES = np.array([PAULI_X + PAULI_Z, PAULI_X - PAULI_Z]) / math.sqrt(2.0)
+ALICE_OBSERVABLES.setflags(write=False)
 
 
 # Bits (r1, r2, r3) of each index r = 4*r1 + 2*r2 + r3, one row per r.
@@ -66,7 +57,7 @@ def star_state() -> StateVector:
 # _ALICE[x, a] is the conjugated eigenvector of Alice's input x for output a
 # (eigenvalue (-1)^a); _ALICE_STAR is the star state projected onto all three
 # Alices, indexed [x1, x2, x3, a1, a2, a3, Bob's three-qubit index].
-_ALICE = np.array([np.linalg.eigh(o.entries)[1][:, ::-1].T for o in ALICE_OBSERVABLES]).conj()
+_ALICE = np.array([np.linalg.eigh(o)[1][:, ::-1].T for o in ALICE_OBSERVABLES]).conj()
 _ALICE_STAR = np.einsum(
     "pai,qbj,rck,ijkB->pqrabcB", _ALICE, _ALICE, _ALICE, star_state().amplitudes.reshape(2, 2, 2, 8)
 )

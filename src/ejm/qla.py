@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for few-qubit states and operators."""
+"""Dense complex linear algebra for few-qubit states; operators are plain arrays."""
 
 from __future__ import annotations
 
@@ -25,13 +25,6 @@ def check_normalized(amplitudes: np.ndarray) -> None:
         raise ValueError(f"state is not normalized: |norm - 1| = {first:.3e}")
 
 
-def _qubit_count(size: int, what: str) -> int:
-    n = int(size).bit_length() - 1
-    if size <= 0 or 2**n != size:
-        raise ValueError(f"{what} size {size} is not a power of two")
-    return n
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state of ``n_qubits`` qubits.
@@ -49,34 +42,15 @@ class StateVector:
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1:
             raise ValueError("amplitudes must be a one-dimensional sequence")
-        n = _qubit_count(amps.size, "state")
+        n = amps.size.bit_length() - 1
+        if 2**n != amps.size:  # size 0 gives n = -1
+            raise ValueError(f"state size {amps.size} is not a power of two")
         if n < 1:
             raise ValueError("a state needs at least one qubit")
         check_normalized(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "n_qubits", n)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-
-@dataclass(frozen=True, eq=False)
-class Operator:
-    """Dense complex matrix acting on a 2**n dimensional state space."""
-
-    entries: np.ndarray = field(repr=False)
-    dim: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        mat = np.array(self.entries, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("operator entries must form a square matrix")
-        _qubit_count(mat.shape[0], "operator")
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
-        object.__setattr__(self, "dim", mat.shape[0])
 
 
 @dataclass(frozen=True)
@@ -114,26 +88,16 @@ class RowView(Mapping[K, V]):
         return len(self.index)
 
 
-PAULI_X = Operator(np.array([[0, 1], [1, 0]], dtype=complex))
-PAULI_Y = Operator(np.array([[0, -1j], [1j, 0]], dtype=complex))
-PAULI_Z = Operator(np.array([[1, 0], [0, -1]], dtype=complex))
-PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+# sigma_x, sigma_y, sigma_z stacked as one read-only (3, 2, 2) array.
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+PAULIS.setflags(write=False)
+PAULI_X, PAULI_Y, PAULI_Z = PAULIS
 
 
-def tensor_product(a, b):
-    """Kronecker product of two states or two operators.
-
-    Mixing kinds is rejected; the result follows the big-endian index
-    convention (the left operand supplies the most significant bits).
-    """
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(np.kron(a.entries, b.entries))
-    raise TypeError(
-        f"tensor_product needs two states or two operators, got "
-        f"{type(a).__name__} and {type(b).__name__}"
-    )
+def tensor_product(a: StateVector, b: StateVector) -> StateVector:
+    """Kronecker product of two states; the left operand supplies the most
+    significant bits (big-endian index convention)."""
+    return StateVector(np.kron(a.amplitudes, b.amplitudes))
 
 
 def permute_qubits(state: StateVector, order: Sequence[int]) -> StateVector:
@@ -146,8 +110,8 @@ def permute_qubits(state: StateVector, order: Sequence[int]) -> StateVector:
     return StateVector(tensor.transpose([q - 1 for q in order]).reshape(-1))
 
 
-def partial_trace(state: StateVector, keep: Iterable[int]) -> Operator:
-    """Reduced density matrix on the kept qubits.
+def partial_trace(state: StateVector, keep: Iterable[int]) -> np.ndarray:
+    """Reduced density matrix on the kept qubits, a 2**k x 2**k array.
 
     Parameters
     ----------
@@ -166,11 +130,12 @@ def partial_trace(state: StateVector, keep: Iterable[int]) -> Operator:
     rest = [a for a in range(state.n_qubits) if a not in axes]
     psi = state.amplitudes.reshape([2] * state.n_qubits)
     psi = psi.transpose(axes + rest).reshape(2 ** len(axes), -1)
-    return Operator(psi @ psi.conj().T)
+    return psi @ psi.conj().T
 
 
-def bloch_vector(rho: Operator) -> BlochVector:
-    """Bloch vector of a single-qubit density matrix."""
-    if rho.dim != 2:
-        raise ValueError(f"bloch_vector needs a 2x2 density matrix, got dim {rho.dim}")
-    return BlochVector(*(float(np.trace(rho.entries @ s.entries).real) for s in PAULIS))
+def bloch_vector(rho: np.ndarray) -> np.ndarray:
+    """Bloch vectors tr(rho sigma) of single-qubit density matrices: shape
+    (..., 2, 2) in, (..., 3) out, one batched product for the whole stack."""
+    if rho.shape[-2:] != (2, 2):
+        raise ValueError(f"bloch_vector needs 2x2 density matrices, got shape {rho.shape}")
+    return np.trace(rho[..., None, :, :] @ PAULIS, axis1=-2, axis2=-1).real

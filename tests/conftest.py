@@ -22,7 +22,7 @@ def ket(bits):
 
 def expectation(state, obs):
     """<state|obs|state> of a Hermitian observable by plain matrix arithmetic."""
-    return float(np.vdot(state.amplitudes, obs.entries @ state.amplitudes).real)
+    return float(np.vdot(state.amplitudes, obs @ state.amplitudes).real)
 
 
 def tilde_state(state):

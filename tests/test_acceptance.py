@@ -5,7 +5,6 @@ lines alongside the pytest verdicts.
 """
 
 import functools
-import json
 import math
 from itertools import product
 
@@ -198,16 +197,16 @@ def test_criterion_09_known_bases():
     for theta in (0.0, 0.4, 1.0, math.pi / 2):
         params = EjmParams(z=INV_SQRT3, phi=math.pi / 4, theta=theta, gamma=0.0)
         ours = np.vstack([two_qubit_ejm(params, i).amplitudes for i in range(4)])
-        reference = reference_bases("single_parameter", theta).matrix()
+        reference = reference_bases(theta).matrix()
         overlap = np.abs(ours.conj() @ reference.T)
         matches = overlap > 1.0 - 1e-10
         assert matches.sum(axis=0).tolist() == [1, 1, 1, 1], theta
         assert matches.sum(axis=1).tolist() == [1, 1, 1, 1], theta
-    bell_limit = reference_bases("single_parameter", math.pi / 2)
+    bell_limit = reference_bases(math.pi / 2)
     for state in bell_limit.states.values():
         for qubit in (1, 2):
             rho = partial_trace(state, {qubit})
-            assert np.max(np.abs(rho.entries - np.eye(2) / 2.0)) < 1e-10
+            assert np.max(np.abs(rho - np.eye(2) / 2.0)) < 1e-10
 
 
 @criterion(10, "normalization and no-signaling on the grid; reproducible CLI")

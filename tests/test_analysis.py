@@ -24,13 +24,12 @@ from ejm.bases import (
     BasisFamily,
     BasisLabel,
     EjmParams,
-    INV_SQRT3,
     m_vector,
     n_qubit_ejm,
     three_qubit_ejm,
     two_qubit_ejm,
 )
-from ejm.qla import BlochVector, StateVector, bloch_vector, partial_trace, tensor_product
+from ejm.qla import BlochVector, StateVector, bloch_vector, partial_trace
 
 GHZ = StateVector(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2))
 W = StateVector(np.array([0, 1, 1, 0, 1, 0, 0, 0]) / math.sqrt(3))
@@ -153,7 +152,7 @@ class TestReducedVectors:
             }
             assert list(vectors) == list(expected)
             got = np.array([v.as_array() for v in vectors.values()])
-            want = np.array([v.as_array() for v in expected.values()])
+            want = np.array(list(expected.values()))
             assert np.array_equal(got, want), (n, params)
 
     def test_odd_family_special_position(self):

@@ -185,8 +185,8 @@ class TestTwoQubitFamily:
                 predicted = scale * np.array(
                     [math.cos(delta), math.sin(delta), (-1.0) ** i / math.sqrt(2.0)]
                 )
-                first = bloch_vector(partial_trace(state, {1})).as_array()
-                second = bloch_vector(partial_trace(state, {2})).as_array()
+                first = bloch_vector(partial_trace(state, {1}))
+                second = bloch_vector(partial_trace(state, {2}))
                 assert np.max(np.abs(first - predicted)) < 1e-12
                 assert np.max(np.abs(second + predicted)) < 1e-12
 
@@ -197,7 +197,7 @@ class TestTwoQubitFamily:
         for theta in (0.0, 0.7, math.pi / 2):
             params = EjmParams(z=INV_SQRT3, phi=math.pi / 4, theta=theta, gamma=0.0)
             ours = np.vstack([two_qubit_ejm(params, i).amplitudes for i in range(4)])
-            reference = reference_bases("single_parameter", theta).matrix()
+            reference = reference_bases(theta).matrix()
             overlap = np.abs(ours.conj() @ reference.T)
             matches = overlap > 1.0 - 1e-10
             assert matches.sum(axis=0).tolist() == [1, 1, 1, 1]
@@ -216,38 +216,28 @@ class TestTwoQubitFamily:
 
 
 class TestReferenceBases:
-    def test_theta_zero_matches_parameter_free(self):
-        free = reference_bases("parameter_free").matrix()
-        single = reference_bases("single_parameter", 0.0).matrix()
-        for i in range(4):
-            assert abs(abs(np.vdot(free[i], single[i])) - 1.0) < 1e-12
-
     def test_theta_half_pi_is_maximally_entangled(self):
-        family = reference_bases("single_parameter", math.pi / 2)
+        family = reference_bases(math.pi / 2)
         for state in family.states.values():
             for qubit in (1, 2):
                 rho = partial_trace(state, {qubit})
-                assert np.max(np.abs(rho.entries - np.eye(2) / 2)) < 1e-10
+                assert np.max(np.abs(rho - np.eye(2) / 2)) < 1e-10
 
     def test_parameter_free_iso_entangled(self):
         from ejm.analysis import concurrence
 
-        values = [concurrence(s) for s in reference_bases("parameter_free").states.values()]
+        values = [concurrence(s) for s in reference_bases().states.values()]
         assert max(values) - min(values) < 1e-10
 
     def test_orthonormal(self):
-        for kind, theta in (("parameter_free", None), ("single_parameter", 1.2)):
-            report = verify_orthonormal_complete(reference_bases(kind, theta))
+        for theta in (0.0, 1.2):
+            report = verify_orthonormal_complete(reference_bases(theta))
             assert report.gram_error < 1e-10
             assert report.completeness_error < 1e-10
 
     def test_validation(self):
         with pytest.raises(ValueError, match="theta"):
-            reference_bases("single_parameter", 2.0)
-        with pytest.raises(ValueError, match="theta"):
-            reference_bases("single_parameter")
-        with pytest.raises(ValueError, match="kind"):
-            reference_bases("bell")
+            reference_bases(2.0)
 
 
 class TestThreeQubitFamily:
@@ -274,7 +264,7 @@ class TestThreeQubitFamily:
             for i in range(4):
                 for k in (0, 1):
                     state = three_qubit_ejm(params, i, k)
-                    got = bloch_vector(partial_trace(state, {3})).as_array()
+                    got = bloch_vector(partial_trace(state, {3}))
                     assert np.max(np.abs(got - (-1.0) ** k * scale * m_vector(params, i))) < 1e-10
 
     def test_bit_validation(self):
@@ -411,8 +401,8 @@ class TestBasisFamilyContract:
         monkeypatch.setattr(StateVector, "__post_init__", counting)
         for n in range(2, 9):
             n_qubit_ejm(PARAMS, n)
-        reference_bases("parameter_free")
-        reference_bases("single_parameter", 0.7)
+        reference_bases()
+        reference_bases(0.7)
         assert calls == []
         next(iter(n_qubit_ejm(PARAMS, 2).states.values()))
         assert len(calls) == 1

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from ejm import network
+from ejm.bases import _DOMAIN_ATOL
 from ejm.cli import CliError, export, main
 
 HEADLINE = ["--z", "1", "--phi", "0.1781", "--theta", "1.5707963267948966",
@@ -68,9 +69,9 @@ class TestTangleCommand:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_slack_band_z_reports_unit_tangle(self, capsys, sign):
-        # |z| = 1/sqrt(3) - 5e-13 is inside the domain slack; at the default
-        # theta = pi/2, gamma = pi/4 every state's three-tangle is 1.
-        z = sign * (1.0 / math.sqrt(3.0) - 5e-13)
+        # |z| = 1/sqrt(3) - _DOMAIN_ATOL/2 is inside the domain slack; at the
+        # default theta = pi/2, gamma = pi/4 every state's three-tangle is 1.
+        z = sign * (1.0 / math.sqrt(3.0) - 0.5 * _DOMAIN_ATOL)
         code, out, _ = run(capsys, "tangle", "--n", "3", f"--z={z!r}")
         assert code == 0
         report = json.loads(out)

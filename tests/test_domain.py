@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ejm.bases import DOMAIN, INV_SQRT3, PARAM_NAMES, EjmParams, check_domain
+from ejm.bases import _DOMAIN_ATOL, DOMAIN, INV_SQRT3, PARAM_NAMES, EjmParams, check_domain
 from ejm.cli import main
 from ejm.network import trilocal_score
 from ejm.optimize import SweepSpec, maximize, sweep
@@ -34,11 +34,12 @@ def run_cli(*argv):
 
 @st.composite
 def probes(draw):
-    """A parameter name and a value at, or 0.5e-12 or 2e-12 either side of,
-    one of its bounds (both signs of z), or anywhere near its domain."""
+    """A parameter name and a value at, or half or twice the slack either side
+    of, one of its bounds (both signs of z), or anywhere near its domain."""
     name = draw(st.sampled_from(PARAM_NAMES))
     lo, hi = draw(st.sampled_from(signed_bounds(name)))
-    near_bound = st.tuples(st.sampled_from((lo, hi)), st.sampled_from((0.0, 0.5e-12, -0.5e-12, 2e-12, -2e-12)))
+    offsets = [0.0] + [sign * scale * _DOMAIN_ATOL for scale in (0.5, 2.0) for sign in (1, -1)]
+    near_bound = st.tuples(st.sampled_from((lo, hi)), st.sampled_from(offsets))
     value = draw(st.one_of(near_bound.map(sum), st.floats(lo - 0.5, hi + 0.5)))
     return name, (lo, hi), value
 
@@ -71,8 +72,22 @@ class TestOneDomain:
             "maximize": accepts(lambda: maximize({n: (v, v) for n, v in point.items()}, budget=100)),
             "cli": run_cli("network", *(f"--{n}={v!r}" for n, v in point.items()))[0] == 0,
         }
-        inside = lo - 1e-12 <= value <= hi + 1e-12
+        inside = lo - _DOMAIN_ATOL <= value <= hi + _DOMAIN_ATOL
         assert verdicts == dict.fromkeys(verdicts, inside), (name, value)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize(
+        "argv",
+        [["network"], ["network", "--method", "brute_force"], ["tangle", "--n", "3"]]
+        + [[command, "--n", n] for command in ("verify", "reduce", "basis") for n in ("2", "8")],
+        ids=lambda argv: "-".join(argv).replace("--", ""),
+    )
+    def test_z_beyond_the_slack_is_a_domain_error(self, argv, sign):
+        # 8e-13 below 1/sqrt(3) once passed the slack, and then the n = 8 builders
+        # failed their norm check while analytic network reported a score.
+        code, out, err = run_cli(*argv, f"--z={sign * (INV_SQRT3 - 8e-13)!r}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --z out of domain") and len(err.strip().splitlines()) == 1
 
     def test_check_domain_bounds_the_modulus_of_z(self):
         assert check_domain("z", -1.0) == -1.0

@@ -1,6 +1,8 @@
 """The import graph: scipy loads only when the optimizer refines, checked in
-fresh interpreters so that no other test's imports leak in."""
+fresh interpreters so that no other test's imports leak in; and every
+top-level import of a module is read by it."""
 
+import ast
 import json
 import math
 import os
@@ -13,6 +15,10 @@ import pytest
 from ejm.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# Library modules (the package __init__ imports only to export) and test modules.
+LINTED = sorted(p for p in (SRC / "ejm").glob("*.py") if p.name != "__init__.py") + sorted(
+    Path(__file__).resolve().parent.glob("*.py")
+)
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -67,3 +73,26 @@ def test_module_entry_point_matches_in_process_report(capsys):
     assert main(["network"]) == 0
     in_process = capsys.readouterr().out.encode("utf-8")
     assert run_python("-m", "ejm", "network").stdout == in_process
+
+
+def unread_imports(source: str) -> list[str]:
+    """Names bound by the module's top-level imports that it never reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_unread_imports_are_found():
+    source = "from __future__ import annotations\nimport os.path, json as j\nfrom math import pi, tau\nprint(os, tau)\n"
+    assert unread_imports(source) == ["j", "pi"]
+
+
+@pytest.mark.parametrize("path", LINTED, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_top_level_import_is_read(path):
+    assert unread_imports(path.read_text()) == []

@@ -109,7 +109,7 @@ class TestStarState:
     def test_bob_marginal_is_maximally_mixed(self):
         star = star_state()
         rho = partial_trace(star, {4, 5, 6})
-        assert np.max(np.abs(rho.entries - np.eye(8) / 8.0)) < 1e-12
+        assert np.max(np.abs(rho - np.eye(8) / 8.0)) < 1e-12
 
     @pytest.mark.parametrize("params", [GENERIC, OPTIMUM])
     def test_swap_overlaps(self, params):
@@ -126,7 +126,7 @@ class TestStarState:
 class TestScenarioValidation:
     def test_default_observables_are_dichotomic(self):
         for obs in ALICE_OBSERVABLES:
-            values = np.linalg.eigvalsh(obs.entries)
+            values = np.linalg.eigvalsh(obs)
             assert np.max(np.abs(values - np.array([-1.0, 1.0]))) < 1e-12
 
     def test_corrupted_bob_basis_rejected(self, monkeypatch, capsys):
@@ -149,6 +149,9 @@ class TestScenarioValidation:
             ejm.network._ALICE_STAR[0, 0, 0, 0, 0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             ejm.network._ALICE[0, 0, 0] = 1.0
+        for target in (ejm.network.ALICE_OBSERVABLES, ejm.network.ALICE_OBSERVABLES[1]):
+            with pytest.raises(ValueError, match="read-only"):
+                target[0, 0] = 1.0
         # A caller's write into one table must not reach a later one.
         scenario = StarScenario(GENERIC)
         before = outcome_table(scenario).copy()
