@@ -34,8 +34,15 @@ DOMAIN: Mapping[str, tuple[float, float]] = MappingProxyType({
 # n = 8 families built 1.45e-13 below |z| = 1/sqrt(3) already fail the norm
 # check, so the slack stays an order of magnitude inside what builders tolerate.
 _DOMAIN_ATOL = 1e-14
-# Largest n_qubit_ejm: a 1 MiB matrix at n = 8; each qubit more quadruples memory and time.
-MAX_QUBITS = 8
+# Closed bounds of each size, checked before anything is allocated.
+LIMITS: Mapping[str, tuple[int, int]] = MappingProxyType({
+    # n_qubit_ejm: a 1 MiB matrix at n = 8; each qubit more quadruples memory and time.
+    "n": (2, 8),
+    # sweep: about 10 us per point; 100 000 take about a second and space phi's range by 6e-5.
+    "points": (2, 100_000),
+    # maximize keeps a trace entry of about 360 bytes per evaluation: a million take 0.4 GB and 30 s.
+    "budget": (100, 1_000_000),
+})
 
 # Azimuths and z-heights whose Bloch vectors are the fixed tetrahedron
 # (1,1,1)/sqrt(3), (1,-1,-1)/sqrt(3), (-1,1,-1)/sqrt(3), (-1,-1,1)/sqrt(3)
@@ -44,8 +51,8 @@ _REFERENCE_PHI = (math.pi / 4, -math.pi / 4, 3 * math.pi / 4, -3 * math.pi / 4)
 _REFERENCE_Z = (INV_SQRT3, -INV_SQRT3, -INV_SQRT3, INV_SQRT3)
 
 
-class ResourceLimitError(RuntimeError):
-    """Requested construction exceeds the configured size cap."""
+class ResourceLimitError(ValueError):
+    """A size exceeds its cap in LIMITS."""
 
 
 def check_domain(name: str, value: float) -> float:
@@ -57,6 +64,16 @@ def check_domain(name: str, value: float) -> float:
     if not (lo - _DOMAIN_ATOL <= checked <= hi + _DOMAIN_ATOL):
         bounded = "|z|" if name == "z" else name
         raise ValueError(f"{name}={value!r} outside {lo:.12g} <= {bounded} <= {hi:.12g}")
+    return value
+
+
+def check_limit(name: str, value: int) -> int:
+    """Return value; below LIMITS[name] raise ValueError, above it ResourceLimitError."""
+    lo, hi = LIMITS[name]
+    if value < lo:
+        raise ValueError(f"{name}={value!r} must be at least {lo}")
+    if value > hi:
+        raise ResourceLimitError(f"{name}={value!r} exceeds the cap {hi}")
     return value
 
 
@@ -206,7 +223,10 @@ def two_qubit_ejm(params: EjmParams, i: int, primed: bool = False) -> StateVecto
 
     The unprimed family is orthonormal; the primed family flips the sign
     of the |00> and |11> amplitudes and coincides with the unprimed family
-    at shifted index, |Phi'_i> = |Phi_{(i+2) mod 4}>.
+    at shifted index, |Phi'_i> = |Phi_{(i+2) mod 4}>, but only to rounding:
+    up to 6e-16 apart over 8 000 uniform draws from the domain, bit-equal in
+    69.  So _family_matrix builds its own Phi' table, which keeps every row
+    bit-equal to the per-label chain, instead of permuting the rows of Phi.
     """
     _check_i(i)
     return StateVector(_two_qubit_amps(params, i, primed))
@@ -284,8 +304,5 @@ def n_qubit_ejm(params: EjmParams, n: int) -> BasisFamily:
     three-parameter family; gamma only enters for n >= 3 where a primed
     mixing partner exists.
     """
-    if n < 2:
-        raise ValueError(f"n={n!r} must be at least 2")
-    if n > MAX_QUBITS:
-        raise ResourceLimitError(f"n={n} exceeds the configured cap {MAX_QUBITS}")
+    check_limit("n", n)
     return BasisFamily(n, params, _family_matrix(params, n))

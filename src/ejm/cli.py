@@ -18,19 +18,25 @@ from .analysis import (
     three_tangle,
     verify_orthonormal_complete,
 )
-from .bases import DOMAIN, PARAM_NAMES, BasisLabel, EjmParams, ResourceLimitError, check_domain, n_qubit_ejm
+from .bases import DOMAIN, LIMITS, PARAM_NAMES, BasisLabel, EjmParams, check_domain, check_limit, n_qubit_ejm
 from .network import trilocal_score
 from .optimize import SweepSpec, maximize, sweep
 from .qla import ContractError
 
 SCHEMA_VERSION = 2
 _ANGLE_FLAGS = ("phi", "theta", "gamma")
+_PARAM_HELP = {
+    "z": "height parameter, 1/sqrt(3) <= |z| <= 1",
+    "phi": "azimuth in [-pi, pi] (radians)",
+    "theta": "mixing angle in [0, pi/2] (radians)",
+    "gamma": "entangling angle in [0, pi/2] (radians)",
+}
 
 # The headline violation point, so `ejm network` with no flags demonstrates it.
 _DEFAULTS = {"z": 1.0, "phi": 0.1781, "theta": math.pi / 2, "gamma": math.pi / 4}
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Invalid command line; maps to exit code 2."""
 
 
@@ -42,47 +48,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(format="json")  # --format belongs to sweep; every other report is JSON
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, params: bool = True) -> None:
-        if params:
-            p.add_argument("--z", type=float, default=_DEFAULTS["z"], help="height parameter, 1/sqrt(3) <= |z| <= 1")
-            p.add_argument("--phi", type=float, default=_DEFAULTS["phi"], help="azimuth in [-pi, pi] (radians)")
-            p.add_argument("--theta", type=float, default=_DEFAULTS["theta"], help="mixing angle in [0, pi/2] (radians)")
-            p.add_argument("--gamma", type=float, default=_DEFAULTS["gamma"], help="entangling angle in [0, pi/2] (radians)")
+    def add(name: str, handler, summary: str, params: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        for param in PARAM_NAMES if params else ():
+            p.add_argument(f"--{param}", type=float, default=_DEFAULTS[param], help=_PARAM_HELP[param])
         p.add_argument("--deg", action="store_true", help="interpret angle flags as degrees")
         p.add_argument("--output", type=Path, default=None, help="write the report here instead of stdout")
+        return p
 
-    p_verify = sub.add_parser("verify", help="orthonormality and completeness of a basis family")
-    add_common(p_verify)
+    p_verify = add("verify", _cmd_verify, "orthonormality and completeness of a basis family")
     p_verify.add_argument("--n", type=int, default=3, help="number of qubits")
     p_verify.add_argument("--tol", type=float, default=ORTHONORMAL_ATOL, help="acceptance threshold for both errors")
 
-    p_tangle = sub.add_parser("tangle", help="entanglement of every basis state (three-tangle for n=3, concurrence for n=2)")
-    add_common(p_tangle)
+    p_tangle = add("tangle", _cmd_tangle, "entanglement of every basis state (three-tangle for n=3, concurrence for n=2)")
     p_tangle.add_argument("--n", type=int, default=3, choices=(2, 3))
 
-    p_reduce = sub.add_parser("reduce", help="single-qubit reductions and symmetry report")
-    add_common(p_reduce)
-    p_reduce.add_argument("--n", type=int, default=3, help="number of qubits")
+    add("reduce", _cmd_reduce, "single-qubit reductions and symmetry report").add_argument(
+        "--n", type=int, default=3, help="number of qubits")
+    add("basis", _cmd_basis, "emit the basis state amplitudes").add_argument(
+        "--n", type=int, default=3, help="number of qubits")
 
-    p_basis = sub.add_parser("basis", help="emit the basis state amplitudes")
-    add_common(p_basis)
-    p_basis.add_argument("--n", type=int, default=3, help="number of qubits")
-
-    p_network = sub.add_parser("network", help="trilocal correlations and violation score")
-    add_common(p_network)
+    p_network = add("network", _cmd_network, "trilocal correlations and violation score")
     p_network.add_argument("--method", choices=("analytic", "brute_force"), default="analytic")
     p_network.add_argument("--cross-check", action="store_true", help="compare both evaluation routes")
 
-    p_sweep = sub.add_parser("sweep", help="scan the score along one parameter")
-    add_common(p_sweep)
+    p_sweep = add("sweep", _cmd_sweep, "scan the score along one parameter")
     p_sweep.add_argument("--vary", required=True, choices=PARAM_NAMES)
     p_sweep.add_argument("--lo", type=float, required=True)
     p_sweep.add_argument("--hi", type=float, required=True)
     p_sweep.add_argument("--points", type=int, default=200)
     p_sweep.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
 
-    p_opt = sub.add_parser("optimize", help="maximize the score over a parameter box")
-    add_common(p_opt, params=False)
+    p_opt = add("optimize", _cmd_optimize, "maximize the score over a parameter box", params=False)
     p_opt.add_argument("--budget", type=int, default=20000, help="maximum score evaluations")
     for name in PARAM_NAMES:
         lo, hi = DOMAIN[name]
@@ -93,11 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _param(args: argparse.Namespace, name: str, value: float, flag: str | None = None) -> float:
-    """value of parameter name in radians (angles under --deg), checked against
-    the library domain; outside it, a CliError that names --flag (--name)."""
-    if args.deg and name in _ANGLE_FLAGS:
-        value = math.radians(value)
+    """value of parameter or size name checked against the library's DOMAIN or
+    LIMITS, angles in radians (converted under --deg); outside them, a CliError
+    that names --flag (--name)."""
     try:
+        if name in LIMITS:
+            return check_limit(name, value)
+        if args.deg and name in _ANGLE_FLAGS:
+            value = math.radians(value)
         return check_domain(name, value)
     except ValueError as exc:
         raise CliError(f"--{flag or name} out of domain: {exc}") from None
@@ -119,23 +120,32 @@ def export(report: dict, fmt: str = "json") -> bytes:
     """Serialize a report deterministically.
 
     JSON carries a schema name and version and round-trips every float
-    bit-exactly; CSV is available for sweep reports only and formats
-    numbers with 17 significant digits.
+    bit-exactly; CSV, which only `ejm sweep` offers, holds a sweep's samples
+    with 17 significant digits.
     """
-    if fmt == "json":
-        return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
     if fmt == "csv":
-        if report.get("schema") != "sweep":
-            raise CliError(f"--format csv is only available for sweep reports, not {report.get('schema')!r}")
         lines = ["value,S"]
         lines.extend(f"{value:.17e},{score:.17e}" for value, score in report["samples"])
         return ("\n".join(lines) + "\n").encode("utf-8")
-    raise CliError(f"unknown format {fmt!r}")
+    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def _emit(data: bytes, output: Path | None) -> None:
+    """Write data to the --output file, or to stdout without one."""
+    if output is None:
+        sys.stdout.write(data.decode("utf-8"))
+        return
+    try:
+        output.write_bytes(data)
+    except OSError as exc:
+        raise CliError(f"--output cannot be written: {exc}") from None
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     params = _params_from_args(args)
-    report = verify_orthonormal_complete(n_qubit_ejm(params, args.n))
+    if not 0.0 < args.tol < math.inf:
+        raise CliError(f"--tol out of domain: tol={args.tol!r} must be positive and finite")
+    report = verify_orthonormal_complete(n_qubit_ejm(params, _param(args, "n", args.n)))
     ok = max(report.gram_error, report.completeness_error) < args.tol
     payload = {
         "schema": "verify-report",
@@ -173,7 +183,7 @@ def _cmd_tangle(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_reduce(args: argparse.Namespace) -> tuple[int, dict]:
     params = _params_from_args(args)
-    report = symmetry_report(n_qubit_ejm(params, args.n))
+    report = symmetry_report(n_qubit_ejm(params, _param(args, "n", args.n)))
     vectors = [
         {**_label_dict(label), "qubit": qubit, "vector": [v.x, v.y, v.z]}
         for (label, qubit), v in report.vectors.items()
@@ -194,7 +204,7 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_basis(args: argparse.Namespace) -> tuple[int, dict]:
     params = _params_from_args(args)
-    family = n_qubit_ejm(params, args.n)
+    family = n_qubit_ejm(params, _param(args, "n", args.n))
     states = [
         {**_label_dict(label), "amplitudes": [[float(a.real), float(a.imag)] for a in row]}
         for label, row in zip(family.labels, family.matrix())
@@ -226,7 +236,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[int, dict]:
     fixed = {name: _param(args, name, getattr(args, name)) for name in PARAM_NAMES if name != args.vary}
     lo = _param(args, args.vary, args.lo)
     hi = _param(args, args.vary, args.hi)
-    spec = SweepSpec(varying=args.vary, lo=lo, hi=hi, points=args.points, fixed=fixed)
+    spec = SweepSpec(varying=args.vary, lo=lo, hi=hi, points=_param(args, "points", args.points), fixed=fixed)
     samples = sweep(spec)
     payload = {
         "schema": "sweep",
@@ -245,9 +255,7 @@ def _cmd_optimize(args: argparse.Namespace) -> tuple[int, dict]:
         name: tuple(_param(args, name, getattr(args, f"{name}_{end}"), f"{name}-{end}") for end in ("min", "max"))
         for name in PARAM_NAMES
     }
-    if args.budget < 100:
-        raise CliError(f"--budget out of domain: {args.budget!r} must be at least 100")
-    result = maximize(bounds, budget=args.budget)
+    result = maximize(bounds, budget=_param(args, "budget", args.budget))
     payload = {
         "schema": "optimum",
         "params": _params_dict(result.params),
@@ -260,17 +268,6 @@ def _cmd_optimize(args: argparse.Namespace) -> tuple[int, dict]:
     return 0, payload
 
 
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "tangle": _cmd_tangle,
-    "reduce": _cmd_reduce,
-    "basis": _cmd_basis,
-    "network": _cmd_network,
-    "sweep": _cmd_sweep,
-    "optimize": _cmd_optimize,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -278,15 +275,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, payload = _COMMANDS[args.command](args)
-        data = export({**payload, "version": SCHEMA_VERSION}, args.format)
-    except (CliError, ValueError, ResourceLimitError, ContractError) as exc:
+        code, payload = args.handler(args)
+        _emit(export({**payload, "version": SCHEMA_VERSION}, args.format), args.output)
+    except (ValueError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ContractError) else 2  # 1: a numeric contract failed
-    if args.output is not None:
-        args.output.write_bytes(data)
-    else:
-        sys.stdout.write(data.decode("utf-8"))
     return code
 
 

@@ -9,16 +9,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .bases import DOMAIN, PARAM_NAMES, EjmParams, ResourceLimitError, check_domain
+from .bases import DOMAIN, PARAM_NAMES, EjmParams, check_domain, check_limit
 from .network import trilocal_score
 
-# Size caps, checked before anything is allocated.  A sweep evaluates every
-# grid point (about 10 us each): 100 000 points take about a second and space
-# phi's full range by 6e-5, so a larger count only costs memory and time.
-MAX_SWEEP_POINTS = 100_000
-# maximize keeps one (EjmParams, score) trace entry of about 360 bytes per
-# evaluation: a million take about 0.4 GB and half a minute.
-MAX_BUDGET = 1_000_000
 # Grid points per free dimension: the bounds and every eighth between; 9^4 cells fit the default budget.
 GRID_POINTS = 9
 # Nelder-Mead refinements, one from each of this many best distinct grid cells.
@@ -55,10 +48,7 @@ class SweepSpec:
         _check_range(self.varying, self.lo, self.hi)
         if self.lo == self.hi:
             raise ValueError(f"range [{self.lo!r}, {self.hi!r}] invalid for {self.varying}: lo < hi required")
-        if self.points < 2:
-            raise ValueError(f"points={self.points!r} must be at least 2")
-        if self.points > MAX_SWEEP_POINTS:
-            raise ResourceLimitError(f"points={self.points!r} exceeds the cap {MAX_SWEEP_POINTS}")
+        check_limit("points", self.points)
         expected = set(PARAM_NAMES) - {self.varying}
         if set(self.fixed) != expected:
             raise ValueError(f"fixed must supply exactly {sorted(expected)}")
@@ -120,10 +110,7 @@ def maximize(
     deterministic.  If the budget runs out before any refinement the best
     grid point is returned with warning=True.
     """
-    if budget < 100:
-        raise ValueError(f"budget={budget!r} must be at least 100")
-    if budget > MAX_BUDGET:
-        raise ResourceLimitError(f"budget={budget!r} exceeds the cap {MAX_BUDGET}")
+    check_limit("budget", budget)
     box = _resolve_bounds(bounds)
     lows = np.array([box[name][0] for name in PARAM_NAMES])
     highs = np.array([box[name][1] for name in PARAM_NAMES])

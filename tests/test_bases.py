@@ -333,12 +333,14 @@ class TestNQubitFamily:
         assert np.array_equal(family.matrix(), kron_chain_rows(params, family))
 
     def test_size_validation(self, monkeypatch):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 2"):
             n_qubit_ejm(PARAMS, 1)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="cap 8"):
             n_qubit_ejm(PARAMS, 9)
-        monkeypatch.setattr(ejm.bases, "MAX_QUBITS", 6)
+        monkeypatch.setattr(ejm.bases, "LIMITS", {**ejm.bases.LIMITS, "n": (2, 6)})
         assert len(n_qubit_ejm(PARAMS, 6)) == 64
+        with pytest.raises(ResourceLimitError, match="cap 6"):
+            n_qubit_ejm(PARAMS, 7)
 
     def test_states_mapping_is_read_only(self):
         family = n_qubit_ejm(PARAMS, 2)

@@ -5,7 +5,7 @@ import pytest
 
 from ejm import network
 from ejm.bases import _DOMAIN_ATOL
-from ejm.cli import CliError, export, main
+from ejm.cli import export, main
 
 HEADLINE = ["--z", "1", "--phi", "0.1781", "--theta", "1.5707963267948966",
             "--gamma", "0.7853981633974483"]
@@ -212,6 +212,35 @@ class TestArgumentHandling:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "cap 8" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *([command, "--n", n] for command in ("verify", "reduce", "basis") for n in ("1", "9")),
+            *(["sweep", "--vary", "phi", "--lo", "0", "--hi", "1", "--points", p] for p in ("1", "100001")),
+            *(["optimize", "--budget", b] for b in ("99", "1000001")),
+        ],
+        ids=" ".join,
+    )
+    def test_size_error_names_its_flag(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {argv[-2]} ")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tol_must_be_positive_and_finite(self, capsys, tol):
+        code, out, err = run(capsys, "verify", f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: --tol ")
+
+    @pytest.mark.parametrize("target", ["missing/report.json", ""], ids=["missing-directory", "a-directory"])
+    def test_unwritable_output_is_invalid_input(self, capsys, tmp_path, target):
+        code, out, err = run(capsys, "network", "--output", str(tmp_path / target))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: --output ")
+
     def test_out_of_domain_phi(self, capsys):
         code, _, err = run(capsys, "network", "--phi", "4.0")
         assert code == 2
@@ -231,10 +260,6 @@ class TestExport:
         parsed = json.loads(export(report, "json"))
         assert parsed["value"] == report["value"]
         assert parsed["S"] == report["S"]
-
-    def test_csv_requires_sweep_schema(self):
-        with pytest.raises(CliError):
-            export({"schema": "optimum"}, "csv")
 
     def test_csv_digits(self):
         report = {"schema": "sweep", "samples": [[0.5, 2.2968104]]}

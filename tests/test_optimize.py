@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import ejm.optimize
-from ejm.bases import EjmParams, INV_SQRT3, ResourceLimitError
+from ejm.bases import LIMITS, EjmParams, INV_SQRT3, ResourceLimitError
 from ejm.network import trilocal_score
-from ejm.optimize import MAX_BUDGET, MAX_SWEEP_POINTS, SweepSpec, maximize, sweep
+from ejm.optimize import SweepSpec, maximize, sweep
 
 FIXED_TOP = {"z": 1.0, "theta": math.pi / 2, "gamma": math.pi / 4}
 
@@ -52,8 +52,9 @@ class TestSweep:
             SweepSpec(varying="phi", lo=0.0, hi=1.0, points=3, fixed={"z": 1.0})
 
     def test_point_cap(self):
-        SweepSpec(varying="phi", lo=0.0, hi=1.0, points=MAX_SWEEP_POINTS, fixed=FIXED_TOP)
-        for points in (MAX_SWEEP_POINTS + 1, 10**12):
+        cap = LIMITS["points"][1]
+        SweepSpec(varying="phi", lo=0.0, hi=1.0, points=cap, fixed=FIXED_TOP)
+        for points in (cap + 1, 10**12):
             with pytest.raises(ResourceLimitError, match="cap"):
                 SweepSpec(varying="phi", lo=0.0, hi=1.0, points=points, fixed=FIXED_TOP)
 
@@ -130,6 +131,6 @@ class TestMaximize:
             raise AssertionError("the score was evaluated past the budget cap")
 
         monkeypatch.setattr(ejm.optimize, "trilocal_score", unreachable)
-        for budget in (MAX_BUDGET + 1, 10**12):
+        for budget in (LIMITS["budget"][1] + 1, 10**12):
             with pytest.raises(ResourceLimitError, match="cap"):
                 maximize(budget=budget)
