@@ -22,8 +22,6 @@ from .bases import (
     phi_z,
     reference_bases,
     single_qubit_m,
-    three_qubit_ejm,
-    two_qubit_ejm,
 )
 from .network import (
     CorrelationReport,
@@ -31,7 +29,6 @@ from .network import (
     correlation_I_analytic,
     correlation_I_bruteforce,
     outcome_table,
-    star_state,
     trilocal_score,
 )
 from .optimize import OptimumResult, SweepSpec, maximize, sweep

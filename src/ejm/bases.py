@@ -2,8 +2,9 @@
 
 Single-qubit tetrahedron states |m_i> / |-m_i>, the two-qubit elegant
 joint measurement (EJM) in its parameter-free, single-parameter and
-three-parameter forms, the primed partner family, and the three- and
-n-qubit generalizations built from them.
+three-parameter forms, and the n-qubit generalizations built from one
+table, the two-qubit family Phi; its primed partner, Phi with the |00> and
+|11> amplitudes negated, is Phi'_i = Phi_{i XOR 2}.
 """
 
 from __future__ import annotations
@@ -68,8 +69,10 @@ def check_domain(name: str, value: float) -> float:
 
 
 def check_limit(name: str, value: int) -> int:
-    """Return value; below LIMITS[name] raise ValueError, above it ResourceLimitError."""
+    """Return value; if not an integer or below LIMITS[name] raise ValueError, above it ResourceLimitError."""
     lo, hi = LIMITS[name]
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}={value!r} must be an integer")
     if value < lo:
         raise ValueError(f"{name}={value!r} must be at least {lo}")
     if value > hi:
@@ -203,33 +206,17 @@ def m_vector(params: EjmParams, i: int) -> np.ndarray:
     return np.array([r * math.cos(ph), r * math.sin(ph), zi])
 
 
-def _two_qubit_amps(params: EjmParams, i: int, primed: bool) -> np.ndarray:
+def _two_qubit_amps(params: EjmParams, i: int) -> np.ndarray:
+    """Row i of the three-parameter two-qubit EJM table Phi."""
     z = params.z
     rad = math.sqrt(max(3.0 * z * z - 1.0, 0.0))
     prefactor = (1.0 - 1j * rad) / (2.0 * math.sqrt(3.0) * abs(z))
     delta = params.phi_i(i) - params.phi_z
-    e_minus = cmath.exp(-1j * delta)
-    e_plus = cmath.exp(1j * delta)
     e_theta = cmath.exp(1j * params.theta)
     parity = 1.0 if i % 2 == 0 else -1.0
     mid01 = -(parity + e_theta) / math.sqrt(2.0)
     mid10 = -(parity - e_theta) / math.sqrt(2.0)
-    outer = -1.0 if primed else 1.0
-    return prefactor * np.array([outer * e_minus, mid01, mid10, -outer * e_plus])
-
-
-def two_qubit_ejm(params: EjmParams, i: int, primed: bool = False) -> StateVector:
-    """Three-parameter two-qubit EJM state.
-
-    The unprimed family is orthonormal; the primed family flips the sign
-    of the |00> and |11> amplitudes and coincides with the unprimed family
-    at shifted index, |Phi'_i> = |Phi_{(i+2) mod 4}>, but only to rounding:
-    up to 6e-16 apart over 8 000 uniform draws from the domain, bit-equal in
-    69.  So _family_matrix builds its own Phi' table, which keeps every row
-    bit-equal to the per-label chain, instead of permuting the rows of Phi.
-    """
-    _check_i(i)
-    return StateVector(_two_qubit_amps(params, i, primed))
+    return prefactor * np.array([cmath.exp(-1j * delta), mid01, mid10, -cmath.exp(1j * delta)])
 
 
 def reference_bases(theta: float = 0.0) -> BasisFamily:
@@ -254,20 +241,22 @@ def _family_matrix(params: EjmParams, n: int) -> np.ndarray:
     """Amplitudes of the whole n-qubit family, one row per basis label.
 
     Rows run over (i, j1, ..., jk) lexicographically, with the odd-n bit l
-    fastest.  Matrix Kronecker powers of the 4x4 tables Phi and Phi' (row i
-    holds |Phi_i>) give every chain ((Phi_i (x) Phi_j1) (x) ...) at once.
-    Their four row blocks, one per leading index i, are mixed as
-    cos(g) Phi... + (-1)^floor(i/2) sin(g) Phi'...; odd n first appends
-    |m_i>, |-m_i> (l = 0) or |-m_i>, |m_i> (l = 1) to the two terms and
-    flips the mixing sign for l = 1.  The products are taken in the order
-    of the per-label chain, so each amplitude equals it bit for bit.
+    fastest.  One matrix Kronecker power of the 4x4 table Phi (row i holds
+    |Phi_i>) gives every chain ((Phi_i (x) Phi_j1) (x) ...) at row i j1 ... in
+    base 4; as Phi'_i = Phi_{i XOR 2}, the primed chain is the row with the high
+    bit of each base-4 digit flipped.  The four row blocks, one per leading index
+    i, are mixed as cos(g) Phi... + (-1)^floor(i/2) sin(g) Phi'...; odd n first
+    appends |m_i>, |-m_i> (l = 0) or |-m_i>, |m_i> (l = 1) to the two terms and
+    flips the mixing sign for l = 1.  The products are taken in the order of
+    the per-label chain, so each amplitude equals it bit for bit.
     """
-    phi = np.array([_two_qubit_amps(params, i, False) for i in range(4)])
+    phi = np.array([_two_qubit_amps(params, i) for i in range(4)])
     if n == 2:
         return phi
-    phip = np.array([_two_qubit_amps(params, i, True) for i in range(4)])
-    plain = reduce(np.kron, [phi] * (n // 2)).reshape(4, -1, 4 ** (n // 2))
-    primed = reduce(np.kron, [phip] * (n // 2)).reshape(plain.shape)
+    k = n // 2
+    chains = reduce(np.kron, [phi] * k)
+    plain = chains.reshape(4, -1, 4**k)
+    primed = chains[np.arange(len(chains)) ^ int("10" * k, 2)].reshape(plain.shape)
     c, s = math.cos(params.gamma), math.sin(params.gamma)
     blocks = []
     for i in range(4):
@@ -281,18 +270,6 @@ def _family_matrix(params: EjmParams, n: int) -> np.ndarray:
         l1 = c * (kp * mm) - mixed * (km * mp)
         blocks.append(np.concatenate([l0, l1], axis=1).reshape(-1, 2 * plain.shape[2]))
     return np.concatenate(blocks)
-
-
-def three_qubit_ejm(params: EjmParams, i: int, k: int) -> StateVector:
-    """Three-qubit EJM state mixing |Phi_i>|m_i> with |Phi'_i>|-m_i>.
-
-    k=0 gives cos(gamma)|Phi_i>|m_i> + (-1)^floor(i/2) sin(gamma)|Phi'_i>|-m_i>,
-    k=1 the partner with |+-m_i> swapped and the mixing sign flipped.
-    """
-    _check_i(i)
-    if k not in (0, 1):
-        raise ValueError(f"k={k!r} must be 0 or 1")
-    return StateVector(_family_matrix(params, 3)[2 * i + k])
 
 
 def n_qubit_ejm(params: EjmParams, n: int) -> BasisFamily:

@@ -23,7 +23,7 @@ from .network import trilocal_score
 from .optimize import SweepSpec, maximize, sweep
 from .qla import ContractError
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 _ANGLE_FLAGS = ("phi", "theta", "gamma")
 _PARAM_HELP = {
     "z": "height parameter, 1/sqrt(3) <= |z| <= 1",
@@ -233,7 +233,8 @@ def _cmd_network(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[int, dict]:
-    fixed = {name: _param(args, name, getattr(args, name)) for name in PARAM_NAMES if name != args.vary}
+    given = {name: _param(args, name, getattr(args, name)) for name in PARAM_NAMES}
+    fixed = {name: value for name, value in given.items() if name != args.vary}
     lo = _param(args, args.vary, args.lo)
     hi = _param(args, args.vary, args.hi)
     spec = SweepSpec(varying=args.vary, lo=lo, hi=hi, points=_param(args, "points", args.points), fixed=fixed)

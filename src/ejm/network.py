@@ -17,12 +17,10 @@ import numpy as np
 
 from .analysis import ORTHONORMAL_ATOL, verify_orthonormal_complete
 from .bases import BasisFamily, EjmParams, n_qubit_ejm
-from .qla import PAULI_X, PAULI_Z, ContractError, StateVector, permute_qubits, tensor_product
+from .qla import PAULI_X, PAULI_Z, ContractError
 
 # Analytic and brute-force I_m agree to 1e-15 over the domain; a larger gap is a bug.
 CROSS_CHECK_ATOL = 1e-9
-
-PSI_PLUS = StateVector(np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0))
 
 # Alice's two dichotomic observables (X + Z)/sqrt(2) and (X - Z)/sqrt(2), one read-only array.
 ALICE_OBSERVABLES = np.array([PAULI_X + PAULI_Z, PAULI_X - PAULI_Z]) / math.sqrt(2.0)
@@ -48,19 +46,15 @@ _INPUT_SIGNS = _signs(_G_MASKS)
 _ALICE_SIGNS = _signs(((1, 1, 1),))[0]
 
 
-def star_state() -> StateVector:
-    """Six-qubit source state in qubit order A1 A2 A3 B1 B2 B3."""
-    triple = tensor_product(tensor_product(PSI_PLUS, PSI_PLUS), PSI_PLUS)
-    return permute_qubits(triple, (1, 3, 5, 2, 4, 6))
-
-
+# Amplitude matrix of each source's (|01> + |10>)/sqrt(2): row the Alice qubit, column the Bob qubit.
+_SOURCE = np.array([[0.0, 1.0], [1.0, 0.0]]) / math.sqrt(2.0)
 # _ALICE[x, a] is the conjugated eigenvector of Alice's input x for output a
-# (eigenvalue (-1)^a); _ALICE_STAR is the star state projected onto all three
-# Alices, indexed [x1, x2, x3, a1, a2, a3, Bob's three-qubit index].
+# (eigenvalue (-1)^a); _ALICE_STAR is the six-qubit star state projected onto
+# all three Alices, indexed [x1, x2, x3, a1, a2, a3, Bob's three-qubit index].
 _ALICE = np.array([np.linalg.eigh(o)[1][:, ::-1].T for o in ALICE_OBSERVABLES]).conj()
 _ALICE_STAR = np.einsum(
-    "pai,qbj,rck,ijkB->pqrabcB", _ALICE, _ALICE, _ALICE, star_state().amplitudes.reshape(2, 2, 2, 8)
-)
+    "pai,qbj,rck,il,jm,kn->pqrabclmn", _ALICE, _ALICE, _ALICE, _SOURCE, _SOURCE, _SOURCE
+).reshape(2, 2, 2, 2, 2, 2, 8)
 _ALICE.setflags(write=False)
 _ALICE_STAR.setflags(write=False)
 
@@ -69,9 +63,9 @@ _ALICE_STAR.setflags(write=False)
 class StarScenario:
     """The paper's star network with Bob's basis at ``params``.
 
-    All three sources emit PSI_PLUS and the Alices measure
+    All three sources emit (|01> + |10>)/sqrt(2) and the Alices measure
     ALICE_OBSERVABLES; Bob projects onto the three-qubit EJM family at
-    ``params`` labelled in raw-output order b1 b2 b3 (i = 2*b1 + b2, k = b3).
+    ``params`` labelled in raw-output order b1 b2 b3 (i = 2*b1 + b2, l = b3).
     """
 
     params: EjmParams

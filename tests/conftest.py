@@ -30,6 +30,22 @@ def tilde_state(state):
     return StateVector(np.conj(state.amplitudes)[::-1])
 
 
+def primed_rows(rows):
+    """The primed two-qubit family Phi' as the paper writes it: the n = 2 rows
+    of Phi with the |00> and |11> amplitudes negated."""
+    primed = rows.copy()
+    primed[:, [0, 3]] = -rows[:, [0, 3]]
+    return primed
+
+
+def star_state():
+    """Six-qubit star state in qubit order A1 A2 A3 B1 B2 B3: the Kronecker
+    product of three (|01> + |10>)/sqrt(2) pairs A_k B_k, reordered."""
+    pair = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
+    six = np.kron(np.kron(pair, pair), pair)  # pair order A1 B1 A2 B2 A3 B3
+    return StateVector(six.reshape([2] * 6).transpose([0, 2, 4, 1, 3, 5]).reshape(-1))
+
+
 def _signed(z, negative, phi, theta, gamma):
     return EjmParams(z=-z if negative else z, phi=phi, theta=theta, gamma=gamma)
 

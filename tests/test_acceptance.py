@@ -25,8 +25,6 @@ from ejm.bases import (
     m_vector,
     n_qubit_ejm,
     reference_bases,
-    three_qubit_ejm,
-    two_qubit_ejm,
 )
 from ejm.cli import main as cli_main
 from ejm.network import (
@@ -34,14 +32,13 @@ from ejm.network import (
     correlation_I_analytic,
     correlation_I_bruteforce,
     outcome_table,
-    star_state,
     trilocal_score,
 )
 from ejm.optimize import SweepSpec, maximize, sweep
 from ejm.qla import StateVector, partial_trace
 
-from conftest import tilde_state
-from test_network import no_signaling_deviation, tilde_000_expansion
+from conftest import star_state, tilde_state
+from test_network import bob_state, no_signaling_deviation, tilde_000_expansion
 
 
 def criterion(number, description):
@@ -150,12 +147,12 @@ def test_criterion_05_entanglement_swapping(grid_params):
     star = star_state()
     for params in grid_params:
         for b1, b2, b3 in product((0, 1), repeat=3):
-            psi = three_qubit_ejm(params, 2 * b1 + b2, b3)
+            psi = bob_state(params, b1, b2, b3)
             overlap = np.vdot(
                 np.kron(tilde_state(psi).amplitudes, psi.amplitudes), star.amplitudes
             )
             assert abs(abs(overlap) - coefficient) < 1e-10, params
-        got = tilde_state(three_qubit_ejm(params, 0, 0)).amplitudes
+        got = tilde_state(bob_state(params, 0, 0, 0)).amplitudes
         assert np.max(np.abs(got - tilde_000_expansion(params))) < 1e-12, params
 
 
@@ -196,7 +193,7 @@ def test_criterion_08_curve_shapes():
 def test_criterion_09_known_bases():
     for theta in (0.0, 0.4, 1.0, math.pi / 2):
         params = EjmParams(z=INV_SQRT3, phi=math.pi / 4, theta=theta, gamma=0.0)
-        ours = np.vstack([two_qubit_ejm(params, i).amplitudes for i in range(4)])
+        ours = n_qubit_ejm(params, 2).matrix()
         reference = reference_bases(theta).matrix()
         overlap = np.abs(ours.conj() @ reference.T)
         matches = overlap > 1.0 - 1e-10

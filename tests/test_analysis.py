@@ -26,8 +26,6 @@ from ejm.bases import (
     EjmParams,
     m_vector,
     n_qubit_ejm,
-    three_qubit_ejm,
-    two_qubit_ejm,
 )
 from ejm.qla import BlochVector, StateVector, bloch_vector, partial_trace
 
@@ -50,15 +48,14 @@ class TestThreeTangle:
 
     def test_half_tangle_point(self):
         params = EjmParams(z=1.0, phi=0.1781, theta=math.pi / 2, gamma=math.pi / 8)
-        assert abs(three_tangle(three_qubit_ejm(params, 0, 0)) - 0.5) < 1e-9
+        assert abs(three_tangle(n_qubit_ejm(params, 3).states[BasisLabel(0, (), 0)]) - 0.5) < 1e-9
 
     def test_iso_entangled_law(self, grid_params):
         for params in grid_params:
             expected = tangle_law(params)
-            for i in range(4):
-                for k in (0, 1):
-                    tau = three_tangle(three_qubit_ejm(params, i, k))
-                    assert abs(tau - expected) < 1e-9, (params, i, k)
+            for label, state in n_qubit_ejm(params, 3).states.items():
+                tau = three_tangle(state)
+                assert abs(tau - expected) < 1e-9, (params, label)
 
     @settings(max_examples=200, deadline=None)
     @given(domain_params)
@@ -70,7 +67,7 @@ class TestThreeTangle:
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(42)
         params = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
-        state = three_qubit_ejm(params, 1, 0)
+        state = n_qubit_ejm(params, 3).states[BasisLabel(1, (), 0)]
         before = three_tangle(state)
         for _ in range(5):
             u = np.kron(np.kron(random_unitary(rng), random_unitary(rng)), random_unitary(rng))
@@ -92,7 +89,7 @@ class TestConcurrence:
 
     def test_iso_entangled_family(self, small_grid):
         for params in small_grid:
-            values = [concurrence(two_qubit_ejm(params, i)) for i in range(4)]
+            values = [concurrence(state) for state in n_qubit_ejm(params, 2).states.values()]
             assert max(values) - min(values) < 1e-10
 
     def test_qubit_count_check(self):

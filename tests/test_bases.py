@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import domain_params, expectation
+from conftest import domain_params, expectation, primed_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +20,8 @@ from ejm.bases import (
     phi_z,
     reference_bases,
     single_qubit_m,
-    three_qubit_ejm,
-    two_qubit_ejm,
 )
-from ejm.qla import PAULIS, StateVector, bloch_vector, partial_trace, tensor_product
+from ejm.qla import PAULIS, StateVector, bloch_vector, partial_trace
 
 PARAMS = EjmParams(z=0.8, phi=0.3, theta=1.0, gamma=0.5)
 
@@ -34,34 +32,36 @@ def inner(a, b):
 
 def kron_chain_rows(params, family):
     """Family rows from the per-label chains ((Phi_i (x) Phi_j1) (x) ...) (x) tail,
-    mixed by cos(gamma) and (-1)^floor(i/2) sin(gamma); odd n swaps the
-    |+-m_i> tails and flips the mixing sign for l = 1."""
+    mixed by cos(gamma) and (-1)^floor(i/2) sin(gamma); the primed chain is the
+    chain at the shifted labels (i XOR 2, j1 XOR 2, ...), since Phi'_i = Phi_{i XOR 2}.
+    Odd n swaps the |+-m_i> tails and flips the mixing sign for l = 1."""
     c, s = math.cos(params.gamma), math.sin(params.gamma)
-    blocks = {p: [two_qubit_ejm(params, i, p).amplitudes for i in range(4)] for p in (False, True)}
+    blocks = n_qubit_ejm(params, 2).matrix()
     tails = {+1: [single_qubit_m(params, i, +1).amplitudes for i in range(4)],
              -1: [single_qubit_m(params, i, -1).amplitudes for i in range(4)]}
     chains = {}
 
-    def chain(primed, idx):  # memoized on the prefix, so the association stays ((a b) c)
-        if (primed, idx) not in chains:
-            last = blocks[primed][idx[-1]]
-            chains[primed, idx] = last if len(idx) == 1 else np.kron(chain(primed, idx[:-1]), last)
-        return chains[primed, idx]
+    def chain(idx):  # memoized on the prefix, so the association stays ((a b) c)
+        if idx not in chains:
+            last = blocks[idx[-1]]
+            chains[idx] = last if len(idx) == 1 else np.kron(chain(idx[:-1]), last)
+        return chains[idx]
 
     rows = []
     for label in family.labels:
         idx = (label.i, *label.j)
+        shifted = tuple(j ^ 2 for j in idx)
         sgn = 1.0 if label.i < 2 else -1.0
         if family.n_qubits == 2:
-            rows.append(chain(False, idx))
+            rows.append(chain(idx))
         elif label.l is None:
-            rows.append(c * chain(False, idx) + sgn * s * chain(True, idx))
+            rows.append(c * chain(idx) + sgn * s * chain(shifted))
         elif label.l == 0:
-            rows.append(c * np.kron(chain(False, idx), tails[+1][label.i])
-                        + sgn * s * np.kron(chain(True, idx), tails[-1][label.i]))
+            rows.append(c * np.kron(chain(idx), tails[+1][label.i])
+                        + sgn * s * np.kron(chain(shifted), tails[-1][label.i]))
         else:
-            rows.append(c * np.kron(chain(False, idx), tails[-1][label.i])
-                        - sgn * s * np.kron(chain(True, idx), tails[+1][label.i]))
+            rows.append(c * np.kron(chain(idx), tails[-1][label.i])
+                        - sgn * s * np.kron(chain(shifted), tails[+1][label.i]))
     return np.array(rows)
 
 
@@ -166,21 +166,28 @@ class TestSingleQubit:
 class TestTwoQubitFamily:
     def test_gram_identity(self, small_grid):
         for params in small_grid:
-            v = np.vstack([two_qubit_ejm(params, i).amplitudes for i in range(4)])
+            v = n_qubit_ejm(params, 2).matrix()
             assert np.max(np.abs(v.conj() @ v.T - np.eye(4))) < 1e-10
 
     def test_primed_is_shifted_unprimed(self, small_grid):
         for params in small_grid:
+            rows = n_qubit_ejm(params, 2).matrix()
+            primed = primed_rows(rows)
             for i in range(4):
-                primed = two_qubit_ejm(params, i, primed=True)
-                shifted = two_qubit_ejm(params, (i + 2) % 4)
-                assert abs(abs(inner(primed, shifted)) - 1.0) < 1e-12
+                assert abs(abs(np.vdot(primed[i], rows[(i + 2) % 4])) - 1.0) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(domain_params)
+    def test_primed_rows_are_shifted_rows_over_domain(self, params):
+        # Phi'_i = Phi_{(i+2) mod 4} to rounding, which lets the builders read
+        # the primed family from Phi's rows; both signs of z.
+        rows = n_qubit_ejm(params, 2).matrix()
+        assert np.max(np.abs(primed_rows(rows) - rows[[2, 3, 0, 1]])) < 1e-15
 
     def test_block_reduction_identity(self, small_grid):
         for params in small_grid:
             scale = math.cos(params.theta) / math.sqrt(2.0)
-            for i in range(4):
-                state = two_qubit_ejm(params, i)
+            for i, state in enumerate(n_qubit_ejm(params, 2).states.values()):
                 delta = params.phi_i(i) - params.phi_z
                 predicted = scale * np.array(
                     [math.cos(delta), math.sin(delta), (-1.0) ** i / math.sqrt(2.0)]
@@ -196,7 +203,7 @@ class TestTwoQubitFamily:
         # a bijection with unit-modulus overlaps.
         for theta in (0.0, 0.7, math.pi / 2):
             params = EjmParams(z=INV_SQRT3, phi=math.pi / 4, theta=theta, gamma=0.0)
-            ours = np.vstack([two_qubit_ejm(params, i).amplitudes for i in range(4)])
+            ours = n_qubit_ejm(params, 2).matrix()
             reference = reference_bases(theta).matrix()
             overlap = np.abs(ours.conj() @ reference.T)
             matches = overlap > 1.0 - 1e-10
@@ -207,9 +214,8 @@ class TestTwoQubitFamily:
         for params in small_grid:
             forward = np.zeros((4, 4), dtype=complex)
             backward = np.zeros((4, 4), dtype=complex)
-            for j in range(4):
-                plain = two_qubit_ejm(params, j).amplitudes
-                primed = two_qubit_ejm(params, j, primed=True).amplitudes
+            rows = n_qubit_ejm(params, 2).matrix()
+            for plain, primed in zip(rows, primed_rows(rows)):
                 forward += np.outer(plain, primed.conj())
                 backward += np.outer(primed, plain.conj())
             assert np.max(np.abs(forward - backward)) < 1e-12
@@ -243,41 +249,47 @@ class TestReferenceBases:
 class TestThreeQubitFamily:
     def test_gamma_zero_is_product(self):
         params = EjmParams(z=0.8, phi=0.3, theta=1.0, gamma=0.0)
-        for i in range(4):
-            for k in (0, 1):
-                state = three_qubit_ejm(params, i, k)
-                expected = tensor_product(
-                    two_qubit_ejm(params, i), single_qubit_m(params, i, +1 if k == 0 else -1)
-                )
-                assert np.max(np.abs(state.amplitudes - expected.amplitudes)) < 1e-15
-                assert three_tangle(state) < 1e-12
+        rows = n_qubit_ejm(params, 2).matrix()
+        for label, state in n_qubit_ejm(params, 3).states.items():
+            tail = single_qubit_m(params, label.i, +1 if label.l == 0 else -1)
+            expected = np.kron(rows[label.i], tail.amplitudes)
+            assert np.max(np.abs(state.amplitudes - expected)) < 1e-15
+            assert three_tangle(state) < 1e-12
 
     def test_maximally_entangled_point(self):
         params = EjmParams(z=0.8, phi=0.3, theta=math.pi / 2, gamma=math.pi / 4)
-        for i in range(4):
-            for k in (0, 1):
-                assert abs(three_tangle(three_qubit_ejm(params, i, k)) - 1.0) < 1e-9
+        for state in n_qubit_ejm(params, 3).states.values():
+            assert abs(three_tangle(state) - 1.0) < 1e-9
 
     def test_tail_qubit_reduction(self, small_grid):
         for params in small_grid:
             scale = math.cos(2.0 * params.gamma)
-            for i in range(4):
-                for k in (0, 1):
-                    state = three_qubit_ejm(params, i, k)
-                    got = bloch_vector(partial_trace(state, {3}))
-                    assert np.max(np.abs(got - (-1.0) ** k * scale * m_vector(params, i))) < 1e-10
+            for label, state in n_qubit_ejm(params, 3).states.items():
+                got = bloch_vector(partial_trace(state, {3}))
+                assert np.max(np.abs(got - (-1.0) ** label.l * scale * m_vector(params, label.i))) < 1e-10
 
     def test_bit_validation(self):
-        with pytest.raises(ValueError):
-            three_qubit_ejm(PARAMS, 0, 2)
+        with pytest.raises(KeyError):
+            n_qubit_ejm(PARAMS, 3).states[BasisLabel(0, (), 2)]
 
 
 class TestNQubitFamily:
-    def test_three_qubit_states_match_labelwise(self):
-        family = n_qubit_ejm(PARAMS, 3)
-        for label, state in family.states.items():
-            direct = three_qubit_ejm(PARAMS, label.i, label.l)
-            assert np.array_equal(state.amplitudes, direct.amplitudes)
+    @settings(max_examples=100, deadline=None)
+    @given(domain_params)
+    def test_three_qubit_states_match_labelwise(self, params):
+        # The paper's three-qubit states, with Phi' written as Phi with the
+        # |00> and |11> amplitudes negated (not as shifted rows of Phi).
+        c, s = math.cos(params.gamma), math.sin(params.gamma)
+        rows = n_qubit_ejm(params, 2).matrix()
+        primed = primed_rows(rows)
+        for label, state in n_qubit_ejm(params, 3).states.items():
+            i, sgn = label.i, (1.0 if label.i < 2 else -1.0)
+            mp, mm = (single_qubit_m(params, i, sign).amplitudes for sign in (+1, -1))
+            if label.l == 0:
+                direct = c * np.kron(rows[i], mp) + sgn * s * np.kron(primed[i], mm)
+            else:
+                direct = c * np.kron(rows[i], mm) - sgn * s * np.kron(primed[i], mp)
+            assert np.max(np.abs(state.amplitudes - direct)) < 1e-15, label
 
     def test_two_qubit_family_has_no_gamma(self):
         low = n_qubit_ejm(EjmParams(z=0.8, phi=0.3, theta=1.0, gamma=0.1), 2)

@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +10,7 @@ from ejm import network
 from ejm.bases import _DOMAIN_ATOL
 from ejm.cli import export, main
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 HEADLINE = ["--z", "1", "--phi", "0.1781", "--theta", "1.5707963267948966",
             "--gamma", "0.7853981633974483"]
 
@@ -135,6 +139,12 @@ class TestSweepCommand:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "cap" in err
 
+    def test_varying_parameter_flag_is_checked(self, capsys):
+        code, out, err = run(capsys, "sweep", "--vary", "phi", "--lo", "0", "--hi", "1", "--phi", "99")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --phi") and len(err.strip().splitlines()) == 1
+
     def test_csv_for_non_sweep_rejected(self, capsys):
         code, _, err = run(capsys, "network", "--format", "csv")
         assert code == 2
@@ -178,11 +188,11 @@ class TestOptimizeCommand:
         assert code == 2
         assert "--budget" in err
 
-    def test_report_is_version_two_without_seed(self, capsys):
+    def test_report_is_version_three_without_seed(self, capsys):
         code, out, _ = run(capsys, "optimize", "--budget", "300")
         assert code == 0
         report = json.loads(out)
-        assert report["version"] == 2
+        assert report["version"] == 3
         assert "seed" not in report
 
     def test_seed_flag_is_gone(self, capsys):
@@ -293,3 +303,19 @@ class TestReproducibility:
         assert code == code2 == 0
         assert out2 == ""
         assert path.read_bytes().decode() == out
+
+
+def readme_examples():
+    """argv of each single-line `ejm ...` command in the README's sh blocks, its comment dropped."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = [line.split("#")[0].strip() for block in blocks for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("ejm ") and not line.endswith("\\")]
+
+
+def test_readme_examples_run(capsys):
+    examples = readme_examples()
+    assert len(examples) >= 6
+    for argv in examples:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        json.loads(out)

@@ -10,13 +10,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ejm.bases import _DOMAIN_ATOL, DOMAIN, INV_SQRT3, PARAM_NAMES, EjmParams, check_domain
+import numpy as np
+
+from ejm.bases import (
+    _DOMAIN_ATOL,
+    DOMAIN,
+    INV_SQRT3,
+    LIMITS,
+    PARAM_NAMES,
+    EjmParams,
+    check_domain,
+    check_limit,
+    n_qubit_ejm,
+)
 from ejm.cli import main
 from ejm.network import trilocal_score
 from ejm.optimize import SweepSpec, maximize, sweep
 
 # An interior point, the base of every probe below.
 INTERIOR = {"z": 0.8, "phi": 0.3, "theta": 1.0, "gamma": 0.5}
+# The library entry point that checks each size of LIMITS.
+SIZED = {
+    "n": lambda n: n_qubit_ejm(EjmParams(**INTERIOR), n),
+    "points": lambda points: SweepSpec("phi", 0.0, 1.0, points, {n: INTERIOR[n] for n in ("z", "theta", "gamma")}),
+    "budget": lambda budget: maximize(budget=budget),
+}
 
 
 def signed_bounds(name):
@@ -156,3 +174,15 @@ class TestRangeErrors:
         code, out, err = run_cli("optimize", "--budget", "100", f"--{flag}={value}")
         assert code == 2 and out == ""
         assert err.startswith(f"error: --{flag} out of domain") and len(err.strip().splitlines()) == 1
+
+
+class TestSizes:
+    @pytest.mark.parametrize("name", sorted(LIMITS))
+    def test_non_integral_size_is_a_value_error(self, name):
+        lo, hi = LIMITS[name]
+        assert check_limit(name, lo) == lo and check_limit(name, np.int64(hi)) == hi
+        for value in (float(lo), lo + 0.5, math.nan, math.inf, str(lo), None):
+            with pytest.raises(ValueError, match="must be an integer"):
+                check_limit(name, value)
+            with pytest.raises(ValueError, match="must be an integer"):
+                SIZED[name](value)

@@ -5,11 +5,11 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import ket, tilde_state
+from conftest import ket, star_state, tilde_state
 from hypothesis import strategies as st
 
 import ejm.network
-from ejm.bases import INV_SQRT3, BasisFamily, BasisLabel, EjmParams, n_qubit_ejm, three_qubit_ejm
+from ejm.bases import INV_SQRT3, BasisFamily, BasisLabel, EjmParams, n_qubit_ejm
 from ejm.cli import main
 from ejm.network import (
     ALICE_OBSERVABLES,
@@ -18,7 +18,6 @@ from ejm.network import (
     correlation_I_analytic,
     correlation_I_bruteforce,
     outcome_table,
-    star_state,
     trilocal_score,
 )
 from ejm.qla import ContractError, StateVector, partial_trace
@@ -48,13 +47,15 @@ def oracle_probability(params, inputs, alice_outputs, bob_outputs):
     for x, a in zip(inputs, alice_outputs):
         projector = (eye + (-1.0) ** a * observables[x]) / 2.0
         total = np.kron(total, projector)
-    label = 2 * bob_outputs[0] + bob_outputs[1], bob_outputs[2]
-    psi_b = three_qubit_ejm(params, label[0], label[1]).amplitudes
+    psi_b = bob_state(params, *bob_outputs).amplitudes
     total = np.kron(total, np.outer(psi_b, psi_b.conj()))
-    pair = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
-    six = np.kron(np.kron(pair, pair), pair)  # pair order A1 B1 A2 B2 A3 B3
-    star = six.reshape([2] * 6).transpose([0, 2, 4, 1, 3, 5]).reshape(-1)
+    star = star_state().amplitudes
     return float(np.real(np.vdot(star, total @ star)))
+
+
+def bob_state(params, b1, b2, b3):
+    """Bob's three-qubit basis state for raw output b1 b2 b3 (i = 2*b1 + b2, l = b3)."""
+    return n_qubit_ejm(params, 3).states[BasisLabel(2 * b1 + b2, (), b3)]
 
 
 def tilde_000_expansion(params):
@@ -92,11 +93,11 @@ class TestTildeState:
 
     @pytest.mark.parametrize("params", [GENERIC, OPTIMUM, EjmParams(0.85, -2.0, 0.8, 0.0)])
     def test_amplitude_expansion(self, params):
-        got = tilde_state(three_qubit_ejm(params, 0, 0))
+        got = tilde_state(bob_state(params, 0, 0, 0))
         assert np.max(np.abs(got.amplitudes - tilde_000_expansion(params))) < 1e-12
 
     def test_involution_bit_exact(self):
-        state = three_qubit_ejm(GENERIC, 2, 1)
+        state = bob_state(GENERIC, 1, 0, 1)
         twice = tilde_state(tilde_state(state))
         assert np.max(np.abs(twice.amplitudes - state.amplitudes)) < 1e-15
 
@@ -116,11 +117,17 @@ class TestStarState:
         star = star_state()
         coefficient = 1.0 / (2.0 * math.sqrt(2.0))
         for b1, b2, b3 in product((0, 1), repeat=3):
-            psi = three_qubit_ejm(params, 2 * b1 + b2, b3)
+            psi = bob_state(params, b1, b2, b3)
             overlap = np.vdot(
                 np.kron(tilde_state(psi).amplitudes, psi.amplitudes), star.amplitudes
             )
             assert abs(abs(overlap) - coefficient) < 1e-10
+
+    def test_alice_star_is_the_projected_star_state(self):
+        alice = ejm.network._ALICE
+        star = star_state().amplitudes.reshape(2, 2, 2, 8)
+        expected = np.einsum("pai,qbj,rck,ijkB->pqrabcB", alice, alice, alice, star)
+        assert np.array_equal(ejm.network._ALICE_STAR, expected)
 
 
 class TestScenarioValidation:

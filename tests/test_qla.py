@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from conftest import expectation, ket
 from hypothesis import strategies as st
 
-from ejm.bases import EjmParams, m_vector, single_qubit_m, three_qubit_ejm, two_qubit_ejm
+from ejm.bases import BasisLabel, EjmParams, m_vector, n_qubit_ejm, single_qubit_m
 from ejm.qla import PAULI_Z, PAULIS, StateVector, bloch_vector, partial_trace, permute_qubits, tensor_product
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -79,7 +79,7 @@ class TestTensorProduct:
         # generic amplitudes are compared at machine precision instead.
         params = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
         a = single_qubit_m(params, 0, +1)
-        b = two_qubit_ejm(params, 1)
+        b = n_qubit_ejm(params, 2).states[BasisLabel(1)]
         c = single_qubit_m(params, 2, -1)
         left = tensor_product(tensor_product(a, b), c)
         right = tensor_product(a, tensor_product(b, c))
@@ -100,7 +100,7 @@ class TestPartialTrace:
         # Closed-form check: the tail qubit of the k=0 state points along
         # cos(2*gamma) * m_0 = 0.5 * m_0 at gamma = pi/6.
         params = EjmParams(z=0.8, phi=0.3, theta=math.pi / 3, gamma=math.pi / 6)
-        rho = partial_trace(three_qubit_ejm(params, 0, 0), {3})
+        rho = partial_trace(n_qubit_ejm(params, 3).states[BasisLabel(0, (), 0)], {3})
         got = bloch_vector(rho)
         assert np.max(np.abs(got - 0.5 * m_vector(params, 0))) < 1e-12
 
@@ -143,7 +143,7 @@ class TestExpectation:
     def test_two_qubit_block_z_component(self):
         # cos(theta)/2 = 0.25 at theta = pi/3, cross-checked by the first qubit's reduction.
         params = EjmParams(z=0.8, phi=0.3, theta=math.pi / 3, gamma=0.0)
-        state = two_qubit_ejm(params, 0)
+        state = n_qubit_ejm(params, 2).states[BasisLabel(0)]
         obs = np.kron(PAULI_Z, np.eye(2))
         value = expectation(state, obs)
         assert abs(value - 0.25) < 1e-12
