@@ -32,8 +32,10 @@ _PARAM_HELP = {
     "gamma": "entangling angle in [0, pi/2] (radians)",
 }
 
-# The headline violation point, so `ejm network` with no flags demonstrates it.
+# Radian defaults by flag, which --deg leaves alone: the headline violation point,
+# so `ejm network` with no flags demonstrates it, and DOMAIN as the optimizer's box.
 _DEFAULTS = {"z": 1.0, "phi": 0.1781, "theta": math.pi / 2, "gamma": math.pi / 4}
+_DEFAULTS.update({f"{name}-{end}": DOMAIN[name][k] for name in PARAM_NAMES for k, end in enumerate(("min", "max"))})
 
 
 class CliError(ValueError):
@@ -52,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
         for param in PARAM_NAMES if params else ():
-            p.add_argument(f"--{param}", type=float, default=_DEFAULTS[param], help=_PARAM_HELP[param])
+            p.add_argument(f"--{param}", type=float, help=_PARAM_HELP[param])
         p.add_argument("--deg", action="store_true", help="interpret angle flags as degrees")
         p.add_argument("--output", type=Path, default=None, help="write the report here instead of stdout")
         return p
@@ -82,22 +84,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = add("optimize", _cmd_optimize, "maximize the score over a parameter box", params=False)
     p_opt.add_argument("--budget", type=int, default=20000, help="maximum score evaluations")
-    for name in PARAM_NAMES:
-        lo, hi = DOMAIN[name]
-        p_opt.add_argument(f"--{name}-min", type=float, default=lo)
-        p_opt.add_argument(f"--{name}-max", type=float, default=hi)
+    for flag in (f"--{name}-{end}" for name in PARAM_NAMES for end in ("min", "max")):
+        p_opt.add_argument(flag, type=float)
 
     return parser
 
 
 def _param(args: argparse.Namespace, name: str, value: float, flag: str | None = None) -> float:
     """value of parameter or size name checked against the library's DOMAIN or
-    LIMITS, angles in radians (converted under --deg); outside them, a CliError
-    that names --flag (--name)."""
+    LIMITS, angles in radians (converted under --deg), or the flag's radian
+    default if the flag was not given; outside them, a CliError that names
+    --flag (--name)."""
     try:
         if name in LIMITS:
             return check_limit(name, value)
-        if args.deg and name in _ANGLE_FLAGS:
+        if value is None:
+            value = _DEFAULTS[flag or name]
+        elif args.deg and name in _ANGLE_FLAGS:
             value = math.radians(value)
         return check_domain(name, value)
     except ValueError as exc:

@@ -99,78 +99,43 @@ def minimize(*args, **kwargs):
     return minimize(*args, **kwargs)
 
 
-def maximize(
-    bounds: Mapping[str, tuple[float, float]] | None = None,
-    budget: int = 20000,
-) -> OptimumResult:
+def maximize(bounds: Mapping[str, tuple[float, float]] | None = None, budget: int = 20000) -> OptimumResult:
     """Maximize the trilocal score over a box in (z, phi, theta, gamma).
 
     A coarse grid (GRID_POINTS per free dimension) seeds Nelder-Mead
     refinements from the best STARTS distinct cells.  The search is
-    deterministic.  If the budget runs out before any refinement the best
-    grid point is returned with warning=True.
+    deterministic and ends when the refinements finish or the budget runs
+    out; warning=True means it ran out before the grid was complete.
     """
     check_limit("budget", budget)
     box = _resolve_bounds(bounds)
-    lows = np.array([box[name][0] for name in PARAM_NAMES])
-    highs = np.array([box[name][1] for name in PARAM_NAMES])
-    free = [idx for idx in range(4) if highs[idx] > lows[idx]]
-
+    lows, highs = np.array([box[name] for name in PARAM_NAMES]).T
+    free = highs > lows
+    axes = [np.linspace(lo, hi, GRID_POINTS) if lo < hi else [lo] for lo, hi in zip(lows, highs)]
+    cells = list(product(*axes))
     trace: list[tuple[EjmParams, float]] = []
 
     def evaluate(x: np.ndarray) -> float:
         if len(trace) >= budget:
             raise _BudgetExhausted
-        clipped = np.clip(x, lows, highs)
-        params = EjmParams(*(float(c) for c in clipped))
-        score = trilocal_score(params).S
-        trace.append((params, score))
-        return score
+        params = EjmParams(*(float(c) for c in np.clip(x, lows, highs)))
+        trace.append((params, trilocal_score(params).S))
+        return trace[-1][1]
 
-    def result(warning: bool = False) -> OptimumResult:
-        return OptimumResult(*max(trace, key=itemgetter(1)), tuple(trace), warning=warning)
-
-    axes = [
-        np.linspace(lows[idx], highs[idx], GRID_POINTS) if idx in free else np.array([lows[idx]])
-        for idx in range(4)
-    ]
-    grid_cells = []
     try:
-        for cell in product(*axes):
-            x = np.array(cell)
-            grid_cells.append((evaluate(x), x))
+        # Keyed by cell, so equal cells (a sub-ulp range repeats them) seed at most once.
+        scores = {cell: evaluate(np.array(cell)) for cell in cells}
+        for start in sorted(scores, key=lambda cell: -scores[cell])[:STARTS] if free.any() else ():
+            if len(trace) >= budget:
+                break
+            x = np.array(start)
+
+            def negated(xfree: np.ndarray) -> float:
+                x[free] = xfree
+                return -evaluate(x)
+
+            minimize(negated, x[free], method="Nelder-Mead", bounds=list(zip(lows[free], highs[free])),
+                     options={"maxfev": budget - len(trace), "xatol": 1e-8, "fatol": 1e-10})
     except _BudgetExhausted:
-        return result(warning=True)
-    if not free or len(trace) >= budget:
-        return result()
-
-    seeds: list[np.ndarray] = []
-    for _, x in sorted(grid_cells, key=lambda cell: -cell[0]):
-        if not any(np.array_equal(x, s) for s in seeds):
-            seeds.append(x)
-        if len(seeds) == STARTS:
-            break
-
-    sub_bounds = [(lows[idx], highs[idx]) for idx in free]
-    for start in seeds:
-        remaining = budget - len(trace)
-        if remaining <= 0:
-            break
-
-        def negated(xfree: np.ndarray) -> float:
-            x = start.copy()
-            x[free] = xfree
-            return -evaluate(x)
-
-        try:
-            minimize(
-                negated,
-                start[free],
-                method="Nelder-Mead",
-                bounds=sub_bounds,
-                options={"maxfev": remaining, "xatol": 1e-8, "fatol": 1e-10},
-            )
-        except _BudgetExhausted:
-            break
-
-    return result()
+        pass
+    return OptimumResult(*max(trace, key=itemgetter(1)), tuple(trace), warning=len(trace) < len(cells))

@@ -121,7 +121,10 @@ def partial_trace(state: StateVector, keep: Iterable[int]) -> np.ndarray:
         1-based qubit indices to keep; the traced-out qubits are the
         complement.  Kept qubits preserve their relative order.
     """
-    kept = sorted({int(q) for q in keep})
+    keep = set(keep)
+    if not all(isinstance(q, (int, np.integer)) for q in keep):
+        raise ValueError(f"keep {keep!r} must hold integer qubit indices")
+    kept = sorted(keep)
     if not kept:
         raise ValueError("keep must contain at least one qubit index")
     if kept[0] < 1 or kept[-1] > state.n_qubits:

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from conftest import domain_params, ket
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ejm.analysis
 from ejm.analysis import (
+    GEOMETRY_ATOL,
     _bloch_array,
+    _clusters,
     _is_rectangular_box,
     _mirror_symmetric,
     concurrence,
@@ -271,6 +274,31 @@ class TestSymmetryReport:
         assert report.degenerate
         assert report.parallelepiped_ok
         assert report.radii[0] < 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(domain_params, st.integers(2, 8))
+    def test_octets_are_cubes_and_square_prisms(self, params, n):
+        # The abstract's hexahedral symmetry: each position's +- octet is a box
+        # whose squared half-sides are the eigenvalues of O^T O / 8.  It is a cube
+        # at n = 2, a square prism with sides (|cos 2g|, |cos 2g|, 1) at block
+        # positions, and one with sides (sqrt((1 - z^2)/2) twice, |z|) at the
+        # odd-n tail, up to scale.
+        c2g = abs(math.cos(2 * params.gamma))
+        tail = math.sqrt((1 - params.z**2) / 2)
+        vectors = _bloch_array(n_qubit_ejm(params, n))
+        for qubit, at_position in enumerate(vectors.transpose(1, 0, 2), start=1):
+            octet, _ = _clusters(np.concatenate([at_position, -at_position]), GEOMETRY_ATOL)
+            if np.max(np.linalg.norm(octet, axis=1)) <= GEOMETRY_ATOL or len(octet) < 8:
+                continue  # degenerate, as symmetry_report skips it
+            if n == 2:
+                sides = np.ones(3)
+            elif n % 2 and qubit == n:
+                sides = np.array([tail, tail, abs(params.z)])
+            else:
+                sides = np.array([c2g, c2g, 1.0])
+            squares = np.linalg.eigvalsh(octet.T @ octet / 8)
+            expected = np.sort(sides**2) * squares.sum() / np.sum(sides**2)
+            assert np.max(np.abs(squares - expected)) < 1e-13, (n, qubit)
 
 
 class TestVerifyOrthonormalComplete:

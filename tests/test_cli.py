@@ -263,6 +263,28 @@ class TestArgumentHandling:
         assert code_rad == code == 0
         assert abs(json.loads(out_rad)["S"] - json.loads(out)["S"]) < 1e-12
 
+    def test_degree_flag_leaves_radian_defaults_alone(self, capsys):
+        code_deg, out_deg, _ = run(capsys, "network", "--deg", "--phi", str(math.degrees(0.1781)))
+        code, out, _ = run(capsys, "network")
+        assert code_deg == code == 0
+        params = json.loads(out_deg)["params"]
+        assert params["theta"] == math.pi / 2
+        assert params["gamma"] == math.pi / 4
+        assert abs(json.loads(out_deg)["S"] - json.loads(out)["S"]) < 1e-12
+
+    def test_degree_flag_leaves_default_box_alone(self, capsys):
+        code_deg, out_deg, _ = run(capsys, "optimize", "--deg", "--budget", "100")
+        code, out, _ = run(capsys, "optimize", "--budget", "100")
+        assert code_deg == code == 0
+        assert out_deg == out
+
+    def test_degree_flag_leaves_sweep_defaults_alone(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--deg", "--vary", "phi", "--lo", "0", "--hi", "90", "--points", "3")
+        assert code == 0
+        report = json.loads(out)
+        assert report["fixed"] == {"z": 1.0, "theta": math.pi / 2, "gamma": math.pi / 4}
+        assert report["hi"] == math.pi / 2
+
 
 class TestExport:
     def test_json_round_trip_is_bit_exact(self):
@@ -319,3 +341,6 @@ def test_readme_examples_run(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 0, (argv, err)
         json.loads(out)
+    (library_example,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    exec(library_example, {})
+    assert capsys.readouterr().out.startswith("2.29681")

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import ket, star_state, tilde_state
+from conftest import domain_params, ket, star_state, tilde_state
 from hypothesis import strategies as st
 
 import ejm.network
@@ -302,6 +302,25 @@ class TestTrilocalScore:
     def test_method_validation(self):
         with pytest.raises(ValueError, match="method"):
             trilocal_score(GENERIC, method="exact")
+
+    @settings(max_examples=200, deadline=None)
+    @given(domain_params, st.data())
+    def test_box_maximum_takes_theta_max_and_gamma_nearest_quarter_pi(self, params, data):
+        # The lemma in _closed_form: I_1, I_2 scale with sin(2 gamma) and I_3, I_4
+        # with 1 + sin(theta), so within any box containing params, moving theta
+        # to the box maximum and gamma to the box value nearest pi/4 never lowers S.
+        theta_hi = data.draw(st.floats(params.theta, math.pi / 2))
+        gamma_lo = data.draw(st.floats(0.0, params.gamma))
+        gamma_hi = data.draw(st.floats(params.gamma, math.pi / 2))
+        gamma_star = min(max(math.pi / 4, gamma_lo), gamma_hi)
+        best = EjmParams(z=params.z, phi=params.phi, theta=theta_hi, gamma=gamma_star)
+        assert trilocal_score(best, cross_check=True).S >= trilocal_score(params).S
+
+    @pytest.mark.parametrize("method", ["analytic", "brute_force"])
+    def test_full_box_value(self, method):
+        # Off the z = 1 slice the score exceeds the headline 2.2968.
+        params = EjmParams(z=0.98263, phi=1.29104, theta=math.pi / 2, gamma=math.pi / 4)
+        assert trilocal_score(params, method=method).S >= 2.31275
 
 
 def no_signaling_deviation(table):

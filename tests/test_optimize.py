@@ -118,6 +118,30 @@ class TestMaximize:
         assert result.warning
         assert len(result.trace) == 100
 
+    def test_refinements_start_from_distinct_cells(self, monkeypatch):
+        # On a sub-ulp phi range linspace repeats cells; each still seeds once.
+        starts = []
+        original = ejm.optimize.minimize
+
+        def recording(fun, x0, **kwargs):
+            starts.append(tuple(x0))
+            return original(fun, x0, **kwargs)
+
+        monkeypatch.setattr(ejm.optimize, "minimize", recording)
+        bounds = {"z": (1.0, 1.0), "theta": (math.pi / 2, math.pi / 2), "phi": (0.1, float(np.nextafter(0.1, 1.0)))}
+        result = maximize(bounds, budget=20000)
+        assert len(starts) == ejm.optimize.STARTS == len(set(starts))
+        assert not result.warning
+
+    def test_grid_that_fills_the_budget_is_complete(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a refinement started with no budget left")
+
+        monkeypatch.setattr(ejm.optimize, "minimize", unreachable)
+        result = maximize({"theta": (math.pi / 2, math.pi / 2)}, budget=9**3)
+        assert len(result.trace) == 9**3
+        assert not result.warning
+
     def test_validation(self):
         with pytest.raises(ValueError, match="budget"):
             maximize(budget=10)

@@ -129,6 +129,15 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="out of range"):
             partial_trace(ket("01"), {3})
 
+    @pytest.mark.parametrize("keep", [{1.7}, {1.0}, {"2"}, {1, 2.0}, {np.float64(1.0)}, {None}])
+    def test_non_integral_index_is_rejected(self, keep):
+        with pytest.raises(ValueError, match="integer"):
+            partial_trace(ket("01"), keep)
+
+    @pytest.mark.parametrize("keep", [[np.int64(1)], (1, 1), iter([1])])
+    def test_integral_indices_are_accepted(self, keep):
+        assert np.array_equal(partial_trace(ket("01"), keep), partial_trace(ket("01"), {1}))
+
 
 class TestExpectation:
     def test_pauli_z_on_zero(self):
