@@ -12,7 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bases import BasisFamily, BasisLabel, EjmParams, _labels
+from .bases import BasisFamily, BasisLabel, EjmParams, _check_i, _labels
 from .qla import NORM_ATOL, BlochVector, ContractError, RowView, StateVector, bloch_vector, partial_trace
 
 # The three-tangle is quartic in the amplitudes, so a norm off by up to NORM_ATOL
@@ -65,6 +65,7 @@ def m_prime_vector(params: EjmParams, i: int) -> np.ndarray:
     """Unit vector of the secondary tetrahedron traced out by the two-qubit
     block reductions: proportional to (sqrt(2) cos(2g) cos(phi_i - phi_z),
     sqrt(2) cos(2g) sin(phi_i - phi_z), (-1)^i)."""
+    _check_i(i)
     c2g = math.cos(2.0 * params.gamma)
     delta = params.phi_i(i) - params.phi_z
     vec = np.array(

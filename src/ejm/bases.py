@@ -19,7 +19,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .qla import RowView, StateVector, check_normalized
+from .qla import RowView, StateVector, check_normalized, is_integer
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 PARAM_NAMES = ("z", "phi", "theta", "gamma")
@@ -71,7 +71,7 @@ def check_domain(name: str, value: float) -> float:
 def check_limit(name: str, value: int) -> int:
     """Return value; if not an integer or below LIMITS[name] raise ValueError, above it ResourceLimitError."""
     lo, hi = LIMITS[name]
-    if not isinstance(value, (int, np.integer)):
+    if not is_integer(value):
         raise ValueError(f"{name}={value!r} must be an integer")
     if value < lo:
         raise ValueError(f"{name}={value!r} must be at least {lo}")
@@ -172,7 +172,7 @@ class BasisFamily:
 
 
 def _check_i(i: int) -> None:
-    if i not in (0, 1, 2, 3):
+    if not (is_integer(i) and 0 <= i <= 3):
         raise ValueError(f"vertex index i={i!r} must be 0..3")
 
 
@@ -192,7 +192,7 @@ def single_qubit_m(params: EjmParams, i: int, sign: int = +1) -> StateVector:
     """Tetrahedron-vertex qubit state |m_i> (sign=+1) or the orthogonal
     |-m_i> (sign=-1), with Bloch vector sign * m_vector(params, i)."""
     _check_i(i)
-    if sign not in (1, -1):
+    if not (is_integer(sign) and sign in (1, -1)):
         raise ValueError(f"sign={sign!r} must be +1 or -1")
     return StateVector(_qubit_amps(params.z_i(i), params.phi_i(i), sign))
 

@@ -1,6 +1,7 @@
 """Command-line interface: build and verify bases, report entanglement and
 symmetry, evaluate the star network, run sweeps and optimizations, and export
-machine-readable JSON/CSV reports."""
+machine-readable JSON/CSV reports. `main` checks the parameter flags and --n
+once and wraps each handler's fields in the report's schema, version and n."""
 
 from __future__ import annotations
 
@@ -50,39 +51,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(format="json")  # --format belongs to sweep; every other report is JSON
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, summary: str, params: bool = True) -> argparse.ArgumentParser:
+    def add(name: str, schema: str, handler, summary: str, params: bool = True,
+            n: dict | None = None) -> argparse.ArgumentParser:
+        """Subcommand name writing schema reports; n: keyword arguments of its --n, None for none."""
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, schema=schema)
         for param in PARAM_NAMES if params else ():
             p.add_argument(f"--{param}", type=float, help=_PARAM_HELP[param])
         p.add_argument("--deg", action="store_true", help="interpret angle flags as degrees")
         p.add_argument("--output", type=Path, default=None, help="write the report here instead of stdout")
+        if n is not None:
+            p.add_argument("--n", type=int, default=3, **n)
         return p
 
-    p_verify = add("verify", _cmd_verify, "orthonormality and completeness of a basis family")
-    p_verify.add_argument("--n", type=int, default=3, help="number of qubits")
+    qubits = {"help": "number of qubits"}
+    p_verify = add("verify", "verify-report", _cmd_verify, "orthonormality and completeness of a basis family", n=qubits)
     p_verify.add_argument("--tol", type=float, default=ORTHONORMAL_ATOL, help="acceptance threshold for both errors")
+    add("tangle", "entanglement-report", _cmd_tangle,
+        "entanglement of every basis state (three-tangle for n=3, concurrence for n=2)", n={"choices": (2, 3)})
+    add("reduce", "symmetry-report", _cmd_reduce, "single-qubit reductions and symmetry report", n=qubits)
+    add("basis", "basis", _cmd_basis, "emit the basis state amplitudes", n=qubits)
 
-    p_tangle = add("tangle", _cmd_tangle, "entanglement of every basis state (three-tangle for n=3, concurrence for n=2)")
-    p_tangle.add_argument("--n", type=int, default=3, choices=(2, 3))
-
-    add("reduce", _cmd_reduce, "single-qubit reductions and symmetry report").add_argument(
-        "--n", type=int, default=3, help="number of qubits")
-    add("basis", _cmd_basis, "emit the basis state amplitudes").add_argument(
-        "--n", type=int, default=3, help="number of qubits")
-
-    p_network = add("network", _cmd_network, "trilocal correlations and violation score")
+    p_network = add("network", "correlation-report", _cmd_network, "trilocal correlations and violation score")
     p_network.add_argument("--method", choices=("analytic", "brute_force"), default="analytic")
     p_network.add_argument("--cross-check", action="store_true", help="compare both evaluation routes")
 
-    p_sweep = add("sweep", _cmd_sweep, "scan the score along one parameter")
+    p_sweep = add("sweep", "sweep", _cmd_sweep, "scan the score along one parameter")
     p_sweep.add_argument("--vary", required=True, choices=PARAM_NAMES)
     p_sweep.add_argument("--lo", type=float, required=True)
     p_sweep.add_argument("--hi", type=float, required=True)
     p_sweep.add_argument("--points", type=int, default=200)
     p_sweep.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
 
-    p_opt = add("optimize", _cmd_optimize, "maximize the score over a parameter box", params=False)
+    p_opt = add("optimize", "optimum", _cmd_optimize, "maximize the score over a parameter box", params=False)
     p_opt.add_argument("--budget", type=int, default=20000, help="maximum score evaluations")
     for flag in (f"--{name}-{end}" for name in PARAM_NAMES for end in ("min", "max")):
         p_opt.add_argument(flag, type=float)
@@ -105,10 +106,6 @@ def _param(args: argparse.Namespace, name: str, value: float, flag: str | None =
         return check_domain(name, value)
     except ValueError as exc:
         raise CliError(f"--{flag or name} out of domain: {exc}") from None
-
-
-def _params_from_args(args: argparse.Namespace) -> EjmParams:
-    return EjmParams(**{name: _param(args, name, getattr(args, name)) for name in PARAM_NAMES})
 
 
 def _params_dict(params: EjmParams) -> dict:
@@ -145,56 +142,46 @@ def _emit(data: bytes, output: Path | None) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
-    params = _params_from_args(args)
     if not 0.0 < args.tol < math.inf:
         raise CliError(f"--tol out of domain: tol={args.tol!r} must be positive and finite")
-    report = verify_orthonormal_complete(n_qubit_ejm(params, _param(args, "n", args.n)))
+    report = verify_orthonormal_complete(n_qubit_ejm(args.params, args.n))
     ok = max(report.gram_error, report.completeness_error) < args.tol
-    payload = {
-        "schema": "verify-report",
-        "n": args.n,
-        "params": _params_dict(params),
+    return (0 if ok else 1), {
+        "params": _params_dict(args.params),
         "gram_error": report.gram_error,
         "completeness_error": report.completeness_error,
         "tol": float(args.tol),
         "ok": ok,
     }
-    return (0 if ok else 1), payload
 
 
 def _cmd_tangle(args: argparse.Namespace) -> tuple[int, dict]:
-    params = _params_from_args(args)
-    family = n_qubit_ejm(params, args.n)
+    family = n_qubit_ejm(args.params, args.n)
     measure = three_tangle if args.n == 3 else concurrence
     values = [
         {**_label_dict(label), "value": float(measure(state))}
         for label, state in family.states.items()
     ]
     numbers = [entry["value"] for entry in values]
-    payload = {
-        "schema": "entanglement-report",
-        "n": args.n,
+    fields = {
         "measure": "three_tangle" if args.n == 3 else "concurrence",
-        "params": _params_dict(params),
+        "params": _params_dict(args.params),
         "values": values,
         "spread": float(max(numbers) - min(numbers)),
     }
     if args.n == 3:
-        payload["iso_value"] = float(tangle_law(params))
-    return 0, payload
+        fields["iso_value"] = float(tangle_law(args.params))
+    return 0, fields
 
 
 def _cmd_reduce(args: argparse.Namespace) -> tuple[int, dict]:
-    params = _params_from_args(args)
-    report = symmetry_report(n_qubit_ejm(params, _param(args, "n", args.n)))
+    report = symmetry_report(n_qubit_ejm(args.params, args.n))
     vectors = [
         {**_label_dict(label), "qubit": qubit, "vector": [v.x, v.y, v.z]}
         for (label, qubit), v in report.vectors.items()
     ]
-    payload = {
-        "schema": "symmetry-report",
-        "n": args.n,
-        "params": _params_dict(params),
+    return 0, {
+        "params": _params_dict(args.params),
         "vectors": vectors,
         "radii": list(report.radii),
         "vector_sum": [report.vector_sum.x, report.vector_sum.y, report.vector_sum.z],
@@ -202,56 +189,45 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[int, dict]:
         "mirror_pairs_ok": report.mirror_pairs_ok,
         "degenerate": report.degenerate,
     }
-    return 0, payload
 
 
 def _cmd_basis(args: argparse.Namespace) -> tuple[int, dict]:
-    params = _params_from_args(args)
-    family = n_qubit_ejm(params, _param(args, "n", args.n))
+    family = n_qubit_ejm(args.params, args.n)
     states = [
         {**_label_dict(label), "amplitudes": [[float(a.real), float(a.imag)] for a in row]}
         for label, row in zip(family.labels, family.matrix())
     ]
-    payload = {
-        "schema": "basis",
-        "n": args.n,
-        "params": _params_dict(params),
+    return 0, {
+        "params": _params_dict(args.params),
         "states": states,
     }
-    return 0, payload
 
 
 def _cmd_network(args: argparse.Namespace) -> tuple[int, dict]:
-    params = _params_from_args(args)
-    report = trilocal_score(params, method=args.method, cross_check=args.cross_check)
-    payload = {
-        "schema": "correlation-report",
-        "params": _params_dict(params),
+    report = trilocal_score(args.params, method=args.method, cross_check=args.cross_check)
+    return 0, {
+        "params": _params_dict(args.params),
         "I": [float(v) for v in report.I],
         "S": float(report.S),
         "violated": report.violated,
         "method": report.method,
     }
-    return 0, payload
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[int, dict]:
-    given = {name: _param(args, name, getattr(args, name)) for name in PARAM_NAMES}
-    fixed = {name: value for name, value in given.items() if name != args.vary}
+    fixed = {name: getattr(args.params, name) for name in PARAM_NAMES if name != args.vary}
     lo = _param(args, args.vary, args.lo)
     hi = _param(args, args.vary, args.hi)
     spec = SweepSpec(varying=args.vary, lo=lo, hi=hi, points=_param(args, "points", args.points), fixed=fixed)
     samples = sweep(spec)
-    payload = {
-        "schema": "sweep",
+    return 0, {
         "varying": args.vary,
         "lo": float(lo),
         "hi": float(hi),
         "points": args.points,
-        "fixed": {k: float(v) for k, v in fixed.items()},
+        "fixed": fixed,
         "samples": [[v, s] for v, s in samples],
     }
-    return 0, payload
 
 
 def _cmd_optimize(args: argparse.Namespace) -> tuple[int, dict]:
@@ -260,8 +236,7 @@ def _cmd_optimize(args: argparse.Namespace) -> tuple[int, dict]:
         for name in PARAM_NAMES
     }
     result = maximize(bounds, budget=_param(args, "budget", args.budget))
-    payload = {
-        "schema": "optimum",
+    return 0, {
         "params": _params_dict(result.params),
         "S": float(result.S),
         "violated": result.S > 2.0,
@@ -269,7 +244,6 @@ def _cmd_optimize(args: argparse.Namespace) -> tuple[int, dict]:
         "n_evaluations": len(result.trace),
         "warning": result.warning,
     }
-    return 0, payload
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -278,9 +252,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    envelope = {"schema": args.schema, "version": SCHEMA_VERSION}
     try:
-        code, payload = args.handler(args)
-        _emit(export({**payload, "version": SCHEMA_VERSION}, args.format), args.output)
+        if "z" in vars(args):  # every command but optimize takes the parameter flags
+            args.params = EjmParams(**{name: _param(args, name, getattr(args, name)) for name in PARAM_NAMES})
+        if "n" in vars(args):
+            envelope["n"] = args.n = _param(args, "n", args.n)
+        code, fields = args.handler(args)
+        _emit(export({**fields, **envelope}, args.format), args.output)
     except (ValueError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ContractError) else 2  # 1: a numeric contract failed

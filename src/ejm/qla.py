@@ -15,6 +15,11 @@ class ContractError(RuntimeError):
     """A numeric contract was violated (result outside certified bounds)."""
 
 
+def is_integer(value: Any) -> bool:
+    """Whether value is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_normalized(amplitudes: np.ndarray) -> None:
     """Raise ValueError, naming the first, if a state along the last axis misses norm 1
     by more than NORM_ATOL.  np.linalg.norm of one state takes the same dot products."""
@@ -122,7 +127,7 @@ def partial_trace(state: StateVector, keep: Iterable[int]) -> np.ndarray:
         complement.  Kept qubits preserve their relative order.
     """
     keep = set(keep)
-    if not all(isinstance(q, (int, np.integer)) for q in keep):
+    if not all(is_integer(q) for q in keep):
         raise ValueError(f"keep {keep!r} must hold integer qubit indices")
     kept = sorted(keep)
     if not kept:

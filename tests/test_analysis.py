@@ -170,6 +170,16 @@ class TestReducedVectors:
             assert np.max(np.abs(vec.as_array() - predicted)) < 1e-9
 
 
+    @pytest.mark.parametrize("i", [True, 1.0, np.float64(2.0), -1, 4])
+    def test_m_prime_vertex_index_must_be_an_integer_in_range(self, i):
+        with pytest.raises(ValueError, match="vertex index"):
+            m_prime_vector(EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4), i)
+
+    def test_m_prime_accepts_numpy_integer(self):
+        params = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
+        assert np.array_equal(m_prime_vector(params, np.int64(1)), m_prime_vector(params, 1))
+
+
 class TestVectorView:
     """SymmetryReport.vectors and reduced_bloch_vectors are read-only views
     over the (states, qubits, 3) reduction array."""

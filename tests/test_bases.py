@@ -162,6 +162,23 @@ class TestSingleQubit:
         with pytest.raises(ValueError):
             single_qubit_m(PARAMS, 0, sign=0)
 
+    @pytest.mark.parametrize("i", [True, False, 1.0, np.float64(2.0), "1", -1, 4])
+    def test_vertex_index_must_be_an_integer_in_range(self, i):
+        with pytest.raises(ValueError, match="vertex index"):
+            single_qubit_m(PARAMS, i)
+        with pytest.raises(ValueError, match="vertex index"):
+            m_vector(PARAMS, i)
+
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0, np.float64(1.0), 0])
+    def test_sign_must_be_an_integer_unit(self, sign):
+        with pytest.raises(ValueError, match="sign"):
+            single_qubit_m(PARAMS, 0, sign=sign)
+
+    def test_numpy_integer_indices_are_accepted(self):
+        state = single_qubit_m(PARAMS, np.int64(2), sign=np.int64(-1))
+        assert np.array_equal(state.amplitudes, single_qubit_m(PARAMS, 2, sign=-1).amplitudes)
+        assert np.array_equal(m_vector(PARAMS, np.int64(3)), m_vector(PARAMS, 3))
+
 
 class TestTwoQubitFamily:
     def test_gram_identity(self, small_grid):

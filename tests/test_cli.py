@@ -8,7 +8,7 @@ import pytest
 
 from ejm import network
 from ejm.bases import _DOMAIN_ATOL
-from ejm.cli import export, main
+from ejm.cli import SCHEMA_VERSION, export, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 HEADLINE = ["--z", "1", "--phi", "0.1781", "--theta", "1.5707963267948966",
@@ -298,6 +298,31 @@ class TestExport:
         line = export(report, "csv").decode().strip().split("\n")[1]
         mantissa = line.split(",")[1].split("e")[0]
         assert len(mantissa.replace(".", "").replace("-", "")) >= 12
+
+
+# One invocation per subcommand: its schema and every top-level field but schema and version.
+ENVELOPES = {
+    "verify": (["--n", "2"], "verify-report", {"n", "params", "gram_error", "completeness_error", "tol", "ok"}),
+    "tangle": (["--n", "3"], "entanglement-report", {"n", "measure", "params", "values", "spread", "iso_value"}),
+    "reduce": (["--n", "2"], "symmetry-report", {"n", "params", "vectors", "radii", "vector_sum",
+                                                "parallelepiped_ok", "mirror_pairs_ok", "degenerate"}),
+    "basis": (["--n", "2"], "basis", {"n", "params", "states"}),
+    "network": ([], "correlation-report", {"params", "I", "S", "violated", "method"}),
+    "sweep": (["--vary", "phi", "--lo", "0", "--hi", "1", "--points", "3"], "sweep",
+              {"varying", "lo", "hi", "points", "fixed", "samples"}),
+    "optimize": (["--budget", "100"], "optimum", {"params", "S", "violated", "budget", "n_evaluations", "warning"}),
+}
+
+
+@pytest.mark.parametrize("command", ENVELOPES)
+def test_report_envelope(capsys, command):
+    flags, schema, fields = ENVELOPES[command]
+    code, out, _ = run(capsys, command, *flags)
+    report = json.loads(out)
+    assert code == 0
+    assert set(report) == fields | {"schema", "version"}
+    assert report["schema"] == schema
+    assert report["version"] == SCHEMA_VERSION
 
 
 class TestReproducibility:

@@ -1,6 +1,7 @@
 """The import graph: scipy loads only when the optimizer refines, checked in
-fresh interpreters so that no other test's imports leak in; and every
-top-level import of a module is read by it."""
+fresh interpreters so that no other test's imports leak in; every top-level
+import of a module is read by it; and every private module-level name of
+the package is read somewhere in it."""
 
 import ast
 import json
@@ -96,3 +97,31 @@ def test_unread_imports_are_found():
 @pytest.mark.parametrize("path", LINTED, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_top_level_import_is_read(path):
     assert unread_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Module-level names with one leading underscore that the sources define
+    (by def, class or assignment) but never read, by name or as an attribute."""
+    defined, read = [], set()
+    for tree in map(ast.parse, sources):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [name for name in defined if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_unread_private_names_are_found():
+    sources = ["_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A\nclass _C:\n    pass\n", "import m\nm._C\n"]
+    assert unread_private_names(sources) == ["_B", "_f"]
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names([path.read_text() for path in sorted((SRC / "ejm").glob("*.py"))]) == []

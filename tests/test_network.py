@@ -248,6 +248,25 @@ class TestCorrelations:
         with pytest.raises(ValueError):
             correlation_I_bruteforce(outcome_table(StarScenario(GENERIC)), 0)
 
+    @staticmethod
+    def route(method):
+        """I_m at GENERIC as a function of m, by the closed form or the outcome table."""
+        if method == "analytic":
+            return lambda m: correlation_I_analytic(GENERIC, m)
+        table = outcome_table(StarScenario(GENERIC))
+        return lambda m: correlation_I_bruteforce(table, m)
+
+    @pytest.mark.parametrize("m", [True, False, 1.0, np.float64(2.0), "1", None, 0, 5])
+    @pytest.mark.parametrize("method", ["analytic", "brute_force"])
+    def test_m_must_be_an_integer_in_range(self, method, m):
+        with pytest.raises(ValueError, match="must be 1..4"):
+            self.route(method)(m)
+
+    @pytest.mark.parametrize("method", ["analytic", "brute_force"])
+    def test_numpy_integer_m_is_accepted(self, method):
+        correlation = self.route(method)
+        assert [correlation(np.int64(m)) for m in range(1, 5)] == [correlation(m) for m in range(1, 5)]
+
 
 def single_expression_score(params):
     """Whole-score closed form written as one expression, independent of the

@@ -129,7 +129,7 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="out of range"):
             partial_trace(ket("01"), {3})
 
-    @pytest.mark.parametrize("keep", [{1.7}, {1.0}, {"2"}, {1, 2.0}, {np.float64(1.0)}, {None}])
+    @pytest.mark.parametrize("keep", [{1.7}, {1.0}, {"2"}, {1, 2.0}, {np.float64(1.0)}, {None}, {True}])
     def test_non_integral_index_is_rejected(self, keep):
         with pytest.raises(ValueError, match="integer"):
             partial_trace(ket("01"), keep)
