@@ -12,7 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bases import BasisFamily, BasisLabel, EjmParams, _check_i, _labels
+from .bases import BasisFamily, BasisLabel, EjmParams, _labels
 from .qla import NORM_ATOL, BlochVector, ContractError, RowView, StateVector, bloch_vector, partial_trace
 
 # The three-tangle is quartic in the amplitudes, so a norm off by up to NORM_ATOL
@@ -65,7 +65,6 @@ def m_prime_vector(params: EjmParams, i: int) -> np.ndarray:
     """Unit vector of the secondary tetrahedron traced out by the two-qubit
     block reductions: proportional to (sqrt(2) cos(2g) cos(phi_i - phi_z),
     sqrt(2) cos(2g) sin(phi_i - phi_z), (-1)^i)."""
-    _check_i(i)
     c2g = math.cos(2.0 * params.gamma)
     delta = params.phi_i(i) - params.phi_z
     vec = np.array(
@@ -155,37 +154,37 @@ class SymmetryReport:
     degenerate: bool
 
 
-def _cluster_magnitudes(values: np.ndarray, tol: float) -> tuple[float, ...]:
+def _cluster_magnitudes(values: np.ndarray) -> tuple[float, ...]:
     ordered = np.sort(values)
-    groups = np.split(ordered, np.flatnonzero(np.diff(ordered) > tol) + 1)
+    groups = np.split(ordered, np.flatnonzero(np.diff(ordered) > GEOMETRY_ATOL) + 1)
     return tuple(float(np.mean(g)) for g in groups)
 
 
-def _clusters(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _clusters(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Greedy max-norm clustering in input order, one pass per cluster.
 
     Each cluster is the first unclaimed point (its representative) and every
-    unclaimed point within tol of it.  Returns the representatives and the
-    cluster sizes.
+    unclaimed point within GEOMETRY_ATOL of it.  Returns the representatives
+    and the cluster sizes.
     """
     left = np.ones(len(points), dtype=bool)
     firsts, sizes = [], []
     while left.any():
         first = int(np.argmax(left))
-        near = left & (np.max(np.abs(points - points[first]), axis=1) <= tol)
+        near = left & (np.max(np.abs(points - points[first]), axis=1) <= GEOMETRY_ATOL)
         firsts.append(first)
         sizes.append(int(np.count_nonzero(near)))
         left &= ~near
     return points[firsts], np.array(sizes)
 
 
-def _mirror_symmetric(points: np.ndarray, tol: float) -> bool:
+def _mirror_symmetric(points: np.ndarray) -> bool:
     """True iff every cluster away from the origin has exactly one mirror
     cluster (near -v) of the same size, so the multiset pairs v with -v."""
-    reps, sizes = _clusters(points, tol)
+    reps, sizes = _clusters(points)
     for rep, size in zip(reps, sizes):
-        mirror = np.max(np.abs(reps + rep), axis=1) <= tol
-        if np.max(np.abs(rep)) > tol and sizes[mirror].tolist() != [size]:
+        mirror = np.max(np.abs(reps + rep), axis=1) <= GEOMETRY_ATOL
+        if np.max(np.abs(rep)) > GEOMETRY_ATOL and sizes[mirror].tolist() != [size]:
             return False
     return True
 
@@ -194,7 +193,7 @@ def _mirror_symmetric(points: np.ndarray, tol: float) -> bool:
 _SIGNS = np.array([(1.0, *signs) for signs in product((1.0, -1.0), repeat=3)])
 
 
-def _is_rectangular_box(points: np.ndarray, tol: float) -> bool:
+def _is_rectangular_box(points: np.ndarray) -> bool:
     """True iff the eight points are the vertices +-a +-b +-c of a box with
     orthogonal, non-zero edges.
 
@@ -205,16 +204,16 @@ def _is_rectangular_box(points: np.ndarray, tol: float) -> bool:
     """
     if len(points) != 8:
         return False
-    antipodal = np.max(np.abs(points[:, None] + points[None]), axis=2) <= tol
+    antipodal = np.max(np.abs(points[:, None] + points[None]), axis=2) <= GEOMETRY_ATOL
     if np.any(np.diag(antipodal)) or np.any(antipodal.sum(axis=1) != 1):
         return False
     u = points[np.arange(8) < np.argmax(antipodal, axis=1)]
     w = _SIGNS[:, :, None] * u
-    vanishing = np.max(np.abs(w.sum(axis=1)), axis=1) <= tol
+    vanishing = np.max(np.abs(w.sum(axis=1)), axis=1) <= GEOMETRY_ATOL
     edges = w[:, :1] + w[:, 1:]
-    nonzero = np.all(np.linalg.norm(edges, axis=2) > tol, axis=1)
+    nonzero = np.all(np.linalg.norm(edges, axis=2) > GEOMETRY_ATOL, axis=1)
     gram = edges @ edges.transpose(0, 2, 1)
-    orthogonal = np.all(np.abs(gram[:, (0, 0, 1), (1, 2, 2)]) <= tol, axis=1)
+    orthogonal = np.all(np.abs(gram[:, (0, 0, 1), (1, 2, 2)]) <= GEOMETRY_ATOL, axis=1)
     return bool(np.any(vanishing & nonzero & orthogonal))
 
 
@@ -234,17 +233,17 @@ def symmetry_report(family: BasisFamily) -> SymmetryReport:
     vectors = view.rows
     stack = vectors.reshape(-1, 3)
     vector_sum = BlochVector(*stack.sum(axis=0).tolist())
-    radii = _cluster_magnitudes(np.linalg.norm(stack, axis=1), GEOMETRY_ATOL)
-    mirror_ok = _mirror_symmetric(stack, GEOMETRY_ATOL)
+    radii = _cluster_magnitudes(np.linalg.norm(stack, axis=1))
+    mirror_ok = _mirror_symmetric(stack)
 
     parallelepiped_ok = True
     degenerate = False
     for at_position in vectors.transpose(1, 0, 2):
-        octet, _ = _clusters(np.concatenate([at_position, -at_position]), GEOMETRY_ATOL)
+        octet, _ = _clusters(np.concatenate([at_position, -at_position]))
         if np.max(np.linalg.norm(octet, axis=1)) <= GEOMETRY_ATOL or len(octet) < 8:
             degenerate = True
             continue
-        if not _is_rectangular_box(octet, GEOMETRY_ATOL):
+        if not _is_rectangular_box(octet):
             parallelepiped_ok = False
     return SymmetryReport(
         vectors=view,

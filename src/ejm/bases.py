@@ -80,6 +80,11 @@ def check_limit(name: str, value: int) -> int:
     return value
 
 
+def _check_i(i: int) -> None:
+    if not (is_integer(i) and 0 <= i <= 3):
+        raise ValueError(f"vertex index i={i!r} must be 0..3")
+
+
 def phi_z(z: float) -> float:
     """Auxiliary phase arg[(sqrt(1-z^2) + i*sqrt(3z^2-1)) / (sqrt(2)|z|)].
 
@@ -114,10 +119,12 @@ class EjmParams:
 
     def phi_i(self, i: int) -> float:
         """Azimuth of vertex i: phi, phi+pi/2, phi+pi, phi-pi/2."""
+        _check_i(i)
         return self.phi + (0.0, math.pi / 2, math.pi, -math.pi / 2)[i]
 
     def z_i(self, i: int) -> float:
         """Height of vertex i: alternating +z, -z, +z, -z."""
+        _check_i(i)
         return self.z if i % 2 == 0 else -self.z
 
 
@@ -141,19 +148,21 @@ def _labels(n: int) -> Mapping[BasisLabel, int]:
 
 @dataclass(frozen=True, eq=False)
 class BasisFamily:
-    """Ordered orthonormal n-qubit family: a read-only 2**n x 2**n matrix, one normalized row per label."""
+    """Ordered orthonormal family: a read-only 2**n x 2**n matrix, one normalized row per label, fixing n_qubits."""
 
-    n_qubits: int
     params: EjmParams
     amplitudes: np.ndarray = field(repr=False)
+    n_qubits: int = field(init=False)
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=np.complex128)
-        if self.n_qubits < 2 or amps.shape != (2**self.n_qubits,) * 2:
-            raise ValueError(f"amplitudes of shape {amps.shape} do not form a {self.n_qubits}-qubit family")
+        n = amps.size.bit_length() // 2  # a 2**n x 2**n matrix has 4**n entries
+        if n < 2 or amps.shape != (2**n,) * 2:
+            raise ValueError(f"amplitudes of shape {amps.shape} are not a 2**n x 2**n matrix with n >= 2")
         check_normalized(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "n_qubits", n)
 
     @property
     def labels(self) -> tuple[BasisLabel, ...]:
@@ -171,35 +180,27 @@ class BasisFamily:
         return len(self.amplitudes)
 
 
-def _check_i(i: int) -> None:
-    if not (is_integer(i) and 0 <= i <= 3):
-        raise ValueError(f"vertex index i={i!r} must be 0..3")
-
-
-def _qubit_amps(z: float, phi: float, sign: int) -> np.ndarray:
-    """|m> (sign=+1) or |-m> (sign=-1) for the Bloch vector at height z and azimuth phi."""
+def _qubit_pair(z: float, phi: float) -> np.ndarray:
+    """Rows |m> and |-m> for the Bloch vector at height z and azimuth phi."""
     half = 0.5 * phi
     lo = cmath.exp(-1j * half)
     hi = cmath.exp(1j * half)
     a = math.sqrt(max(1.0 + z, 0.0) / 2.0)
     b = math.sqrt(max(1.0 - z, 0.0) / 2.0)
-    if sign > 0:
-        return np.array([a * lo, b * hi])
-    return np.array([b * lo, -a * hi])
+    return np.array([[a * lo, b * hi], [b * lo, -a * hi]])
 
 
 def single_qubit_m(params: EjmParams, i: int, sign: int = +1) -> StateVector:
     """Tetrahedron-vertex qubit state |m_i> (sign=+1) or the orthogonal
     |-m_i> (sign=-1), with Bloch vector sign * m_vector(params, i)."""
-    _check_i(i)
+    pair = _qubit_pair(params.z_i(i), params.phi_i(i))
     if not (is_integer(sign) and sign in (1, -1)):
         raise ValueError(f"sign={sign!r} must be +1 or -1")
-    return StateVector(_qubit_amps(params.z_i(i), params.phi_i(i), sign))
+    return StateVector(pair[0 if sign > 0 else 1])
 
 
 def m_vector(params: EjmParams, i: int) -> np.ndarray:
     """Bloch vector (sqrt(1-z_i^2) cos phi_i, sqrt(1-z_i^2) sin phi_i, z_i)."""
-    _check_i(i)
     zi = params.z_i(i)
     r = math.sqrt(max(1.0 - zi * zi, 0.0))
     ph = params.phi_i(i)
@@ -231,10 +232,10 @@ def reference_bases(theta: float = 0.0) -> BasisFamily:
     s3 = math.sqrt(3.0)
     rows = []
     for zi, phi in zip(_REFERENCE_Z, _REFERENCE_PHI):
-        mp, mm = (_qubit_amps(zi, phi, sign) for sign in (+1, -1))
+        mp, mm = _qubit_pair(zi, phi)
         rows.append(((s3 + e_theta) * np.kron(mp, mm) + (s3 - e_theta) * np.kron(mm, mp)) / (2.0 * math.sqrt(2.0)))
     params = EjmParams(z=INV_SQRT3, phi=math.pi / 4, theta=t, gamma=0.0)
-    return BasisFamily(2, params, np.array(rows))
+    return BasisFamily(params, np.array(rows))
 
 
 def _family_matrix(params: EjmParams, n: int) -> np.ndarray:
@@ -244,32 +245,31 @@ def _family_matrix(params: EjmParams, n: int) -> np.ndarray:
     fastest.  One matrix Kronecker power of the 4x4 table Phi (row i holds
     |Phi_i>) gives every chain ((Phi_i (x) Phi_j1) (x) ...) at row i j1 ... in
     base 4; as Phi'_i = Phi_{i XOR 2}, the primed chain is the row with the high
-    bit of each base-4 digit flipped.  The four row blocks, one per leading index
-    i, are mixed as cos(g) Phi... + (-1)^floor(i/2) sin(g) Phi'...; odd n first
-    appends |m_i>, |-m_i> (l = 0) or |-m_i>, |m_i> (l = 1) to the two terms and
-    flips the mixing sign for l = 1.  The products are taken in the order of
-    the per-label chain, so each amplitude equals it bit for bit.
+    bit of each base-4 digit flipped.  Both are viewed as (vertex i, chain row,
+    l, chain column, tail amplitude) arrays and mixed by broadcasting, in place,
+    as cos(g) Phi... + (-1)^floor(i/2) sin(g) Phi'...; odd n first multiplies in
+    the (i, l) tail table, |m_i> (l = 0) or |-m_i> (l = 1) on the plain term
+    and the other on the primed one, and subtracts the primed term for l = 1.
+    The products are taken in the order of the per-label chain, so each
+    amplitude equals it bit for bit.
     """
     phi = np.array([_two_qubit_amps(params, i) for i in range(4)])
     if n == 2:
         return phi
     k = n // 2
     chains = reduce(np.kron, [phi] * k)
-    plain = chains.reshape(4, -1, 4**k)
-    primed = chains[np.arange(len(chains)) ^ int("10" * k, 2)].reshape(plain.shape)
-    c, s = math.cos(params.gamma), math.sin(params.gamma)
-    blocks = []
-    for i in range(4):
-        mixed = s if i < 2 else -s
-        if n % 2 == 0:
-            blocks.append(c * plain[i] + mixed * primed[i])
-            continue
-        mp, mm = (_qubit_amps(params.z_i(i), params.phi_i(i), sign) for sign in (+1, -1))
-        kp, km = plain[i][:, None, :, None], primed[i][:, None, :, None]
-        l0 = c * (kp * mp) + mixed * (km * mm)
-        l1 = c * (kp * mm) - mixed * (km * mp)
-        blocks.append(np.concatenate([l0, l1], axis=1).reshape(-1, 2 * plain.shape[2]))
-    return np.concatenate(blocks)
+    shape = (4, -1, 1, 4**k, 1)
+    plain = chains.reshape(shape)
+    primed = chains[np.arange(len(chains)) ^ int("10" * k, 2)].reshape(shape)
+    if n % 2:
+        tails = np.array([_qubit_pair(params.z_i(i), params.phi_i(i)) for i in range(4)])[:, None, :, None, :]
+        plain, primed = plain * tails, primed * tails[:, :, ::-1]
+    s = math.sin(params.gamma)
+    plain *= math.cos(params.gamma)
+    primed *= np.array([s, s, -s, -s]).reshape(4, 1, 1, 1, 1)
+    plain[:, :, :1] += primed[:, :, :1]
+    plain[:, :, 1:] -= primed[:, :, 1:]  # l = 1, odd n only
+    return plain.reshape(2**n, 2**n)
 
 
 def n_qubit_ejm(params: EjmParams, n: int) -> BasisFamily:
@@ -282,4 +282,4 @@ def n_qubit_ejm(params: EjmParams, n: int) -> BasisFamily:
     mixing partner exists.
     """
     check_limit("n", n)
-    return BasisFamily(n, params, _family_matrix(params, n))
+    return BasisFamily(params, _family_matrix(params, n))

@@ -39,10 +39,6 @@ _DEFAULTS = {"z": 1.0, "phi": 0.1781, "theta": math.pi / 2, "gamma": math.pi / 4
 _DEFAULTS.update({f"{name}-{end}": DOMAIN[name][k] for name in PARAM_NAMES for k, end in enumerate(("min", "max"))})
 
 
-class CliError(ValueError):
-    """Invalid command line; maps to exit code 2."""
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ejm",
@@ -94,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _param(args: argparse.Namespace, name: str, value: float, flag: str | None = None) -> float:
     """value of parameter or size name checked against the library's DOMAIN or
     LIMITS, angles in radians (converted under --deg), or the flag's radian
-    default if the flag was not given; outside them, a CliError that names
+    default if the flag was not given; outside them, a ValueError that names
     --flag (--name)."""
     try:
         if name in LIMITS:
@@ -105,7 +101,7 @@ def _param(args: argparse.Namespace, name: str, value: float, flag: str | None =
             value = math.radians(value)
         return check_domain(name, value)
     except ValueError as exc:
-        raise CliError(f"--{flag or name} out of domain: {exc}") from None
+        raise ValueError(f"--{flag or name} out of domain: {exc}") from None
 
 
 def _params_dict(params: EjmParams) -> dict:
@@ -138,12 +134,12 @@ def _emit(data: bytes, output: Path | None) -> None:
     try:
         output.write_bytes(data)
     except OSError as exc:
-        raise CliError(f"--output cannot be written: {exc}") from None
+        raise ValueError(f"--output cannot be written: {exc}") from None
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     if not 0.0 < args.tol < math.inf:
-        raise CliError(f"--tol out of domain: tol={args.tol!r} must be positive and finite")
+        raise ValueError(f"--tol out of domain: tol={args.tol!r} must be positive and finite")
     report = verify_orthonormal_complete(n_qubit_ejm(args.params, args.n))
     ok = max(report.gram_error, report.completeness_error) < args.tol
     return (0 if ok else 1), {

@@ -109,7 +109,7 @@ def permute_qubits(state: StateVector, order: Sequence[int]) -> StateVector:
     """Reorder tensor factors: qubit p of the result is qubit order[p-1]
     of the input (1-based)."""
     n = state.n_qubits
-    if sorted(order) != list(range(1, n + 1)):
+    if not all(is_integer(q) for q in order) or sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"order {order!r} is not a permutation of 1..{n}")
     tensor = state.amplitudes.reshape([2] * n)
     return StateVector(tensor.transpose([q - 1 for q in order]).reshape(-1))

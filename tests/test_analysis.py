@@ -297,7 +297,7 @@ class TestSymmetryReport:
         tail = math.sqrt((1 - params.z**2) / 2)
         vectors = _bloch_array(n_qubit_ejm(params, n))
         for qubit, at_position in enumerate(vectors.transpose(1, 0, 2), start=1):
-            octet, _ = _clusters(np.concatenate([at_position, -at_position]), GEOMETRY_ATOL)
+            octet, _ = _clusters(np.concatenate([at_position, -at_position]))
             if np.max(np.linalg.norm(octet, axis=1)) <= GEOMETRY_ATOL or len(octet) < 8:
                 continue  # degenerate, as symmetry_report skips it
             if n == 2:
@@ -329,7 +329,7 @@ class TestVerifyOrthonormalComplete:
         family = n_qubit_ejm(params, 3)
         rows = family.matrix().copy()
         rows[family.labels.index(BasisLabel(0, (), 0))] = ket("000").amplitudes
-        corrupted = BasisFamily(3, params, rows)
+        corrupted = BasisFamily(params, rows)
         assert verify_orthonormal_complete(corrupted).gram_error >= 0.1
 
 
@@ -348,7 +348,7 @@ class TestGeometryPredicates:
         rng = np.random.default_rng(7)
         for _ in range(200):
             lengths = rng.uniform(0.01, 1.0, size=3)
-            assert _is_rectangular_box(box_octet(rng, *random_frame(rng, lengths)), 1e-9)
+            assert _is_rectangular_box(box_octet(rng, *random_frame(rng, lengths)))
 
     def test_box_accepts_long_edge_beyond_face_diagonal(self):
         # the longest edge exceeds the diagonal of the face spanned by the
@@ -357,47 +357,48 @@ class TestGeometryPredicates:
         for _ in range(50):
             short = rng.uniform(0.01, 0.3, size=2)
             long = math.hypot(*short) * rng.uniform(1.1, 5.0)
-            assert _is_rectangular_box(box_octet(rng, *random_frame(rng, (*short, long))), 1e-9)
+            assert _is_rectangular_box(box_octet(rng, *random_frame(rng, (*short, long))))
 
     def test_box_rejects_sheared_octets(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
             a, b, c = random_frame(rng, rng.uniform(0.05, 1.0, size=3))
             sheared = b + rng.uniform(0.05, 0.5) * a
-            assert not _is_rectangular_box(box_octet(rng, a, sheared, c), 1e-9)
+            assert not _is_rectangular_box(box_octet(rng, a, sheared, c))
 
     def test_box_rejects_non_parallelepipeds(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             u = rng.normal(size=(4, 3))
-            assert not _is_rectangular_box(np.concatenate([u, -u])[rng.permutation(8)], 1e-9)
-            assert not _is_rectangular_box(rng.normal(size=(8, 3)), 1e-9)
+            assert not _is_rectangular_box(np.concatenate([u, -u])[rng.permutation(8)])
+            assert not _is_rectangular_box(rng.normal(size=(8, 3)))
 
     def test_box_tolerance_reaches_vertex_matching(self):
-        # A vertex moved by 5e-8: a + b - c or its antipode alone, which
-        # breaks the antipodal pairing, or both along c, which keeps the
-        # pairs and the edges 2a, 2b, 2c - d from vertex a + b + c
-        # orthogonal, so that only the vanishing signed sum sees it.
+        # A vertex moved by 50 GEOMETRY_ATOL is seen, the same move scaled by
+        # 1/100 is not: a + b - c or its antipode alone, which breaks the
+        # antipodal pairing, or both along c, which keeps the pairs and the
+        # edges 2a, 2b, 2c - d from vertex a + b + c orthogonal, so that only
+        # the vanishing signed sum sees it.
         rng = np.random.default_rng(11)
         for _ in range(20):
             a, b, c = random_frame(rng, rng.uniform(0.1, 0.5, size=3))
             octet = np.array([s1 * a + s2 * b + s3 * c for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)])
             step = rng.normal(size=3)
-            first, second, pair = octet.copy(), octet.copy(), octet.copy()
-            first[1] += 5e-8 * step / np.linalg.norm(step)
-            second[6] += 5e-8 * step / np.linalg.norm(step)
-            pair[1] += 5e-8 * c / np.linalg.norm(c)
-            pair[6] -= 5e-8 * c / np.linalg.norm(c)
-            for moved in (first, second, pair):
-                assert not _is_rectangular_box(moved, 1e-9)
-                assert _is_rectangular_box(moved, 1e-7)
+            for scale, accepted in ((50 * GEOMETRY_ATOL, False), (0.5 * GEOMETRY_ATOL, True)):
+                first, second, pair = octet.copy(), octet.copy(), octet.copy()
+                first[1] += scale * step / np.linalg.norm(step)
+                second[6] += scale * step / np.linalg.norm(step)
+                pair[1] += scale * c / np.linalg.norm(c)
+                pair[6] -= scale * c / np.linalg.norm(c)
+                for moved in (first, second, pair):
+                    assert _is_rectangular_box(moved) == accepted, (scale, moved)
 
     def test_mirror_fails_when_one_vector_flips(self):
         params = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
         vectors = reduced_bloch_vectors(n_qubit_ejm(params, 5))
         stack = np.array([v.as_array() for v in vectors.values()])
-        assert _mirror_symmetric(stack, 1e-9)
+        assert _mirror_symmetric(stack)
         for index in (0, 17, len(stack) - 1):
             flipped = stack.copy()
             flipped[index] *= -1
-            assert not _mirror_symmetric(flipped, 1e-9)
+            assert not _mirror_symmetric(flipped)

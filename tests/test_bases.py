@@ -112,6 +112,13 @@ class TestEjmParams:
         with pytest.raises(ValueError, match=field):
             EjmParams(**kwargs)
 
+    @pytest.mark.parametrize("i", [True, False, 1.0, np.float64(2.0), "1", -1, 4, 7])
+    def test_vertex_accessors_reject_bad_indices(self, i):
+        with pytest.raises(ValueError, match="vertex index"):
+            PARAMS.phi_i(i)
+        with pytest.raises(ValueError, match="vertex index"):
+            PARAMS.z_i(i)
+
 
 class TestSingleQubit:
     def test_reference_vertex(self):
@@ -353,13 +360,23 @@ class TestNQubitFamily:
         grid = grid_params if n <= 6 else small_grid
         for params in grid + [EjmParams(-p.z, p.phi, p.theta, p.gamma) for p in grid]:
             family = n_qubit_ejm(params, n)
-            assert np.array_equal(family.matrix(), kron_chain_rows(params, family)), params
+            assert family.matrix().tobytes() == kron_chain_rows(params, family).tobytes(), params
 
     @settings(max_examples=150, deadline=None)
     @given(domain_params, st.integers(2, 6))
     def test_matrix_equals_per_label_kron_chain_over_domain(self, params, n):
         family = n_qubit_ejm(params, n)
-        assert np.array_equal(family.matrix(), kron_chain_rows(params, family))
+        assert family.matrix().tobytes() == kron_chain_rows(params, family).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matrix_equals_per_label_kron_chain_on_boundary(self, n):
+        # Bytes, not values, so that the sign of every zero amplitude counts:
+        # the domain's corners and edges, where amplitudes vanish.
+        for point in product((1.0, -1.0, INV_SQRT3, -INV_SQRT3), (0.0, math.pi, -math.pi),
+                             (0.0, math.pi / 2), (0.0, math.pi / 4, math.pi / 2)):
+            params = EjmParams(*point)
+            family = n_qubit_ejm(params, n)
+            assert family.matrix().tobytes() == kron_chain_rows(params, family).tobytes(), point
 
     def test_size_validation(self, monkeypatch):
         with pytest.raises(ValueError, match="at least 2"):
@@ -380,18 +397,16 @@ class TestNQubitFamily:
 class TestBasisFamilyContract:
     def test_wrong_shape_rejected(self):
         rows = n_qubit_ejm(PARAMS, 3).matrix()
-        for bad in (rows[:4], rows[:, :4], rows[0], np.eye(4)):
-            with pytest.raises(ValueError, match="do not form a 3-qubit family"):
-                BasisFamily(3, PARAMS, bad)
-        with pytest.raises(ValueError, match="do not form a 1-qubit family"):
-            BasisFamily(1, PARAMS, np.eye(2))
+        for bad in (rows[:4], rows[:, :4], rows[0], np.eye(2)):
+            with pytest.raises(ValueError, match=r"not a 2\*\*n x 2\*\*n matrix with n >= 2"):
+                BasisFamily(PARAMS, bad)
 
     @pytest.mark.parametrize("scale", [1.0 + 1e-9, np.nan])
     def test_unnormalized_row_rejected(self, scale):
         rows = n_qubit_ejm(PARAMS, 3).matrix().copy()
         rows[5] *= scale
         with pytest.raises(ValueError, match="not normalized"):
-            BasisFamily(3, PARAMS, rows)
+            BasisFamily(PARAMS, rows)
 
     def test_matrix_is_stored_read_only(self):
         family = n_qubit_ejm(PARAMS, 4)
@@ -402,7 +417,7 @@ class TestBasisFamilyContract:
 
     def test_caller_array_is_copied(self):
         rows = np.eye(4, dtype=complex)
-        family = BasisFamily(2, PARAMS, rows)
+        family = BasisFamily(PARAMS, rows)
         rows[0, 0] = 2.0
         assert family.matrix()[0, 0] == 1.0
 

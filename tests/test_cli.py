@@ -1,11 +1,14 @@
+import inspect
 import json
 import math
 import re
 import shlex
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import ejm
 from ejm import network
 from ejm.bases import _DOMAIN_ATOL
 from ejm.cli import SCHEMA_VERSION, export, main
@@ -369,3 +372,26 @@ def test_readme_examples_run(capsys):
     (library_example,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     exec(library_example, {})
     assert capsys.readouterr().out.startswith("2.29681")
+
+
+def readme_calls():
+    """(name, parameter names) of each backticked `name(args)` in the README, defaults dropped."""
+    calls = re.findall(r"`([A-Za-z_][\w.]*)\(([^`]*)\)`", README.read_text())
+    return [(name, [arg.split("=")[0].strip(" *") for arg in args.split(",") if arg.strip()]) for name, args in calls]
+
+
+def test_readme_signatures_match_the_code():
+    # A name counts if it resolves to a callable in ejm or one of its modules;
+    # method calls such as `matrix()` resolve to nothing and are skipped.
+    roots = [ejm, *(value for value in vars(ejm).values() if isinstance(value, ModuleType))]
+    checked = 0
+    for name, params in readme_calls():
+        for root in roots:
+            target = root
+            for part in name.split("."):
+                target = getattr(target, part, None)
+            if callable(target):
+                assert params == list(inspect.signature(target).parameters), name
+                checked += 1
+                break
+    assert checked >= 6

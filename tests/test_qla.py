@@ -204,6 +204,15 @@ class TestPermuteQubits:
         with pytest.raises(ValueError, match="permutation"):
             permute_qubits(ket("01"), (1, 1))
 
+    @pytest.mark.parametrize("order", [[True, 2], [2.0, 1], [np.float64(1.0), 2], ["1", "2"]])
+    def test_non_integral_order_is_rejected(self, order):
+        with pytest.raises(ValueError, match="permutation"):
+            permute_qubits(ket("01"), order)
+
+    def test_numpy_integer_order_is_accepted(self):
+        got = permute_qubits(ket("01"), np.array([2, 1]))
+        assert np.array_equal(got.amplitudes, ket("10").amplitudes)
+
 
 class TestBlochVector:
     def test_norm_bound(self):
