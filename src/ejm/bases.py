@@ -19,7 +19,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .qla import RowView, StateVector, check_normalized, is_integer
+from .qla import RowView, StateVector, check_index, check_normalized, is_integer
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 PARAM_NAMES = ("z", "phi", "theta", "gamma")
@@ -57,9 +57,13 @@ class ResourceLimitError(ValueError):
 
 
 def check_domain(name: str, value: float) -> float:
-    """Return value as a float, or raise ValueError if it lies outside
+    """Return value as a float, or raise ValueError if it is not a real number
+    (an int, float or numpy integer or float, not a bool) or lies outside
     DOMAIN[name] (|value| for z) by more than _DOMAIN_ATOL."""
-    value = float(value)
+    if type(value) is not float:  # the isinstance checks would slow every EjmParams
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name}={value!r} must be a real number")
+        value = float(value)
     lo, hi = DOMAIN[name]
     checked = abs(value) if name == "z" else value
     if not (lo - _DOMAIN_ATOL <= checked <= hi + _DOMAIN_ATOL):
@@ -78,11 +82,6 @@ def check_limit(name: str, value: int) -> int:
     if value > hi:
         raise ResourceLimitError(f"{name}={value!r} exceeds the cap {hi}")
     return value
-
-
-def _check_i(i: int) -> None:
-    if not (is_integer(i) and 0 <= i <= 3):
-        raise ValueError(f"vertex index i={i!r} must be 0..3")
 
 
 def phi_z(z: float) -> float:
@@ -119,12 +118,12 @@ class EjmParams:
 
     def phi_i(self, i: int) -> float:
         """Azimuth of vertex i: phi, phi+pi/2, phi+pi, phi-pi/2."""
-        _check_i(i)
+        check_index("vertex index i", i, 0, 3)
         return self.phi + (0.0, math.pi / 2, math.pi, -math.pi / 2)[i]
 
     def z_i(self, i: int) -> float:
         """Height of vertex i: alternating +z, -z, +z, -z."""
-        _check_i(i)
+        check_index("vertex index i", i, 0, 3)
         return self.z if i % 2 == 0 else -self.z
 
 

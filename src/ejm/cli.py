@@ -1,7 +1,9 @@
 """Command-line interface: build and verify bases, report entanglement and
 symmetry, evaluate the star network, run sweeps and optimizations, and export
 machine-readable JSON/CSV reports. `main` checks the parameter flags and --n
-once and wraps each handler's fields in the report's schema, version and n."""
+once, builds the family of each command that takes --n, and wraps each
+handler's fields in the report's schema, version and n. A report's fields
+come from the library's result dataclasses, whose field names are its keys."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .analysis import (
@@ -19,7 +22,7 @@ from .analysis import (
     three_tangle,
     verify_orthonormal_complete,
 )
-from .bases import DOMAIN, LIMITS, PARAM_NAMES, BasisLabel, EjmParams, check_domain, check_limit, n_qubit_ejm
+from .bases import DOMAIN, LIMITS, PARAM_NAMES, EjmParams, check_domain, check_limit, n_qubit_ejm
 from .network import trilocal_score
 from .optimize import SweepSpec, maximize, sweep
 from .qla import ContractError
@@ -104,14 +107,6 @@ def _param(args: argparse.Namespace, name: str, value: float, flag: str | None =
         raise ValueError(f"--{flag or name} out of domain: {exc}") from None
 
 
-def _params_dict(params: EjmParams) -> dict:
-    return {name: float(getattr(params, name)) for name in (*PARAM_NAMES, "phi_z")}
-
-
-def _label_dict(label: BasisLabel) -> dict:
-    return {"i": label.i, "j": list(label.j), "l": label.l}
-
-
 def export(report: dict, fmt: str = "json") -> bytes:
     """Serialize a report deterministically.
 
@@ -140,28 +135,26 @@ def _emit(data: bytes, output: Path | None) -> None:
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     if not 0.0 < args.tol < math.inf:
         raise ValueError(f"--tol out of domain: tol={args.tol!r} must be positive and finite")
-    report = verify_orthonormal_complete(n_qubit_ejm(args.params, args.n))
+    report = verify_orthonormal_complete(args.family)
     ok = max(report.gram_error, report.completeness_error) < args.tol
     return (0 if ok else 1), {
-        "params": _params_dict(args.params),
-        "gram_error": report.gram_error,
-        "completeness_error": report.completeness_error,
+        "params": asdict(args.params),
+        **asdict(report),
         "tol": float(args.tol),
         "ok": ok,
     }
 
 
 def _cmd_tangle(args: argparse.Namespace) -> tuple[int, dict]:
-    family = n_qubit_ejm(args.params, args.n)
     measure = three_tangle if args.n == 3 else concurrence
     values = [
-        {**_label_dict(label), "value": float(measure(state))}
-        for label, state in family.states.items()
+        {**asdict(label), "value": float(measure(state))}
+        for label, state in args.family.states.items()
     ]
     numbers = [entry["value"] for entry in values]
     fields = {
         "measure": "three_tangle" if args.n == 3 else "concurrence",
-        "params": _params_dict(args.params),
+        "params": asdict(args.params),
         "values": values,
         "spread": float(max(numbers) - min(numbers)),
     }
@@ -171,13 +164,14 @@ def _cmd_tangle(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> tuple[int, dict]:
-    report = symmetry_report(n_qubit_ejm(args.params, args.n))
+    report = symmetry_report(args.family)
+    labels = {label: asdict(label) for label in args.family.labels}  # once per label, not per (label, qubit)
     vectors = [
-        {**_label_dict(label), "qubit": qubit, "vector": [v.x, v.y, v.z]}
+        {**labels[label], "qubit": qubit, "vector": [v.x, v.y, v.z]}
         for (label, qubit), v in report.vectors.items()
     ]
     return 0, {
-        "params": _params_dict(args.params),
+        "params": asdict(args.params),
         "vectors": vectors,
         "radii": list(report.radii),
         "vector_sum": [report.vector_sum.x, report.vector_sum.y, report.vector_sum.z],
@@ -188,26 +182,16 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_basis(args: argparse.Namespace) -> tuple[int, dict]:
-    family = n_qubit_ejm(args.params, args.n)
     states = [
-        {**_label_dict(label), "amplitudes": [[float(a.real), float(a.imag)] for a in row]}
-        for label, row in zip(family.labels, family.matrix())
+        {**asdict(label), "amplitudes": [[float(a.real), float(a.imag)] for a in row]}
+        for label, row in zip(args.family.labels, args.family.matrix())
     ]
-    return 0, {
-        "params": _params_dict(args.params),
-        "states": states,
-    }
+    return 0, {"params": asdict(args.params), "states": states}
 
 
 def _cmd_network(args: argparse.Namespace) -> tuple[int, dict]:
     report = trilocal_score(args.params, method=args.method, cross_check=args.cross_check)
-    return 0, {
-        "params": _params_dict(args.params),
-        "I": [float(v) for v in report.I],
-        "S": float(report.S),
-        "violated": report.violated,
-        "method": report.method,
-    }
+    return 0, {"params": asdict(args.params), **asdict(report)}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[int, dict]:
@@ -215,15 +199,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[int, dict]:
     lo = _param(args, args.vary, args.lo)
     hi = _param(args, args.vary, args.hi)
     spec = SweepSpec(varying=args.vary, lo=lo, hi=hi, points=_param(args, "points", args.points), fixed=fixed)
-    samples = sweep(spec)
-    return 0, {
-        "varying": args.vary,
-        "lo": float(lo),
-        "hi": float(hi),
-        "points": args.points,
-        "fixed": fixed,
-        "samples": [[v, s] for v, s in samples],
-    }
+    return 0, {**asdict(spec), "samples": sweep(spec)}
 
 
 def _cmd_optimize(args: argparse.Namespace) -> tuple[int, dict]:
@@ -233,7 +209,7 @@ def _cmd_optimize(args: argparse.Namespace) -> tuple[int, dict]:
     }
     result = maximize(bounds, budget=_param(args, "budget", args.budget))
     return 0, {
-        "params": _params_dict(result.params),
+        "params": asdict(result.params),
         "S": float(result.S),
         "violated": result.S > 2.0,
         "budget": args.budget,
@@ -254,6 +230,7 @@ def main(argv: list[str] | None = None) -> int:
             args.params = EjmParams(**{name: _param(args, name, getattr(args, name)) for name in PARAM_NAMES})
         if "n" in vars(args):
             envelope["n"] = args.n = _param(args, "n", args.n)
+            args.family = n_qubit_ejm(args.params, args.n)
         code, fields = args.handler(args)
         _emit(export({**fields, **envelope}, args.format), args.output)
     except (ValueError, ContractError) as exc:

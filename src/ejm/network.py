@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import ORTHONORMAL_ATOL, verify_orthonormal_complete
 from .bases import BasisFamily, EjmParams, n_qubit_ejm
-from .qla import PAULI_X, PAULI_Z, ContractError, is_integer
+from .qla import PAULI_X, PAULI_Z, ContractError, check_index
 
 # Analytic and brute-force I_m agree to 1e-15 over the domain; a larger gap is a bug.
 CROSS_CHECK_ATOL = 1e-9
@@ -87,11 +87,6 @@ def outcome_table(scenario: StarScenario) -> np.ndarray:
     return np.abs(_ALICE_STAR @ scenario.bob_basis.matrix().conj().T) ** 2
 
 
-def _check_m(m: int) -> None:
-    if not (is_integer(m) and 1 <= m <= 4):
-        raise ValueError(f"m={m!r} must be 1..4")
-
-
 def correlation_I_bruteforce(table: np.ndarray, m: int) -> float:
     """Correlation quantity I_m from the joint outcome distribution
     ``table`` (as returned by outcome_table).
@@ -99,7 +94,7 @@ def correlation_I_bruteforce(table: np.ndarray, m: int) -> float:
     Averages the signed correlator <A1 A2 A3 B^m> over the eight input
     triples with the input-dependent sign (-1)^g_m.
     """
-    _check_m(m)
+    check_index("m", m, 1, 4)
     correlators = table.reshape(8, 8, 8) @ _BOB_SIGNS[m - 1]
     return float(_INPUT_SIGNS[m - 1] @ correlators @ _ALICE_SIGNS) / 8.0
 
@@ -128,7 +123,7 @@ def _closed_form(params: EjmParams) -> tuple[float, float, float, float]:
 
 def correlation_I_analytic(params: EjmParams, m: int) -> float:
     """Closed-form I_m in the basis parameters."""
-    _check_m(m)
+    check_index("m", m, 1, 4)
     return _closed_form(params)[m - 1]
 
 

@@ -45,7 +45,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.varying not in PARAM_NAMES:
             raise ValueError(f"varying={self.varying!r} must be one of {PARAM_NAMES}")
-        _check_range(self.varying, self.lo, self.hi)
+        lo, hi = _check_range(self.varying, self.lo, self.hi)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
         if self.lo == self.hi:
             raise ValueError(f"range [{self.lo!r}, {self.hi!r}] invalid for {self.varying}: lo < hi required")
         check_limit("points", self.points)

@@ -20,6 +20,12 @@ def is_integer(value: Any) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_index(name: str, value: Any, lo: int, hi: int) -> None:
+    """Raise ValueError unless value is an integer (is_integer) in lo..hi."""
+    if not (is_integer(value) and lo <= value <= hi):
+        raise ValueError(f"{name}={value!r} must be {lo}..{hi}")
+
+
 def check_normalized(amplitudes: np.ndarray) -> None:
     """Raise ValueError, naming the first, if a state along the last axis misses norm 1
     by more than NORM_ATOL.  np.linalg.norm of one state takes the same dot products."""

@@ -328,6 +328,27 @@ def test_report_envelope(capsys, command):
     assert report["version"] == SCHEMA_VERSION
 
 
+# Nested keys, which come from the library's dataclass field names: a params
+# block, the label of each listed entry plus the entry's own keys, a sweep's held values.
+PARAMS_KEYS = {"z", "phi", "theta", "gamma", "phi_z"}
+LABEL_KEYS = {"i", "j", "l"}
+ENTRY_KEYS = {"values": {"value"}, "vectors": {"qubit", "vector"}, "states": {"amplitudes"}}
+
+
+@pytest.mark.parametrize("command", ENVELOPES)
+def test_report_nested_keys(capsys, command):
+    flags, _, fields = ENVELOPES[command]
+    code, out, _ = run(capsys, command, *flags)
+    report = json.loads(out)
+    assert code == 0
+    if "params" in fields:
+        assert set(report["params"]) == PARAMS_KEYS
+    for key in fields & set(ENTRY_KEYS):
+        assert report[key] and all(set(entry) == LABEL_KEYS | ENTRY_KEYS[key] for entry in report[key])
+    if command == "sweep":
+        assert set(report["fixed"]) == {"z", "theta", "gamma"}
+
+
 class TestReproducibility:
     @pytest.mark.parametrize(
         "argv",

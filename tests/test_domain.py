@@ -22,6 +22,8 @@ from ejm.bases import (
     check_domain,
     check_limit,
     n_qubit_ejm,
+    phi_z,
+    reference_bases,
 )
 from ejm.cli import main
 from ejm.network import trilocal_score
@@ -106,6 +108,28 @@ class TestOneDomain:
         code, out, err = run_cli(*argv, f"--z={sign * (INV_SQRT3 - 8e-13)!r}")
         assert code == 2 and out == ""
         assert err.startswith("error: --z out of domain") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("name", PARAM_NAMES)
+    @pytest.mark.parametrize("bad", [True, "1", 1j, None], ids=repr)
+    def test_non_numbers_are_rejected_everywhere(self, name, bad):
+        varied = "gamma" if name == "theta" else "theta"
+        held = {n: v for n, v in INTERIOR.items() if n != varied}
+        entry_points = [
+            lambda: EjmParams(**{**INTERIOR, name: bad}),
+            lambda: SweepSpec(name, bad, DOMAIN[name][1], 3, {n: v for n, v in INTERIOR.items() if n != name}),
+            lambda: SweepSpec(varied, 0.0, 1.0, 3, {**held, name: bad}),
+            lambda: maximize({name: (bad, DOMAIN[name][1])}, budget=100),
+        ]
+        entry_points += {"z": [lambda: phi_z(bad)], "theta": [lambda: reference_bases(bad)]}.get(name, [])
+        for build in entry_points:
+            with pytest.raises(ValueError, match=f"{name}={bad!r} must be a real number"):
+                build()
+
+    @pytest.mark.parametrize("value", [1, np.int64(1), np.float32(0.5), np.float64(0.5)], ids=repr)
+    def test_integers_and_numpy_numbers_are_accepted_as_floats(self, value):
+        checked = check_domain("theta", value)
+        assert type(checked) is float and checked == float(value)
+        assert type(EjmParams(**{**INTERIOR, "theta": value}).theta) is float
 
     def test_check_domain_bounds_the_modulus_of_z(self):
         assert check_domain("z", -1.0) == -1.0

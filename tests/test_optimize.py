@@ -38,6 +38,11 @@ class TestSweep:
         assert len(values) == 5
         assert np.max(np.abs(np.diff(values) - math.pi / 4)) < 1e-12
 
+    def test_spec_stores_checked_floats(self):
+        spec = SweepSpec("phi", 0, np.int64(1), 3, {"z": 1, "theta": np.float32(0.5), "gamma": 0.25})
+        assert (spec.lo, spec.hi) == (0.0, 1.0)
+        assert all(type(v) is float for v in (spec.lo, spec.hi, *spec.fixed.values()))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="varying"):
             SweepSpec(varying="omega", lo=0, hi=1, points=3, fixed=FIXED_TOP)

@@ -8,7 +8,16 @@ from conftest import expectation, ket
 from hypothesis import strategies as st
 
 from ejm.bases import BasisLabel, EjmParams, m_vector, n_qubit_ejm, single_qubit_m
-from ejm.qla import PAULI_Z, PAULIS, StateVector, bloch_vector, partial_trace, permute_qubits, tensor_product
+from ejm.qla import (
+    PAULI_Z,
+    PAULIS,
+    StateVector,
+    bloch_vector,
+    check_index,
+    partial_trace,
+    permute_qubits,
+    tensor_product,
+)
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
@@ -27,6 +36,17 @@ def state_strategy(n):
         .filter(lambda amps: np.linalg.norm(amps) > 1e-3)
         .map(lambda amps: StateVector(amps / np.linalg.norm(amps)))
     )
+
+
+class TestCheckIndex:
+    def test_accepts_integers_within_the_closed_range(self):
+        for value in (1, 4, np.int64(2)):
+            assert check_index("m", value, 1, 4) is None
+
+    @pytest.mark.parametrize("value", [0, 5, True, 1.0, "1", None], ids=repr)
+    def test_rejects_other_values(self, value):
+        with pytest.raises(ValueError, match=r"^m=.* must be 1\.\.4$"):
+            check_index("m", value, 1, 4)
 
 
 class TestStateVector:
