@@ -1,0 +1,31 @@
+"""Reports are byte-identical or the schema version says why not: every
+argument vector in golden/reports.json reruns through `cli.main` in process
+with the stdout and stderr digests and exit code recorded for it, unless
+SCHEMA_VERSION has grown past the version recorded with it.
+`golden/update.py` records the file anew."""
+
+import json
+import shlex
+
+import pytest
+from golden.update import REPORTS, argument_vectors, run, versions
+
+from ejm.cli import SCHEMA_VERSION
+
+GOLDEN = json.loads(REPORTS.read_text())
+
+
+def test_golden_file_holds_every_argument_vector():
+    assert [entry["argv"] for entry in GOLDEN["reports"]] == argument_vectors()
+
+
+@pytest.mark.parametrize("entry", GOLDEN["reports"], ids=lambda entry: shlex.join(entry["argv"]) or "(none)")
+def test_report_matches_its_digests(entry):
+    assert entry["schema_version"] <= SCHEMA_VERSION
+    got = run(entry["argv"])
+    if entry["schema_version"] == SCHEMA_VERSION:
+        recorded = {key: entry[key] for key in got}
+        assert got == recorded, (
+            f"`ejm {shlex.join(entry['argv'])}` changed: recorded with python {GOLDEN['python']}"
+            f" and numpy {GOLDEN['numpy']}, run with python {versions()['python']} and numpy {versions()['numpy']}"
+        )
