@@ -154,39 +154,21 @@ class SymmetryReport:
     degenerate: bool
 
 
-def _cluster_magnitudes(values: np.ndarray) -> tuple[float, ...]:
-    ordered = np.sort(values)
-    groups = np.split(ordered, np.flatnonzero(np.diff(ordered) > GEOMETRY_ATOL) + 1)
-    return tuple(float(np.mean(g)) for g in groups)
-
-
 def _clusters(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Greedy max-norm clustering in input order, one pass per cluster.
 
-    Each cluster is the first unclaimed point (its representative) and every
-    unclaimed point within GEOMETRY_ATOL of it.  Returns the representatives
-    and the cluster sizes.
+    Each cluster is the first unlabelled point (its representative) and every
+    unlabelled point within GEOMETRY_ATOL of it.  Returns each point's cluster
+    index and the representatives.
     """
-    left = np.ones(len(points), dtype=bool)
-    firsts, sizes = [], []
-    while left.any():
+    labels = np.full(len(points), -1)
+    firsts = []
+    while (left := labels < 0).any():
         first = int(np.argmax(left))
         near = left & (np.max(np.abs(points - points[first]), axis=1) <= GEOMETRY_ATOL)
+        labels[near] = len(firsts)
         firsts.append(first)
-        sizes.append(int(np.count_nonzero(near)))
-        left &= ~near
-    return points[firsts], np.array(sizes)
-
-
-def _mirror_symmetric(points: np.ndarray) -> bool:
-    """True iff every cluster away from the origin has exactly one mirror
-    cluster (near -v) of the same size, so the multiset pairs v with -v."""
-    reps, sizes = _clusters(points)
-    for rep, size in zip(reps, sizes):
-        mirror = np.max(np.abs(reps + rep), axis=1) <= GEOMETRY_ATOL
-        if np.max(np.abs(rep)) > GEOMETRY_ATOL and sizes[mirror].tolist() != [size]:
-            return False
-    return True
+    return labels, points[firsts]
 
 
 # Signs of u_1, u_2, u_3 in a signed sum u_0 +- u_1 +- u_2 +- u_3.
@@ -227,19 +209,30 @@ def symmetry_report(family: BasisFamily) -> SymmetryReport:
     by that position's reduction directions.  Positions whose vertex set
     collapses (radius below GEOMETRY_ATOL or coincident vertices) are
     flagged degenerate and skipped, leaving the predicate vacuously true.
-    Points within GEOMETRY_ATOL of each other count as equal.
+
+    Points count as equal under one rule, _clusters, applied twice: to the
+    sorted norms, whose clusters give the radii as their means, and to the
+    vectors with their negations.  The mirror pairing holds when every
+    cluster away from the origin holds as many vectors as negated vectors;
+    a position's octet is the representatives of the clusters its +-v hit.
     """
     view = reduced_bloch_vectors(family)
     vectors = view.rows
     stack = vectors.reshape(-1, 3)
     vector_sum = BlochVector(*stack.sum(axis=0).tolist())
-    radii = _cluster_magnitudes(np.linalg.norm(stack, axis=1))
-    mirror_ok = _mirror_symmetric(stack)
+    norms = np.sort(np.linalg.norm(stack, axis=1))
+    labels, _ = _clusters(norms[:, None])
+    radii = tuple(float(np.mean(g)) for g in np.split(norms, np.flatnonzero(np.diff(labels)) + 1))
+
+    labels, reps = _clusters(np.concatenate([stack, -stack]))
+    signed = labels.reshape(2, *vectors.shape[:2])  # (sign, state, position)
+    plus, minus = (np.bincount(half.ravel(), minlength=len(reps)) for half in signed)
+    mirror_ok = bool(np.all((plus == minus) | (np.max(np.abs(reps), axis=1) <= GEOMETRY_ATOL)))
 
     parallelepiped_ok = True
     degenerate = False
-    for at_position in vectors.transpose(1, 0, 2):
-        octet, _ = _clusters(np.concatenate([at_position, -at_position]))
+    for at_position in signed.transpose(2, 0, 1):
+        octet = reps[np.bincount(at_position.ravel(), minlength=len(reps)) > 0]
         if np.max(np.linalg.norm(octet, axis=1)) <= GEOMETRY_ATOL or len(octet) < 8:
             degenerate = True
             continue

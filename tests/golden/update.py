@@ -17,7 +17,6 @@ import json
 import math
 import os
 import platform
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -164,4 +163,4 @@ def record() -> dict:
 
 if __name__ == "__main__":
     REPORTS.write_text(json.dumps(record(), indent=1) + "\n")
-    sys.stdout.write(f"wrote {REPORTS}\n")
+    print(f"wrote {REPORTS}")

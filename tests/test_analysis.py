@@ -13,7 +13,6 @@ from ejm.analysis import (
     _bloch_array,
     _clusters,
     _is_rectangular_box,
-    _mirror_symmetric,
     concurrence,
     m_prime_vector,
     reduced_bloch_vectors,
@@ -285,6 +284,15 @@ class TestSymmetryReport:
         assert report.parallelepiped_ok
         assert report.radii[0] < 1e-10
 
+    def test_mirror_pairing_skips_clusters_at_the_origin(self):
+        # 1e-9 from theta = pi/2 the block vectors are about GEOMETRY_ATOL long,
+        # so the clusters near the origin need not pair v with -v; they count
+        # as the origin, and the pairing holds for every n.
+        params = EjmParams(z=-0.9, phi=0.5, theta=math.pi / 2 - 1e-9, gamma=0.4)
+        for n in range(2, 9):
+            report = symmetry_report(n_qubit_ejm(params, n))
+            assert (report.parallelepiped_ok, report.mirror_pairs_ok, report.degenerate) == (True, True, True), n
+
     @settings(max_examples=60, deadline=None)
     @given(domain_params, st.integers(2, 8))
     def test_octets_are_cubes_and_square_prisms(self, params, n):
@@ -297,7 +305,7 @@ class TestSymmetryReport:
         tail = math.sqrt((1 - params.z**2) / 2)
         vectors = _bloch_array(n_qubit_ejm(params, n))
         for qubit, at_position in enumerate(vectors.transpose(1, 0, 2), start=1):
-            octet, _ = _clusters(np.concatenate([at_position, -at_position]))
+            _, octet = _clusters(np.concatenate([at_position, -at_position]))
             if np.max(np.linalg.norm(octet, axis=1)) <= GEOMETRY_ATOL or len(octet) < 8:
                 continue  # degenerate, as symmetry_report skips it
             if n == 2:
@@ -309,6 +317,38 @@ class TestSymmetryReport:
             squares = np.linalg.eigvalsh(octet.T @ octet / 8)
             expected = np.sort(sides**2) * squares.sum() / np.sum(sides**2)
             assert np.max(np.abs(squares - expected)) < 1e-13, (n, qubit)
+
+    @settings(max_examples=60, deadline=None)
+    @given(domain_params, st.integers(2, 8))
+    def test_symmetry_holds_over_the_domain(self, params, n):
+        # Off the degenerate sets (theta = pi/2; gamma = pi/4 for n >= 3;
+        # |z| = 1 for odd n) every octet is a box and the vectors pair up, and
+        # the radii are the closed-form reduction lengths.
+        report = symmetry_report(n_qubit_ejm(params, n))
+        distances = [abs(params.theta - math.pi / 2)]
+        distances += [abs(params.gamma - math.pi / 4)] if n >= 3 else []
+        distances += [1 - abs(params.z)] if n % 2 else []
+        if min(distances) > 1e-6:
+            assert (report.parallelepiped_ok, report.mirror_pairs_ok, report.degenerate) == (True, True, False)
+        block, tail = (abs(scale) for scale in reduction_coefficients(params))
+        if n >= 3 and abs(block - tail) > 1e-6:
+            expected = sorted((block, tail)) if n % 2 else [block]
+            assert np.max(np.abs(np.subtract(report.radii, expected))) <= 1e-12, report.radii
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        domain_params,
+        st.one_of(
+            st.tuples(st.just("theta"), st.integers(2, 8)),
+            st.tuples(st.just("gamma"), st.integers(3, 8)),
+            st.tuples(st.just("z"), st.sampled_from((3, 5, 7))),
+        ),
+    )
+    def test_degenerate_sets_are_flagged(self, params, at):
+        name, n = at
+        value = {"theta": math.pi / 2, "gamma": math.pi / 4, "z": math.copysign(1.0, params.z)}[name]
+        report = symmetry_report(n_qubit_ejm(dataclasses.replace(params, **{name: value}), n))
+        assert (report.parallelepiped_ok, report.mirror_pairs_ok, report.degenerate) == (True, True, True)
 
 
 class TestVerifyOrthonormalComplete:
@@ -393,12 +433,30 @@ class TestGeometryPredicates:
                 for moved in (first, second, pair):
                     assert _is_rectangular_box(moved) == accepted, (scale, moved)
 
-    def test_mirror_fails_when_one_vector_flips(self):
+    def test_mirror_fails_when_one_vector_flips(self, monkeypatch):
         params = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
-        vectors = reduced_bloch_vectors(n_qubit_ejm(params, 5))
-        stack = np.array([v.as_array() for v in vectors.values()])
-        assert _mirror_symmetric(stack)
-        for index in (0, 17, len(stack) - 1):
-            flipped = stack.copy()
-            flipped[index] *= -1
-            assert not _mirror_symmetric(flipped)
+        for n in range(2, 9):
+            family = n_qubit_ejm(params, n)
+            vectors = _bloch_array(family)
+            assert symmetry_report(family).mirror_pairs_ok
+            count = len(vectors) * n
+            for index in (0, count // 2 + 1, count - 1):
+                flipped = vectors.copy()
+                flipped.reshape(-1, 3)[index] *= -1
+                monkeypatch.setattr(ejm.analysis, "_bloch_array", lambda _, flipped=flipped: flipped)
+                assert not symmetry_report(family).mirror_pairs_ok, (n, index)
+                monkeypatch.undo()
+
+    def test_clusters_follow_input_order_under_one_star_rule(self):
+        near = 0.5 * GEOMETRY_ATOL
+        points = np.array([[0, 0, 0], [1, 0, 0], [0, 0, near], [1 + near, 0, 0], [2, 0, 0], [0, near, 0]])
+        labels, reps = _clusters(points)
+        assert labels.tolist() == [0, 1, 0, 1, 2, 0]
+        assert reps.tobytes() == points[[0, 1, 4]].tobytes()
+        # Each cluster is its first point and all within GEOMETRY_ATOL of that
+        # point, so a chain of steps of 0.6 GEOMETRY_ATOL splits into pairs,
+        # where splitting the sorted values at gaps would keep one cluster.
+        chain = (0.6 * GEOMETRY_ATOL * np.arange(9))[:, None]
+        labels, reps = _clusters(chain)
+        assert labels.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4]
+        assert reps.tobytes() == chain[::2].tobytes()

@@ -1,5 +1,5 @@
-"""The import graph: scipy loads only when the optimizer refines, checked in
-fresh interpreters so that no other test's imports leak in; every top-level
+"""The import graph: scipy loads only when the optimizer refines, and numpy.ma
+never, checked in fresh interpreters so that no other test's imports leak in; every top-level
 import of a module is read by it; and every private module-level name of
 the package is read somewhere in it."""
 
@@ -31,14 +31,14 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     return result
 
 
-def loaded_after(code: str) -> bool:
-    """Whether scipy is in sys.modules after code runs in a fresh interpreter."""
-    probe = f"import json, sys\n{code}\nprint(json.dumps('scipy' in sys.modules))"
+def loaded_after(code: str) -> dict[str, bool]:
+    """Whether scipy and numpy.ma are in sys.modules after code runs in a fresh interpreter."""
+    probe = f"import json, sys\n{code}\nprint(json.dumps({{m: m in sys.modules for m in ('scipy', 'numpy.ma')}}))"
     return json.loads(run_python("-c", probe).stdout.splitlines()[-1])
 
 
 def test_import_ejm_leaves_scipy_unloaded():
-    assert loaded_after("import ejm") is False
+    assert loaded_after("import ejm") == {"scipy": False, "numpy.ma": False}
 
 
 @pytest.mark.parametrize(
@@ -47,14 +47,16 @@ def test_import_ejm_leaves_scipy_unloaded():
         ["network"],
         ["verify", "--n", "3"],
         ["reduce", "--n", "3"],
+        ["reduce", "--n", "8"],
         ["tangle", "--n", "3"],
         ["sweep", "--vary", "phi", "--lo", "0", "--hi", "1", "--points", "20"],
     ],
-    ids=["network", "verify", "reduce", "tangle", "sweep"],
+    ids=["network", "verify", "reduce", "reduce-n8", "tangle", "sweep"],
 )
 def test_non_optimize_commands_leave_scipy_unloaded(argv):
+    # numpy.ma comes in with np.unique, among others; no report needs it.
     code = f"import contextlib, io\nfrom ejm.cli import main\nwith contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0"
-    assert loaded_after(code) is False
+    assert loaded_after(code) == {"scipy": False, "numpy.ma": False}
 
 
 def test_maximize_loads_scipy_and_keeps_its_optimum():
@@ -67,7 +69,7 @@ def test_maximize_loads_scipy_and_keeps_its_optimum():
         "(2.2968108411748562, 1.0, 0.178702781778293, 459, False), r\n"
         f"assert (r.params.theta, r.params.gamma) == ({math.pi / 2!r}, {math.pi / 4!r})"
     )
-    assert loaded_after(code) is True
+    assert loaded_after(code)["scipy"] is True
 
 
 def test_module_entry_point_matches_in_process_report(capsys):
