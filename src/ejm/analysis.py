@@ -180,9 +180,15 @@ def _is_rectangular_box(points: np.ndarray) -> bool:
     orthogonal, non-zero edges.
 
     The points must form four antipodal pairs +-u_k.  They are then such a
-    box iff some signed sum w_0 + w_1 + w_2 + w_3 (w_k = +-u_k) vanishes and
-    the edges w_0 + w_k (k = 1, 2, 3) from vertex w_0 to vertices -w_k are
-    orthogonal and non-zero; the vertices are then +-w_0 and +-w_k.
+    box iff the u_k have one length r and some signed sum w_0 + w_1 + w_2 +
+    w_3 (w_k = +-u_k) vanishes: a tetrahedron whose centroid is its
+    circumcentre is isosceles.  With l the fourth index,
+    |w_0 + w_j + w_k|^2 = |w_l|^2 gives w_0.w_j + w_0.w_k + w_j.w_k = -r^2,
+    so (w_0 + w_j).(w_0 + w_k) = 0: the edges from vertex w_0 to the
+    vertices -w_j are orthogonal, and the vertices are +-w_k.  The edges are
+    non-zero, as the pairing rules out w_j = -w_0.  Conversely the corners
+    +-a +-b +-c have one length, and a + b + c, a - b - c, -a + b - c and
+    -a - b + c sum to zero.
     """
     if len(points) != 8:
         return False
@@ -190,13 +196,9 @@ def _is_rectangular_box(points: np.ndarray) -> bool:
     if np.any(np.diag(antipodal)) or np.any(antipodal.sum(axis=1) != 1):
         return False
     u = points[np.arange(8) < np.argmax(antipodal, axis=1)]
-    w = _SIGNS[:, :, None] * u
-    vanishing = np.max(np.abs(w.sum(axis=1)), axis=1) <= GEOMETRY_ATOL
-    edges = w[:, :1] + w[:, 1:]
-    nonzero = np.all(np.linalg.norm(edges, axis=2) > GEOMETRY_ATOL, axis=1)
-    gram = edges @ edges.transpose(0, 2, 1)
-    orthogonal = np.all(np.abs(gram[:, (0, 0, 1), (1, 2, 2)]) <= GEOMETRY_ATOL, axis=1)
-    return bool(np.any(vanishing & nonzero & orthogonal))
+    one_length = np.ptp(np.linalg.norm(u, axis=1)) <= GEOMETRY_ATOL
+    vanishing = np.max(np.abs(_SIGNS @ u), axis=1) <= GEOMETRY_ATOL
+    return bool(one_length and np.any(vanishing))
 
 
 def symmetry_report(family: BasisFamily) -> SymmetryReport:

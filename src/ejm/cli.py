@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -54,6 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
             n: dict | None = None) -> argparse.ArgumentParser:
         """Subcommand name writing schema reports; n: keyword arguments of its --n, None for none."""
         p = sub.add_parser(name, help=summary)
+        # Dash tokens this private argparse pattern matches are values; its default misses -5e-15, -inf and -nan.
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
         p.set_defaults(handler=handler, schema=schema)
         for param in PARAM_NAMES if params else ():
             p.add_argument(f"--{param}", type=float, help=_PARAM_HELP[param])

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 from operator import itemgetter
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -78,10 +78,6 @@ class OptimumResult:
     warning: bool = False
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def _resolve_bounds(bounds: Mapping[str, tuple[float, float]] | None) -> dict[str, tuple[float, float]]:
     # The default box takes z >= 0 only: S is even in z, because every I_m is
     # proportional to z and phi_z depends on z^2 alone.
@@ -108,6 +104,9 @@ def maximize(bounds: Mapping[str, tuple[float, float]] | None = None, budget: in
     refinements from the best STARTS distinct cells.  The search is
     deterministic and ends when the refinements finish or the budget runs
     out; warning=True means it ran out before the grid was complete.
+    The grid takes the first `budget` cells, each refinement what is left as
+    scipy's maxfev, which Nelder-Mead never exceeds; it clips every point to
+    the box.
     """
     check_limit("budget", budget)
     box = _resolve_bounds(bounds)
@@ -117,27 +116,22 @@ def maximize(bounds: Mapping[str, tuple[float, float]] | None = None, budget: in
     cells = list(product(*axes))
     trace: list[tuple[EjmParams, float]] = []
 
-    def evaluate(x: np.ndarray) -> float:
-        if len(trace) >= budget:
-            raise _BudgetExhausted
-        params = EjmParams(*(float(c) for c in np.clip(x, lows, highs)))
+    def evaluate(x: Iterable[float]) -> float:
+        params = EjmParams(*map(float, x))
         trace.append((params, trilocal_score(params).S))
         return trace[-1][1]
 
-    try:
-        # Keyed by cell, so equal cells (a sub-ulp range repeats them) seed at most once.
-        scores = {cell: evaluate(np.array(cell)) for cell in cells}
-        for start in sorted(scores, key=lambda cell: -scores[cell])[:STARTS] if free.any() else ():
-            if len(trace) >= budget:
-                break
-            x = np.array(start)
+    # Keyed by cell, so equal cells (a sub-ulp range repeats them) seed at most once.
+    scores = {cell: evaluate(cell) for cell in cells[:budget]}
+    for start in sorted(scores, key=lambda cell: -scores[cell])[:STARTS] if free.any() else ():
+        if len(trace) >= budget:
+            break
+        x = np.array(start)
 
-            def negated(xfree: np.ndarray) -> float:
-                x[free] = xfree
-                return -evaluate(x)
+        def negated(xfree: np.ndarray) -> float:
+            x[free] = xfree
+            return -evaluate(x)
 
-            minimize(negated, x[free], method="Nelder-Mead", bounds=list(zip(lows[free], highs[free])),
-                     options={"maxfev": budget - len(trace), "xatol": 1e-8, "fatol": 1e-10})
-    except _BudgetExhausted:
-        pass
+        minimize(negated, x[free], method="Nelder-Mead", bounds=list(zip(lows[free], highs[free])),
+                 options={"maxfev": budget - len(trace), "xatol": 1e-8, "fatol": 1e-10})
     return OptimumResult(*max(trace, key=itemgetter(1)), tuple(trace), warning=len(trace) < len(cells))

@@ -39,8 +39,7 @@ EQUAL_THETA = math.acos(math.cos(2 * EQUAL_GAMMA) / (0.5 * math.sqrt(1 + 2 * mat
 
 
 def point(z: float, phi: float, theta: float, gamma: float) -> list[str]:
-    """Parameter flags that carry each float exactly; a value such as -5e-15
-    must follow an equals sign, or argparse reads it as a flag."""
+    """Parameter flags that carry each float exactly, in the --flag=value form."""
     return [f"--z={z!r}", f"--phi={phi!r}", f"--theta={theta!r}", f"--gamma={gamma!r}"]
 
 
@@ -128,6 +127,15 @@ def argument_vectors() -> list[list[str]]:
         ["reduce", "--n", "5", *point(1 - 1e-10, 0.5, 1.0, 0.4)],
         ["reduce", "--n", "3", *point(-0.9, 0.5, HALF_PI - 1e-10, 0.4)],
         ["reduce", "--n", "3", *point(-0.9, 0.5, 1.0, QUARTER_PI - 1e-10)],
+    ]
+    # Negative values in exponent form after a space, which argparse's own pattern reads as flags.
+    vectors += [
+        ["network", "--z", "-9e-1", "--gamma", "-5e-15"],
+        ["reduce", "--n", "3", "--phi", "-1e-1", "--theta", "-5e-15"],
+        ["verify", "--tol", "-1e-9"],
+        ["sweep", "--vary", "gamma", "--lo", "-5e-15", "--hi", "5e-1", "--points", "5"],
+        ["optimize", "--budget", "100", "--z-min", "-1e0", "--z-max", "-9e-1", "--phi-min", "-1e-1", "--phi-max", "1e-1"],
+        ["network", "--z", "-inf"],
     ]
     return vectors
 

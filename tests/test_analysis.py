@@ -413,12 +413,21 @@ class TestGeometryPredicates:
             assert not _is_rectangular_box(np.concatenate([u, -u])[rng.permutation(8)])
             assert not _is_rectangular_box(rng.normal(size=(8, 3)))
 
+    def test_box_rejects_unequal_pairs_with_vanishing_sum(self):
+        # w_0 + w_1 + w_2 + w_3 = 0, so only the one-length test rejects the octet +-w_k.
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            w = rng.normal(size=(3, 3))
+            w = np.concatenate([w, -w.sum(axis=0, keepdims=True)])
+            assert np.ptp(np.linalg.norm(w, axis=1)) > 1e-3
+            assert not _is_rectangular_box(np.concatenate([w, -w])[rng.permutation(8)])
+
     def test_box_tolerance_reaches_vertex_matching(self):
         # A vertex moved by 50 GEOMETRY_ATOL is seen, the same move scaled by
         # 1/100 is not: a + b - c or its antipode alone, which breaks the
-        # antipodal pairing, or both along c, which keeps the pairs and the
-        # edges 2a, 2b, 2c - d from vertex a + b + c orthogonal, so that only
-        # the vanishing signed sum sees it.
+        # antipodal pairing, or both along c, which keeps the pairs but
+        # shortens the pair +-(a + b - c) by the move and leaves no signed sum
+        # vanishing, so that both the length and the signed-sum tests see it.
         rng = np.random.default_rng(11)
         for _ in range(20):
             a, b, c = random_frame(rng, rng.uniform(0.1, 0.5, size=3))

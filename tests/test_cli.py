@@ -10,7 +10,7 @@ import pytest
 
 import ejm
 from ejm import network
-from ejm.bases import _DOMAIN_ATOL
+from ejm.bases import PARAM_NAMES, _DOMAIN_ATOL
 from ejm.cli import SCHEMA_VERSION, export, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -239,6 +239,22 @@ class TestArgumentHandling:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {argv[-2]} ")
+
+    @pytest.mark.parametrize("value", ["-5e-15", "-9e-1", "-1E+0", "-.5e-3", "-1_0.0", "-inf", "-nan", "-0.5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["network", f"--{name}"] for name in PARAM_NAMES),
+            ["verify", "--tol"],
+            ["sweep", "--vary", "gamma", "--points", "3", "--hi", "0.5", "--lo"],
+            ["sweep", "--vary", "z", "--points", "3", "--lo", "-1", "--hi"],
+            *(["optimize", "--budget", "100", f"--{name}-{end}"] for name in PARAM_NAMES for end in ("min", "max")),
+        ],
+        ids=" ".join,
+    )
+    def test_negative_value_after_a_space_reads_as_its_equals_form(self, capsys, argv, value):
+        *head, flag = argv
+        assert run(capsys, *head, flag, value) == run(capsys, *head, f"{flag}={value}")
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_tol_must_be_positive_and_finite(self, capsys, tol):

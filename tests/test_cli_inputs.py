@@ -72,8 +72,8 @@ def invocations(draw, command, wild):
         argv += [f"--vary={vary}", f"--format={draw(st.sampled_from(['json', 'csv']))}"]
     for name, (valid, anything) in flags.items():
         if name == wild or name in ("lo", "hi") or draw(st.booleans()):
-            # --flag=value, since argparse reads a separate "-1e+300" as an option
-            argv.append(f"--{name}={draw(anything if name == wild else valid)!r}")
+            value = repr(draw(anything if name == wild else valid))
+            argv += draw(st.sampled_from([[f"--{name}={value}"], [f"--{name}", value]]))
     return argv
 
 

@@ -123,6 +123,41 @@ class TestMaximize:
         assert result.warning
         assert len(result.trace) == 100
 
+    def test_scipy_nelder_mead_keeps_maxfev_and_bounds(self):
+        # maximize relies on this instead of a budget check and a clip of its
+        # own: bounded Nelder-Mead calls the objective at most maxfev times,
+        # and only inside the bounds, here with its optimum mostly outside them.
+        from scipy.optimize import minimize
+
+        rng = np.random.default_rng(13)
+        for dims in range(1, 5):
+            for maxfev in range(1, 31):
+                lows = rng.uniform(-1.0, 0.0, size=dims)
+                highs = lows + rng.uniform(0.1, 1.0, size=dims)
+                x0 = np.where(rng.random(dims) < 0.5, lows, highs)  # grid starts lie on the bounds too
+                target = rng.normal(scale=3.0, size=dims)
+                points = []
+
+                def objective(x, points=points, target=target):
+                    points.append(x.copy())
+                    return float(np.sum((x - target) ** 2))
+
+                minimize(objective, x0, method="Nelder-Mead", bounds=list(zip(lows, highs)),
+                         options={"maxfev": maxfev, "xatol": 1e-8, "fatol": 1e-10})
+                assert 1 <= len(points) <= maxfev, (dims, maxfev)
+                assert all(np.all((lows <= x) & (x <= highs)) for x in points), (dims, maxfev)
+
+    def test_smaller_budget_only_shortens_the_trace(self):
+        # Budgets just past the grid (9**4 cells on the full box, 81 on the
+        # z = 1, theta = pi/2 box, whose budgets start at 100) run out inside
+        # a refinement.
+        for box, base in ((None, 9**4), ({"z": (1.0, 1.0), "theta": (math.pi / 2, math.pi / 2)}, 99)):
+            longest = maximize(box).trace
+            assert len(longest) > base + 40
+            for k in range(1, 41):
+                trace = maximize(box, budget=base + k).trace
+                assert trace == longest[:base + k], (box, k)
+
     def test_refinements_start_from_distinct_cells(self, monkeypatch):
         # On a sub-ulp phi range linspace repeats cells; each still seeds once.
         starts = []
