@@ -137,6 +137,15 @@ def argument_vectors() -> list[list[str]]:
         ["optimize", "--budget", "100", "--z-min", "-1e0", "--z-max", "-9e-1", "--phi-min", "-1e-1", "--phi-max", "1e-1"],
         ["network", "--z", "-inf"],
     ]
+    # Long sweeps, every varying name, ranges on the domain bounds and inside their slack.
+    vectors += [
+        ["sweep", "--vary", "phi", f"--lo={-PI!r}", f"--hi={PI!r}", "--points", "20000"],
+        ["sweep", "--vary", "z", "--lo=-1", "--hi=-0.6", "--points", "2000", *NEGATIVE],
+        ["sweep", "--vary", "theta", "--lo=0", f"--hi={HALF_PI!r}", "--points", "1000", *NEGATIVE],
+        ["sweep", "--vary", "gamma", "--lo=-5e-15", f"--hi={HALF_PI + 5e-15!r}", "--points", "1000", *RANDOM],
+        ["sweep", "--vary", "z", f"--lo={INV_SQRT3 - 5e-15!r}", f"--hi={1 + 5e-15!r}", "--points", "2000",
+         "--format", "csv", *RANDOM],
+    ]
     return vectors
 
 
