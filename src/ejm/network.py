@@ -99,8 +99,13 @@ def correlation_I_bruteforce(table: np.ndarray, m: int) -> float:
     return float(_INPUT_SIGNS[m - 1] @ correlators @ _ALICE_SIGNS) / 8.0
 
 
-def _closed_form(params: EjmParams) -> tuple[float, float, float, float]:
-    """Closed-form (I_1, I_2, I_3, I_4) in the basis parameters.
+def closed_form(z, phi, phi_z, theta, gamma, sin, cos):
+    """Closed-form (I_1, I_2, I_3, I_4) at (z, phi, theta, gamma), with phi_z
+    the phase of z, computed with the given sin and cos.
+
+    With math.sin and math.cos it scores one point; with np.sin and np.cos
+    any of the values may be an array, and each I_m is evaluated elementwise
+    by the same operations in the same order.
 
     I_1 and I_2 share the factor z sin(2 gamma), and I_3 and I_4 share
     z (1 + sin(theta)); gamma and theta enter nowhere else.  Since
@@ -109,16 +114,26 @@ def _closed_form(params: EjmParams) -> tuple[float, float, float, float]:
     nearest pi/4, for every (z, phi).
     """
     quarter = math.pi / 4
-    shift = params.phi - params.phi_z
-    block = params.z * math.sin(2 * params.gamma)
-    tail = params.z * (1.0 + math.sin(params.theta))
-    rise = math.sin(params.phi + quarter)
+    shift = phi - phi_z
+    block = z * sin(2 * gamma)
+    tail = z * (1.0 + sin(theta))
+    rise = sin(phi + quarter)
     return (
-        block * math.cos(2 * shift) * rise / 8.0,
+        block * cos(2 * shift) * rise / 8.0,
         block * rise / 4.0,
-        tail * math.cos(shift + quarter) / (4.0 * math.sqrt(2.0)),
-        tail * math.sin(shift + quarter) / (4.0 * math.sqrt(2.0)),
+        tail * cos(shift + quarter) / (4.0 * math.sqrt(2.0)),
+        tail * sin(shift + quarter) / (4.0 * math.sqrt(2.0)),
     )
+
+
+def _closed_form(params: EjmParams) -> tuple[float, float, float, float]:
+    """Closed-form (I_1, I_2, I_3, I_4) at params."""
+    return closed_form(params.z, params.phi, params.phi_z, params.theta, params.gamma, math.sin, math.cos)
+
+
+def cube_root_sum(values) -> float:
+    """The trilocal score S = sum_m |I_m|^(1/3) of one point's I_1..I_4, as Python floats."""
+    return sum([abs(v) ** (1.0 / 3.0) for v in values])
 
 
 def correlation_I_analytic(params: EjmParams, m: int) -> float:
@@ -164,5 +179,5 @@ def trilocal_score(
         worst = max(abs(a - b) for a, b in zip(values, other))
         if worst > CROSS_CHECK_ATOL:
             raise ContractError(f"analytic and brute-force correlations disagree by {worst:.3e}")
-    score = float(sum(abs(v) ** (1.0 / 3.0) for v in values))
+    score = cube_root_sum(values)
     return CorrelationReport(I=values, S=score, violated=score > 2.0, method=method)

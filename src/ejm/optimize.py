@@ -9,8 +9,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .bases import DOMAIN, PARAM_NAMES, EjmParams, check_domain, check_limit
-from .network import trilocal_score
+from .bases import DOMAIN, PARAM_NAMES, EjmParams, _phi_z, check_domain, check_limit
+from .network import closed_form, cube_root_sum, trilocal_score
 
 # Grid points per free dimension: the bounds and every eighth between; 9^4 cells fit the default budget.
 GRID_POINTS = 9
@@ -60,12 +60,23 @@ class SweepSpec:
 def sweep(spec: SweepSpec) -> list[tuple[float, float]]:
     """Evaluate the trilocal score on an inclusive equally spaced grid.
 
-    Returns (value, S) pairs in grid order.
+    Returns (value, S) pairs in grid order, each S bit for bit the
+    trilocal_score of its point: the closed form runs once over the grid
+    with np.sin and np.cos, which match math's bits, while phi_z
+    (math.atan2) and the cube roots (float **) stay on Python floats,
+    whose numpy forms do not.
     """
-    return [
-        (float(v), trilocal_score(EjmParams(**{**spec.fixed, spec.varying: float(v)})).S)
-        for v in np.linspace(spec.lo, spec.hi, spec.points)
-    ]
+    grid = np.linspace(spec.lo, spec.hi, spec.points)
+    # The grid runs from lo to hi and a z range keeps one sign, so its two
+    # extremes bound every point against DOMAIN.
+    for value in (grid.min(), grid.max()):
+        check_domain(spec.varying, float(value))
+    values = grid.tolist()
+    point = {**spec.fixed, spec.varying: grid}
+    phase = np.array([_phi_z(z) for z in values]) if spec.varying == "z" else _phi_z(point["z"])
+    correlations = closed_form(point["z"], point["phi"], phase, point["theta"], point["gamma"], np.sin, np.cos)
+    columns = [np.broadcast_to(column, grid.shape).tolist() for column in correlations]
+    return list(zip(values, map(cube_root_sum, zip(*columns))))
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,19 @@ class TestEjmParams:
         params = EjmParams(z=-0.8, phi=0.0, theta=0.0, gamma=0.0)
         assert params.phi_z == phi_z(-0.8) == phi_z(0.8)
 
+    def test_checks_each_value_once(self, monkeypatch):
+        checked = []
+        original = ejm.bases.check_domain
+
+        def counting(name, value):
+            checked.append(name)
+            return original(name, value)
+
+        monkeypatch.setattr(ejm.bases, "check_domain", counting)
+        params = EjmParams(z=-0.8, phi=0.3, theta=1.0, gamma=0.5)
+        assert checked == ["z", "phi", "theta", "gamma"]
+        assert params.phi_z == phi_z(-0.8)
+
     @pytest.mark.parametrize(
         "kwargs, field",
         [

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import domain_params
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ejm.optimize
-from ejm.bases import LIMITS, EjmParams, INV_SQRT3, ResourceLimitError
+from ejm.bases import DOMAIN, LIMITS, PARAM_NAMES, EjmParams, INV_SQRT3, ResourceLimitError
 from ejm.network import trilocal_score
 from ejm.optimize import SweepSpec, maximize, sweep
 
@@ -17,14 +20,57 @@ def phi_sweep(z, points=200):
     return sweep(SweepSpec(varying="phi", lo=0.0, hi=math.pi, points=points, fixed=fixed))
 
 
+def range_ends(name):
+    """Ends of a range of one parameter (of |z| for z): anywhere in its
+    domain, or on a bound moved by up to 9e-15, which may put it inside
+    the 1e-14 slack past the bound."""
+    lo, hi = DOMAIN[name]
+    return st.one_of(
+        st.floats(lo, hi),
+        st.builds(lambda bound, offset: bound + offset, st.sampled_from((lo, hi)), st.floats(-9e-15, 9e-15)),
+    )
+
+
+@st.composite
+def sweep_specs(draw):
+    varying = draw(st.sampled_from(PARAM_NAMES))
+    fixed = draw(domain_params)
+    lo, hi = sorted((draw(range_ends(varying)), draw(range_ends(varying))))
+    if varying == "z" and draw(st.booleans()):
+        lo, hi = -hi, -lo
+    assume(lo < hi)
+    points = draw(st.integers(2, 2000))
+    return SweepSpec(varying, lo, hi, points, {n: getattr(fixed, n) for n in PARAM_NAMES if n != varying})
+
+
 class TestSweep:
-    def test_endpoints_match_direct_calls_bit_exactly(self):
-        spec = SweepSpec(varying="phi", lo=0.2, hi=1.4, points=2, fixed=FIXED_TOP)
+    @settings(max_examples=100, deadline=None)
+    @given(sweep_specs())
+    def test_samples_match_direct_calls_bit_exactly(self, spec):
         samples = sweep(spec)
-        assert samples[0][0] == 0.2 and samples[-1][0] == 1.4
+        assert [value for value, _ in samples] == np.linspace(spec.lo, spec.hi, spec.points).tolist()
         for value, score in samples:
-            direct = trilocal_score(EjmParams(phi=value, **FIXED_TOP)).S
-            assert score == direct
+            direct = trilocal_score(EjmParams(**{**spec.fixed, spec.varying: value})).S
+            assert type(score) is float and score == direct, value
+
+    def test_builds_no_params_per_point(self, monkeypatch):
+        # The grid is scored as arrays; only a per-point path would build an EjmParams per sample.
+        calls = []
+        original = EjmParams.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(EjmParams, "__post_init__", counting)
+        fixed = {"z": -0.8, "phi": 0.3, "theta": 1.0, "gamma": 0.5}
+        for name, (lo, hi) in DOMAIN.items():
+            counts = []
+            for points in (2, 2000):
+                del calls[:]
+                sweep(SweepSpec(name, lo, hi, points, {n: v for n, v in fixed.items() if n != name}))
+                counts.append(len(calls))
+            assert counts[0] == counts[1], name
 
     def test_violation_curve_at_z_one(self):
         assert max(s for _, s in phi_sweep(1.0)) >= 2.29
