@@ -16,7 +16,6 @@ from .bases import (
     BasisFamily,
     BasisLabel,
     EjmParams,
-    ResourceLimitError,
     m_vector,
     n_qubit_ejm,
     phi_z,

@@ -52,10 +52,6 @@ _REFERENCE_PHI = (math.pi / 4, -math.pi / 4, 3 * math.pi / 4, -3 * math.pi / 4)
 _REFERENCE_Z = (INV_SQRT3, -INV_SQRT3, -INV_SQRT3, INV_SQRT3)
 
 
-class ResourceLimitError(ValueError):
-    """A size exceeds its cap in LIMITS."""
-
-
 def check_domain(name: str, value: float) -> float:
     """Return value as a float, or raise ValueError if it is not a real number
     (an int, float or numpy integer or float, not a bool) or lies outside
@@ -73,14 +69,14 @@ def check_domain(name: str, value: float) -> float:
 
 
 def check_limit(name: str, value: int) -> int:
-    """Return value; if not an integer or below LIMITS[name] raise ValueError, above it ResourceLimitError."""
+    """Return value, or raise ValueError if it is not an integer or lies outside LIMITS[name]."""
     lo, hi = LIMITS[name]
     if not is_integer(value):
         raise ValueError(f"{name}={value!r} must be an integer")
     if value < lo:
         raise ValueError(f"{name}={value!r} must be at least {lo}")
     if value > hi:
-        raise ResourceLimitError(f"{name}={value!r} exceeds the cap {hi}")
+        raise ValueError(f"{name}={value!r} exceeds the cap {hi}")
     return value
 
 
@@ -153,7 +149,6 @@ def _labels(n: int) -> Mapping[BasisLabel, int]:
 class BasisFamily:
     """Ordered orthonormal family: a read-only 2**n x 2**n matrix, one normalized row per label, fixing n_qubits."""
 
-    params: EjmParams
     amplitudes: np.ndarray = field(repr=False)
     n_qubits: int = field(init=False)
 
@@ -237,8 +232,7 @@ def reference_bases(theta: float = 0.0) -> BasisFamily:
     for zi, phi in zip(_REFERENCE_Z, _REFERENCE_PHI):
         mp, mm = _qubit_pair(zi, phi)
         rows.append(((s3 + e_theta) * np.kron(mp, mm) + (s3 - e_theta) * np.kron(mm, mp)) / (2.0 * math.sqrt(2.0)))
-    params = EjmParams(z=INV_SQRT3, phi=math.pi / 4, theta=t, gamma=0.0)
-    return BasisFamily(params, np.array(rows))
+    return BasisFamily(np.array(rows))
 
 
 def _family_matrix(params: EjmParams, n: int) -> np.ndarray:
@@ -285,4 +279,4 @@ def n_qubit_ejm(params: EjmParams, n: int) -> BasisFamily:
     mixing partner exists.
     """
     check_limit("n", n)
-    return BasisFamily(params, _family_matrix(params, n))
+    return BasisFamily(_family_matrix(params, n))

@@ -126,13 +126,15 @@ def export(report: dict, fmt: str = "json") -> bytes:
 
 def _emit(data: bytes, output: Path | None) -> None:
     """Write data to the --output file, or to stdout without one."""
-    if output is None:
-        sys.stdout.write(data.decode("utf-8"))
-        return
     try:
-        output.write_bytes(data)
+        if output is None:
+            sys.stdout.write(data.decode("utf-8"))
+            sys.stdout.flush()
+        else:
+            output.write_bytes(data)
     except OSError as exc:
-        raise ValueError(f"--output cannot be written: {exc}") from None
+        where = "stdout" if output is None else "--output"
+        raise ValueError(f"{where} cannot be written: {exc}") from None
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:

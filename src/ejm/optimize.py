@@ -93,9 +93,13 @@ def _resolve_bounds(bounds: Mapping[str, tuple[float, float]] | None) -> dict[st
     # The default box takes z >= 0 only: S is even in z, because every I_m is
     # proportional to z and phi_z depends on z^2 alone.
     resolved = dict(DOMAIN)
-    for name, (lo, hi) in (bounds or {}).items():
+    for name, bound in (bounds or {}).items():
         if name not in PARAM_NAMES:
             raise ValueError(f"unknown parameter {name!r}")
+        try:
+            lo, hi = bound
+        except (TypeError, ValueError):
+            raise ValueError(f"range {bound!r} invalid for {name}: not a (lo, hi) pair") from None
         resolved[name] = _check_range(name, lo, hi)
     return resolved
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -64,16 +64,12 @@ class StateVector:
         object.__setattr__(self, "n_qubits", n)
 
 
-@dataclass(frozen=True)
-class BlochVector:
+class BlochVector(NamedTuple):
     """Pauli expectation triple of a single-qubit state."""
 
     x: float
     y: float
     z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
 
 
 K = TypeVar("K")

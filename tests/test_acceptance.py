@@ -104,13 +104,13 @@ def test_criterion_03_reductions(grid_families):
                 predicted = -block * m_prime_vector(params, label.i)
             else:
                 predicted = (-1.0) ** label.l * tail * m_vector(params, label.i)
-            assert np.max(np.abs(vec.as_array() - predicted)) < 1e-10, (params, label, qubit)
-            total += vec.as_array()
+            assert np.max(np.abs(np.array(vec) - predicted)) < 1e-10, (params, label, qubit)
+            total += np.array(vec)
         assert np.linalg.norm(total) < 1e-9, params
     for n in (4, 5):
         for params, family in grid_families[n]:
             vectors = reduced_bloch_vectors(family)
-            total = sum((v.as_array() for v in vectors.values()), np.zeros(3))
+            total = sum((np.array(v) for v in vectors.values()), np.zeros(3))
             assert np.linalg.norm(total) < 1e-9, (n, params)
     # for odd n the final position carries +-cos(2g) m_i, all others the block vectors
     for params, family in grid_families[5]:
@@ -119,7 +119,7 @@ def test_criterion_03_reductions(grid_families):
         for (label, qubit), vec in vectors.items():
             if qubit == 5:
                 predicted = (-1.0) ** label.l * tail * m_vector(params, label.i)
-                assert np.max(np.abs(vec.as_array() - predicted)) < 1e-9, (params, label)
+                assert np.max(np.abs(np.array(vec) - predicted)) < 1e-9, (params, label)
 
 
 @criterion(4, "tetrahedron radii 1/sqrt(2) at t=0, g=pi/8; parallelepipeds on the grid")

@@ -111,7 +111,7 @@ class TestReducedVectors:
                     predicted = -block * m_prime_vector(params, label.i)
                 else:
                     predicted = (-1.0) ** label.l * tail * m_vector(params, label.i)
-                assert np.max(np.abs(vec.as_array() - predicted)) < 1e-10
+                assert np.max(np.abs(np.array(vec) - predicted)) < 1e-10
 
     def test_gamma_quarter_pi_collapses_block_tetrahedra(self):
         params = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=math.pi / 4)
@@ -119,15 +119,15 @@ class TestReducedVectors:
         axis = np.array([0.0, 0.0, math.cos(params.theta) / 2.0])
         for (label, qubit), vec in vectors.items():
             if qubit == 3:
-                assert np.linalg.norm(vec.as_array()) < 1e-10
+                assert np.linalg.norm(np.array(vec)) < 1e-10
             else:
                 direction = (-1.0) ** label.i * (1.0 if qubit == 1 else -1.0)
-                assert np.max(np.abs(vec.as_array() - direction * axis)) < 1e-10
+                assert np.max(np.abs(np.array(vec) - direction * axis)) < 1e-10
 
     def test_all_vectors_vanish_at_max_entanglement(self):
         params = EjmParams(z=0.9, phi=0.5, theta=math.pi / 2, gamma=math.pi / 4)
         vectors = reduced_bloch_vectors(n_qubit_ejm(params, 3))
-        assert max(np.linalg.norm(v.as_array()) for v in vectors.values()) < 1e-10
+        assert max(np.linalg.norm(np.array(v)) for v in vectors.values()) < 1e-10
 
     def test_even_family_block_pattern(self):
         params = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
@@ -137,7 +137,7 @@ class TestReducedVectors:
             index = label.i if qubit <= 2 else label.j[0]
             sign = 1.0 if qubit % 2 == 1 else -1.0
             predicted = sign * block * m_prime_vector(params, index)
-            assert np.max(np.abs(vec.as_array() - predicted)) < 1e-10
+            assert np.max(np.abs(np.array(vec) - predicted)) < 1e-10
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_equals_per_state_partial_trace(self, n, small_grid):
@@ -150,7 +150,7 @@ class TestReducedVectors:
                 for q in range(1, n + 1)
             }
             assert list(vectors) == list(expected)
-            got = np.array([v.as_array() for v in vectors.values()])
+            got = np.array(list(vectors.values()))
             want = np.array(list(expected.values()))
             assert np.array_equal(got, want), (n, params)
 
@@ -166,7 +166,7 @@ class TestReducedVectors:
                 index = label.i if qubit <= 2 else label.j[0]
                 sign = 1.0 if qubit % 2 == 1 else -1.0
                 predicted = sign * block * m_prime_vector(params, index)
-            assert np.max(np.abs(vec.as_array() - predicted)) < 1e-9
+            assert np.max(np.abs(np.array(vec) - predicted)) < 1e-9
 
 
     @pytest.mark.parametrize("i", [True, 1.0, np.float64(2.0), -1, 4])
@@ -239,7 +239,7 @@ class TestSymmetryReport:
         for params in small_grid:
             for n in (3, 4, 5):
                 report = symmetry_report(n_qubit_ejm(params, n))
-                assert np.linalg.norm(report.vector_sum.as_array()) < 1e-9
+                assert np.linalg.norm(np.array(report.vector_sum)) < 1e-9
 
     def test_equal_radii_at_theta_zero_gamma_eighth_pi(self):
         params = EjmParams(z=0.9, phi=0.5, theta=0.0, gamma=math.pi / 8)
@@ -369,7 +369,7 @@ class TestVerifyOrthonormalComplete:
         family = n_qubit_ejm(params, 3)
         rows = family.matrix().copy()
         rows[family.labels.index(BasisLabel(0, (), 0))] = ket("000").amplitudes
-        corrupted = BasisFamily(params, rows)
+        corrupted = BasisFamily(rows)
         assert verify_orthonormal_complete(corrupted).gram_error >= 0.1
 
 

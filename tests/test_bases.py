@@ -14,7 +14,6 @@ from ejm.bases import (
     BasisLabel,
     EjmParams,
     INV_SQRT3,
-    ResourceLimitError,
     m_vector,
     n_qubit_ejm,
     phi_z,
@@ -394,11 +393,11 @@ class TestNQubitFamily:
     def test_size_validation(self, monkeypatch):
         with pytest.raises(ValueError, match="at least 2"):
             n_qubit_ejm(PARAMS, 1)
-        with pytest.raises(ResourceLimitError, match="cap 8"):
+        with pytest.raises(ValueError, match="exceeds the cap 8"):
             n_qubit_ejm(PARAMS, 9)
         monkeypatch.setattr(ejm.bases, "LIMITS", {**ejm.bases.LIMITS, "n": (2, 6)})
         assert len(n_qubit_ejm(PARAMS, 6)) == 64
-        with pytest.raises(ResourceLimitError, match="cap 6"):
+        with pytest.raises(ValueError, match="exceeds the cap 6"):
             n_qubit_ejm(PARAMS, 7)
 
     def test_states_mapping_is_read_only(self):
@@ -412,14 +411,14 @@ class TestBasisFamilyContract:
         rows = n_qubit_ejm(PARAMS, 3).matrix()
         for bad in (rows[:4], rows[:, :4], rows[0], np.eye(2)):
             with pytest.raises(ValueError, match=r"not a 2\*\*n x 2\*\*n matrix with n >= 2"):
-                BasisFamily(PARAMS, bad)
+                BasisFamily(bad)
 
     @pytest.mark.parametrize("scale", [1.0 + 1e-9, np.nan])
     def test_unnormalized_row_rejected(self, scale):
         rows = n_qubit_ejm(PARAMS, 3).matrix().copy()
         rows[5] *= scale
         with pytest.raises(ValueError, match="not normalized"):
-            BasisFamily(PARAMS, rows)
+            BasisFamily(rows)
 
     def test_matrix_is_stored_read_only(self):
         family = n_qubit_ejm(PARAMS, 4)
@@ -430,7 +429,7 @@ class TestBasisFamilyContract:
 
     def test_caller_array_is_copied(self):
         rows = np.eye(4, dtype=complex)
-        family = BasisFamily(PARAMS, rows)
+        family = BasisFamily(rows)
         rows[0, 0] = 2.0
         assert family.matrix()[0, 0] == 1.0
 

@@ -1,8 +1,12 @@
+import errno
 import inspect
+import io
 import json
 import math
+import os
 import re
 import shlex
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -269,6 +273,22 @@ class TestArgumentHandling:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: --output ")
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_unwritable_stdout_is_invalid_input(self, capsys, monkeypatch, failing):
+        class FullStdout(io.StringIO):
+            def fail(self, *args):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        stand_in = FullStdout()
+        setattr(stand_in, failing, stand_in.fail)
+        monkeypatch.setattr(sys, "stdout", stand_in)
+        code = main(["network"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: stdout cannot be written: ") and os.strerror(errno.ENOSPC) in err
 
     def test_out_of_domain_phi(self, capsys):
         code, _, err = run(capsys, "network", "--phi", "4.0")

@@ -141,7 +141,7 @@ class TestScenarioValidation:
             family = n_qubit_ejm(params, n)
             rows = family.matrix().copy()
             rows[family.labels.index(BasisLabel(0, (), 0))] = ket("000").amplitudes
-            return BasisFamily(params, rows)
+            return BasisFamily(rows)
 
         monkeypatch.setattr(ejm.network, "n_qubit_ejm", corrupted)
         with pytest.raises(ContractError, match="orthonormal"):

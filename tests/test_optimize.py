@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ejm.optimize
-from ejm.bases import DOMAIN, LIMITS, PARAM_NAMES, EjmParams, INV_SQRT3, ResourceLimitError
+from ejm.bases import DOMAIN, LIMITS, PARAM_NAMES, EjmParams, INV_SQRT3
 from ejm.network import trilocal_score
 from ejm.optimize import SweepSpec, maximize, sweep
 
@@ -106,7 +106,7 @@ class TestSweep:
         cap = LIMITS["points"][1]
         SweepSpec(varying="phi", lo=0.0, hi=1.0, points=cap, fixed=FIXED_TOP)
         for points in (cap + 1, 10**12):
-            with pytest.raises(ResourceLimitError, match="cap"):
+            with pytest.raises(ValueError, match=f"exceeds the cap {cap}"):
                 SweepSpec(varying="phi", lo=0.0, hi=1.0, points=points, fixed=FIXED_TOP)
 
 
@@ -235,6 +235,9 @@ class TestMaximize:
             maximize(bounds={"omega": (0, 1)})
         with pytest.raises(ValueError, match="invalid for z"):
             maximize(bounds={"z": (0.0, 1.0)})
+        for bound in (0.9, None, (0.9,)):
+            with pytest.raises(ValueError, match=r"range .* invalid for z: not a \(lo, hi\) pair"):
+                maximize(bounds={"z": bound})
 
     def test_budget_cap_rejects_before_evaluating(self, monkeypatch):
         def unreachable(params):
@@ -242,5 +245,5 @@ class TestMaximize:
 
         monkeypatch.setattr(ejm.optimize, "trilocal_score", unreachable)
         for budget in (LIMITS["budget"][1] + 1, 10**12):
-            with pytest.raises(ResourceLimitError, match="cap"):
+            with pytest.raises(ValueError, match=f"exceeds the cap {LIMITS['budget'][1]}"):
                 maximize(budget=budget)

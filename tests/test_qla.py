@@ -11,6 +11,7 @@ from ejm.bases import BasisLabel, EjmParams, m_vector, n_qubit_ejm, single_qubit
 from ejm.qla import (
     PAULI_Z,
     PAULIS,
+    BlochVector,
     StateVector,
     bloch_vector,
     check_index,
@@ -246,6 +247,13 @@ class TestBlochVector:
         for rho in (np.eye(4), np.eye(2)[0], np.zeros((3, 2, 4))):
             with pytest.raises(ValueError, match="2x2"):
                 bloch_vector(rho)
+
+    def test_named_triple(self):
+        v = BlochVector(0.1, -0.2, 0.3)
+        assert (v.x, v.y, v.z) == tuple(v) == (0.1, -0.2, 0.3)
+        assert np.array(v).tolist() == list(v)
+        with pytest.raises(AttributeError):
+            v.x = 0.0
 
 
 @settings(max_examples=25, deadline=None)
