@@ -4,9 +4,8 @@ from .analysis import (
     OrthonormalityReport,
     SymmetryReport,
     concurrence,
-    m_prime_vector,
     reduced_bloch_vectors,
-    reduction_coefficients,
+    reduction_law,
     symmetry_report,
     tangle_law,
     three_tangle,

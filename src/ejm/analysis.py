@@ -12,7 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bases import BasisFamily, BasisLabel, EjmParams, _labels
+from .bases import BasisFamily, BasisLabel, EjmParams, _labels, check_limit, m_vector
 from .qla import NORM_ATOL, BlochVector, ContractError, RowView, StateVector, bloch_vector, partial_trace
 
 # The three-tangle is quartic in the amplitudes, so a norm off by up to NORM_ATOL
@@ -61,33 +61,32 @@ def concurrence(state: StateVector) -> float:
     return min(float(2.0 * abs(a00 * a11 - a01 * a10)), 1.0)
 
 
-def m_prime_vector(params: EjmParams, i: int) -> np.ndarray:
-    """Unit vector of the secondary tetrahedron traced out by the two-qubit
-    block reductions: proportional to (sqrt(2) cos(2g) cos(phi_i - phi_z),
-    sqrt(2) cos(2g) sin(phi_i - phi_z), (-1)^i)."""
-    c2g = math.cos(2.0 * params.gamma)
-    delta = params.phi_i(i) - params.phi_z
-    vec = np.array(
-        [
-            math.sqrt(2.0) * c2g * math.cos(delta),
-            math.sqrt(2.0) * c2g * math.sin(delta),
-            (-1.0) ** i,
-        ]
-    )
-    return vec / math.sqrt(1.0 + 2.0 * c2g * c2g)
+def reduction_law(params: EjmParams, n: int) -> np.ndarray:
+    """Bloch vector of every single-qubit reduction of the n-qubit family, in
+    closed form: a read-only (2**n, n, 3) array, rows in label order.
 
-
-def reduction_coefficients(params: EjmParams) -> tuple[float, float]:
-    """Signed scale factors of the reduction vectors.
-
-    Returns (block_scale, tail_scale): two-qubit-block positions reduce to
-    +-block_scale * m', the odd extra qubit to +-tail_scale * m, where
-    block_scale = (1/2) sqrt(1 + 2 cos^2(2g)) cos(theta) and
-    tail_scale = cos(2g).
+    Qubits 2b+1 and 2b+2 of block b reduce to +v_k and -v_k, with vertex k = i
+    for b = 0 and j_b for later blocks, and
+    v_k = (cos(theta)/2) (sqrt(2) c cos d_k, sqrt(2) c sin d_k, (-1)^k),
+    d_k = phi_k - phi_z, c = cos(2 gamma) (c = 1 at n = 2, which has no gamma).
+    For odd n the tail qubit reduces to (-1)^l c m_i.  The plain and primed
+    chains mix in a reduction only through the overlaps of the other factors,
+    and those vanish: Phi'_j = Phi_{j XOR 2} is orthogonal to Phi_j, and |-m_i>
+    to |m_i>.
     """
-    c2g = math.cos(2.0 * params.gamma)
-    block = 0.5 * math.sqrt(1.0 + 2.0 * c2g * c2g) * math.cos(params.theta)
-    return block, c2g
+    check_limit("n", n)
+    c = 1.0 if n == 2 else math.cos(2.0 * params.gamma)
+    d = np.array([params.phi_i(k) for k in range(4)]) - params.phi_z
+    xy = math.sqrt(2.0) * c
+    v = 0.5 * math.cos(params.theta) * np.stack([xy * np.cos(d), xy * np.sin(d), [1.0, -1.0, 1.0, -1.0]], axis=1)
+    vertices = np.array(list(product(range(4), repeat=n // 2)))  # (i, j_1, ...) per chain row
+    law = np.stack([v, -v], axis=1)[vertices].reshape(len(vertices), -1, 3)
+    if n % 2:
+        m = c * np.array([m_vector(params, i) for i in range(4)])
+        tails = np.stack([m, -m], axis=1)[vertices[:, 0]].reshape(-1, 1, 3)  # l fastest
+        law = np.concatenate([law.repeat(2, axis=0), tails], axis=1)
+    law.setflags(write=False)
+    return law
 
 
 def _bloch_array(family: BasisFamily) -> np.ndarray:

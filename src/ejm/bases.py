@@ -39,7 +39,7 @@ _DOMAIN_ATOL = 1e-14
 LIMITS: Mapping[str, tuple[int, int]] = MappingProxyType({
     # n_qubit_ejm: a 1 MiB matrix at n = 8; each qubit more quadruples memory and time.
     "n": (2, 8),
-    # sweep: about 2 us per point (3 us when z varies); 100 000 take 0.2-0.3 s and space phi's range by 6e-5.
+    # sweep: 100 000 points (phi spaced by 6e-5) take 0.75-0.9 s end to end, 0.5 s of it JSON export (CSV 0.2-0.3 s).
     "points": (2, 100_000),
     # maximize keeps a trace entry of about 360 bytes per evaluation: a million take 0.4 GB and 30 s.
     "budget": (100, 1_000_000),

@@ -24,7 +24,7 @@ from .analysis import (
     verify_orthonormal_complete,
 )
 from .bases import DOMAIN, LIMITS, PARAM_NAMES, EjmParams, check_domain, check_limit, n_qubit_ejm
-from .network import trilocal_score
+from .network import TRILOCAL_BOUND, trilocal_score
 from .optimize import SweepSpec, maximize, sweep
 from .qla import ContractError
 
@@ -141,7 +141,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     if not 0.0 < args.tol < math.inf:
         raise ValueError(f"--tol out of domain: tol={args.tol!r} must be positive and finite")
     report = verify_orthonormal_complete(args.family)
-    ok = max(report.gram_error, report.completeness_error) < args.tol
+    ok = max(report.gram_error, report.completeness_error) <= args.tol
     return (0 if ok else 1), {
         "params": asdict(args.params),
         **asdict(report),
@@ -216,7 +216,7 @@ def _cmd_optimize(args: argparse.Namespace) -> tuple[int, dict]:
     return 0, {
         "params": asdict(result.params),
         "S": float(result.S),
-        "violated": result.S > 2.0,
+        "violated": result.S > TRILOCAL_BOUND,
         "budget": args.budget,
         "n_evaluations": len(result.trace),
         "warning": result.warning,

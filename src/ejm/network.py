@@ -21,6 +21,8 @@ from .qla import PAULI_X, PAULI_Z, ContractError, check_index
 
 # Analytic and brute-force I_m agree to 1e-15 over the domain; a larger gap is a bug.
 CROSS_CHECK_ATOL = 1e-9
+# Every trilocal model satisfies sum_m |I_m|^(1/3) <= 2, so a larger score is a violation.
+TRILOCAL_BOUND = 2.0
 
 # Alice's two dichotomic observables (X + Z)/sqrt(2) and (X - Z)/sqrt(2), one read-only array.
 ALICE_OBSERVABLES = np.array([PAULI_X + PAULI_Z, PAULI_X - PAULI_Z]) / math.sqrt(2.0)
@@ -180,4 +182,4 @@ def trilocal_score(
         if worst > CROSS_CHECK_ATOL:
             raise ContractError(f"analytic and brute-force correlations disagree by {worst:.3e}")
     score = cube_root_sum(values)
-    return CorrelationReport(I=values, S=score, violated=score > 2.0, method=method)
+    return CorrelationReport(I=values, S=score, violated=score > TRILOCAL_BOUND, method=method)

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from ejm.analysis import (
-    m_prime_vector,
-    reduced_bloch_vectors,
-    reduction_coefficients,
+    _bloch_array,
+    reduction_law,
     symmetry_report,
     three_tangle,
     verify_orthonormal_complete,
@@ -22,7 +21,6 @@ from ejm.analysis import (
 from ejm.bases import (
     EjmParams,
     INV_SQRT3,
-    m_vector,
     n_qubit_ejm,
     reference_bases,
 )
@@ -93,33 +91,12 @@ def test_criterion_02_three_tangle(grid_families):
 
 @criterion(3, "reduction closed forms, vanishing sums, odd-n special qubit")
 def test_criterion_03_reductions(grid_families):
-    for params, family in grid_families[3]:
-        block, tail = reduction_coefficients(params)
-        vectors = reduced_bloch_vectors(family)
-        total = np.zeros(3)
-        for (label, qubit), vec in vectors.items():
-            if qubit == 1:
-                predicted = block * m_prime_vector(params, label.i)
-            elif qubit == 2:
-                predicted = -block * m_prime_vector(params, label.i)
-            else:
-                predicted = (-1.0) ** label.l * tail * m_vector(params, label.i)
-            assert np.max(np.abs(np.array(vec) - predicted)) < 1e-10, (params, label, qubit)
-            total += np.array(vec)
-        assert np.linalg.norm(total) < 1e-9, params
-    for n in (4, 5):
+    # the law puts +-cos(2g) m_i on the odd-n final position, the block vectors on all others
+    for n, bound in ((3, 1e-10), (4, 1e-10), (5, 1e-9)):
         for params, family in grid_families[n]:
-            vectors = reduced_bloch_vectors(family)
-            total = sum((np.array(v) for v in vectors.values()), np.zeros(3))
-            assert np.linalg.norm(total) < 1e-9, (n, params)
-    # for odd n the final position carries +-cos(2g) m_i, all others the block vectors
-    for params, family in grid_families[5]:
-        _, tail = reduction_coefficients(params)
-        vectors = reduced_bloch_vectors(family)
-        for (label, qubit), vec in vectors.items():
-            if qubit == 5:
-                predicted = (-1.0) ** label.l * tail * m_vector(params, label.i)
-                assert np.max(np.abs(np.array(vec) - predicted)) < 1e-9, (params, label)
+            vectors = _bloch_array(family)
+            assert np.max(np.abs(vectors - reduction_law(params, n))) < bound, (n, params)
+            assert np.linalg.norm(vectors.sum(axis=(0, 1))) < 1e-9, (n, params)
 
 
 @criterion(4, "tetrahedron radii 1/sqrt(2) at t=0, g=pi/8; parallelepipeds on the grid")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,9 +15,8 @@ from ejm.analysis import (
     _clusters,
     _is_rectangular_box,
     concurrence,
-    m_prime_vector,
     reduced_bloch_vectors,
-    reduction_coefficients,
+    reduction_law,
     symmetry_report,
     tangle_law,
     three_tangle,
@@ -26,7 +26,6 @@ from ejm.bases import (
     BasisFamily,
     BasisLabel,
     EjmParams,
-    m_vector,
     n_qubit_ejm,
 )
 from ejm.qla import BlochVector, StateVector, bloch_vector, partial_trace
@@ -102,16 +101,8 @@ class TestConcurrence:
 class TestReducedVectors:
     def test_three_qubit_closed_forms(self, grid_params):
         for params in grid_params:
-            block, tail = reduction_coefficients(params)
-            vectors = reduced_bloch_vectors(n_qubit_ejm(params, 3))
-            for (label, qubit), vec in vectors.items():
-                if qubit == 1:
-                    predicted = block * m_prime_vector(params, label.i)
-                elif qubit == 2:
-                    predicted = -block * m_prime_vector(params, label.i)
-                else:
-                    predicted = (-1.0) ** label.l * tail * m_vector(params, label.i)
-                assert np.max(np.abs(np.array(vec) - predicted)) < 1e-10
+            got = _bloch_array(n_qubit_ejm(params, 3))
+            assert np.max(np.abs(got - reduction_law(params, 3))) < 1e-10, params
 
     def test_gamma_quarter_pi_collapses_block_tetrahedra(self):
         params = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=math.pi / 4)
@@ -131,13 +122,8 @@ class TestReducedVectors:
 
     def test_even_family_block_pattern(self):
         params = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
-        block, _ = reduction_coefficients(params)
-        vectors = reduced_bloch_vectors(n_qubit_ejm(params, 4))
-        for (label, qubit), vec in vectors.items():
-            index = label.i if qubit <= 2 else label.j[0]
-            sign = 1.0 if qubit % 2 == 1 else -1.0
-            predicted = sign * block * m_prime_vector(params, index)
-            assert np.max(np.abs(np.array(vec) - predicted)) < 1e-10
+        got = _bloch_array(n_qubit_ejm(params, 4))
+        assert np.max(np.abs(got - reduction_law(params, 4))) < 1e-10
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_equals_per_state_partial_trace(self, n, small_grid):
@@ -157,26 +143,30 @@ class TestReducedVectors:
     def test_odd_family_special_position(self):
         # exactly one qubit carries the +-cos(2*gamma) m_i reductions
         params = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
-        block, tail = reduction_coefficients(params)
-        vectors = reduced_bloch_vectors(n_qubit_ejm(params, 5))
-        for (label, qubit), vec in vectors.items():
-            if qubit == 5:
-                predicted = (-1.0) ** label.l * tail * m_vector(params, label.i)
-            else:
-                index = label.i if qubit <= 2 else label.j[0]
-                sign = 1.0 if qubit % 2 == 1 else -1.0
-                predicted = sign * block * m_prime_vector(params, index)
-            assert np.max(np.abs(np.array(vec) - predicted)) < 1e-9
+        got = _bloch_array(n_qubit_ejm(params, 5))
+        assert np.max(np.abs(got - reduction_law(params, 5))) < 1e-9
 
 
-    @pytest.mark.parametrize("i", [True, 1.0, np.float64(2.0), -1, 4])
-    def test_m_prime_vertex_index_must_be_an_integer_in_range(self, i):
-        with pytest.raises(ValueError, match="vertex index"):
-            m_prime_vector(EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4), i)
+class TestReductionLaw:
+    PARAMS = EjmParams(z=-0.9, phi=0.5, theta=1.0, gamma=0.4)
 
-    def test_m_prime_accepts_numpy_integer(self):
-        params = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
-        assert np.array_equal(m_prime_vector(params, np.int64(1)), m_prime_vector(params, 1))
+    @settings(max_examples=60, deadline=None)
+    @given(domain_params, st.integers(2, 8))
+    def test_matches_the_dense_reductions_over_the_domain(self, params, n):
+        assert np.max(np.abs(_bloch_array(n_qubit_ejm(params, n)) - reduction_law(params, n))) <= 1e-13
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_the_dense_reductions_at_a_point(self, n):
+        law = reduction_law(self.PARAMS, n)
+        assert law.shape == (2**n, n, 3) and not law.flags.writeable
+        assert np.max(np.abs(_bloch_array(n_qubit_ejm(self.PARAMS, n)) - law)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 9, 3.0, True])
+    def test_checks_n_as_the_builder_does(self, n):
+        with pytest.raises(ValueError) as built:
+            n_qubit_ejm(self.PARAMS, n)
+        with pytest.raises(ValueError, match=re.escape(str(built.value))):
+            reduction_law(self.PARAMS, n)
 
 
 class TestVectorView:
@@ -259,10 +249,10 @@ class TestSymmetryReport:
     def test_two_radius_classes_generically(self):
         params = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
         report = symmetry_report(n_qubit_ejm(params, 3))
-        block, tail = reduction_coefficients(params)
+        block, tail = np.linalg.norm(reduction_law(params, 3)[0, 1:], axis=1)
         assert len(report.radii) == 2
-        assert abs(sorted(report.radii)[0] - min(abs(block), abs(tail))) < 1e-10
-        assert abs(sorted(report.radii)[1] - max(abs(block), abs(tail))) < 1e-10
+        assert abs(sorted(report.radii)[0] - min(block, tail)) < 1e-10
+        assert abs(sorted(report.radii)[1] - max(block, tail)) < 1e-10
 
     def test_parallelepiped_and_mirrors_generic(self, small_grid):
         for params in small_grid:
@@ -323,16 +313,15 @@ class TestSymmetryReport:
     def test_symmetry_holds_over_the_domain(self, params, n):
         # Off the degenerate sets (theta = pi/2; gamma = pi/4 for n >= 3;
         # |z| = 1 for odd n) every octet is a box and the vectors pair up, and
-        # the radii are the closed-form reduction lengths.
+        # the radii are the lengths of the reduction law, where they are apart.
         report = symmetry_report(n_qubit_ejm(params, n))
         distances = [abs(params.theta - math.pi / 2)]
         distances += [abs(params.gamma - math.pi / 4)] if n >= 3 else []
         distances += [1 - abs(params.z)] if n % 2 else []
         if min(distances) > 1e-6:
             assert (report.parallelepiped_ok, report.mirror_pairs_ok, report.degenerate) == (True, True, False)
-        block, tail = (abs(scale) for scale in reduction_coefficients(params))
-        if n >= 3 and abs(block - tail) > 1e-6:
-            expected = sorted((block, tail)) if n % 2 else [block]
+        expected = sorted(set(np.linalg.norm(reduction_law(params, n)[0], axis=1).tolist()))
+        if len(expected) == 1 or expected[1] - expected[0] > 1e-6:
             assert np.max(np.abs(np.subtract(report.radii, expected))) <= 1e-12, report.radii
 
     @settings(max_examples=30, deadline=None)

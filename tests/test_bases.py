@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ejm.bases
-from ejm.analysis import three_tangle, verify_orthonormal_complete
+from ejm.analysis import reduction_law, three_tangle, verify_orthonormal_complete
 from ejm.bases import (
     BasisFamily,
     BasisLabel,
@@ -222,16 +222,10 @@ class TestTwoQubitFamily:
 
     def test_block_reduction_identity(self, small_grid):
         for params in small_grid:
-            scale = math.cos(params.theta) / math.sqrt(2.0)
-            for i, state in enumerate(n_qubit_ejm(params, 2).states.values()):
-                delta = params.phi_i(i) - params.phi_z
-                predicted = scale * np.array(
-                    [math.cos(delta), math.sin(delta), (-1.0) ** i / math.sqrt(2.0)]
-                )
-                first = bloch_vector(partial_trace(state, {1}))
-                second = bloch_vector(partial_trace(state, {2}))
-                assert np.max(np.abs(first - predicted)) < 1e-12
-                assert np.max(np.abs(second + predicted)) < 1e-12
+            law = reduction_law(params, 2)
+            for row, state in enumerate(n_qubit_ejm(params, 2).states.values()):
+                got = [bloch_vector(partial_trace(state, {q})) for q in (1, 2)]
+                assert np.max(np.abs(got - law[row])) < 1e-12
 
     def test_reduces_to_single_parameter_family(self):
         # At azimuth phi_z + pi/4 the three-parameter states coincide with
@@ -299,10 +293,10 @@ class TestThreeQubitFamily:
 
     def test_tail_qubit_reduction(self, small_grid):
         for params in small_grid:
-            scale = math.cos(2.0 * params.gamma)
-            for label, state in n_qubit_ejm(params, 3).states.items():
+            law = reduction_law(params, 3)
+            for row, state in enumerate(n_qubit_ejm(params, 3).states.values()):
                 got = bloch_vector(partial_trace(state, {3}))
-                assert np.max(np.abs(got - (-1.0) ** label.l * scale * m_vector(params, label.i))) < 1e-10
+                assert np.max(np.abs(got - law[row, 2])) < 1e-10
 
     def test_bit_validation(self):
         with pytest.raises(KeyError):

@@ -14,7 +14,7 @@ import pytest
 
 import ejm
 from ejm import network
-from ejm.bases import PARAM_NAMES, _DOMAIN_ATOL
+from ejm.bases import LIMITS, PARAM_NAMES, _DOMAIN_ATOL
 from ejm.cli import SCHEMA_VERSION, export, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -43,6 +43,16 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--n", "3", "--tol", "1e-18")
         assert code == 1
         assert json.loads(out)["ok"] is False
+
+    @pytest.mark.parametrize("below, want", [(False, 0), (True, 1)])
+    def test_error_equal_to_tol_passes(self, capsys, below, want):
+        # An error fails only above its tolerance, as in every other contract.
+        report = json.loads(run(capsys, "verify", "--n", "3")[1])
+        worst = max(report["gram_error"], report["completeness_error"])
+        assert worst > 0.0
+        tol = math.nextafter(worst, 0) if below else worst
+        code, out, _ = run(capsys, "verify", "--n", "3", f"--tol={tol!r}")
+        assert (code, json.loads(out)["ok"]) == (want, not below)
 
 
 class TestNetworkCommand:
@@ -435,6 +445,15 @@ def readme_calls():
     """(name, parameter names) of each backticked `name(args)` in the README, defaults dropped."""
     calls = re.findall(r"`([A-Za-z_][\w.]*)\(([^`]*)\)`", README.read_text())
     return [(name, [arg.split("=")[0].strip(" *") for arg in args.split(",") if arg.strip()]) for name, args in calls]
+
+
+def test_readme_size_table_matches_limits():
+    section = README.read_text().split("## Size limits")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)`[^|]*\| ([\d ]+) to ([\d ]+) \| `(\w+)` \|$", section, re.M)
+    assert len(rows) == len(LIMITS)
+    assert {name: (int(lo.replace(" ", "")), int(hi.replace(" ", ""))) for name, lo, hi, _ in rows} == LIMITS
+    for *_, checker in rows:
+        assert callable(getattr(ejm, checker, None)), checker
 
 
 def test_readme_signatures_match_the_code():
