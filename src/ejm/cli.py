@@ -28,7 +28,7 @@ from .network import TRILOCAL_BOUND, trilocal_score
 from .optimize import SweepSpec, maximize, sweep
 from .qla import ContractError
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 _ANGLE_FLAGS = ("phi", "theta", "gamma")
 _PARAM_HELP = {
     "z": "height parameter, 1/sqrt(3) <= |z| <= 1",

@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .bases import DOMAIN, PARAM_NAMES, EjmParams, _phi_z, check_domain, check_limit
 from .network import closed_form, cube_root_sum, trilocal_score
 
-# Grid points per free dimension: the bounds and every eighth between; 9^4 cells fit the default budget.
-GRID_POINTS = 9
-# Nelder-Mead refinements, one from each of this many best distinct grid cells.
+# Grid points per free parameter of (z, phi): the bounds and every eightieth between; 81^2 cells fit the default budget.
+GRID_POINTS = 81
+# Compass-search refinements, one from each of this many best distinct grid cells.
 STARTS = 5
+# A compass search stops once its largest step falls below this.
+STEP_TOL = 1e-9
 
 
 def _check_range(name: str, lo: float, hi: float) -> tuple[float, float]:
@@ -104,34 +107,62 @@ def _resolve_bounds(bounds: Mapping[str, tuple[float, float]] | None) -> dict[st
     return resolved
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first call: only the refinement
-    needs scipy, and loading it takes longer than the rest of ``import ejm``."""
-    from scipy.optimize import minimize
+def minimize(fun, x0, lows, highs, maxfev: int) -> tuple[list[float], float]:
+    """Compass search for a minimum of fun over the box [lows, highs] from x0
+    (Kolda, Lewis and Torczon, SIAM Rev. 45 (2003) 385).
 
-    return minimize(*args, **kwargs)
+    Each pass tries x + step and x - step along each axis in turn, clipped to
+    the box, and moves to the first trial that lowers fun; a pass without a
+    move halves every step.  The steps start at a quarter of each side.  The
+    search stops once the largest step is below STEP_TOL or fun has been
+    called maxfev (at least 1) times, and returns the best point and value.
+    """
+    x = [float(v) for v in x0]
+    best = fun(x)
+    calls = 1
+    steps = [(hi - lo) / 4 for lo, hi in zip(lows, highs)]
+    while max(steps) >= STEP_TOL:
+        for axis, sign in product(range(len(x)), (1.0, -1.0)):
+            moved = min(max(x[axis] + sign * steps[axis], lows[axis]), highs[axis])
+            if moved == x[axis]:  # clipped back onto x: nothing to try
+                continue
+            if calls >= maxfev:
+                return x, best
+            trial = [*x[:axis], moved, *x[axis + 1:]]
+            value = fun(trial)
+            calls += 1
+            if value < best:
+                x, best = trial, value
+                break
+        else:
+            steps = [step / 2 for step in steps]
+    return x, best
 
 
 def maximize(bounds: Mapping[str, tuple[float, float]] | None = None, budget: int = 20000) -> OptimumResult:
     """Maximize the trilocal score over a box in (z, phi, theta, gamma).
 
-    A coarse grid (GRID_POINTS per free dimension) seeds Nelder-Mead
-    refinements from the best STARTS distinct cells.  The search is
-    deterministic and ends when the refinements finish or the budget runs
-    out; warning=True means it ran out before the grid was complete.
-    The grid takes the first `budget` cells, each refinement what is left as
-    scipy's maxfev, which Nelder-Mead never exceeds; it clips every point to
-    the box.
+    By the lemma in network.closed_form, S peaks at theta = the box maximum
+    and gamma = the box value nearest pi/4 for every (z, phi), so both are
+    pinned there first.  A grid of GRID_POINTS per free parameter of
+    (z, phi) then seeds compass-search refinements (minimize) from the best
+    STARTS distinct cells.  The search is deterministic and ends when the
+    refinements finish or the budget runs out; warning=True means it ran out
+    before the grid was complete.  The grid takes the first `budget` cells,
+    each refinement what is left as its maxfev.
     """
     check_limit("budget", budget)
     box = _resolve_bounds(bounds)
+    theta = box["theta"][1]
+    gamma = min(max(math.pi / 4, box["gamma"][0]), box["gamma"][1])
+    box.update(theta=(theta, theta), gamma=(gamma, gamma))
     lows, highs = np.array([box[name] for name in PARAM_NAMES]).T
     free = highs > lows
     axes = [np.linspace(lo, hi, GRID_POINTS) if lo < hi else [lo] for lo, hi in zip(lows, highs)]
     cells = list(product(*axes))
     trace: list[tuple[EjmParams, float]] = []
 
-    def evaluate(x: Iterable[float]) -> float:
+    def evaluate(x) -> float:
         params = EjmParams(*map(float, x))
         trace.append((params, trilocal_score(params).S))
         return trace[-1][1]
@@ -143,10 +174,9 @@ def maximize(bounds: Mapping[str, tuple[float, float]] | None = None, budget: in
             break
         x = np.array(start)
 
-        def negated(xfree: np.ndarray) -> float:
+        def negated(xfree) -> float:
             x[free] = xfree
             return -evaluate(x)
 
-        minimize(negated, x[free], method="Nelder-Mead", bounds=list(zip(lows[free], highs[free])),
-                 options={"maxfev": budget - len(trace), "xatol": 1e-8, "fatol": 1e-10})
+        minimize(negated, x[free], lows[free].tolist(), highs[free].tolist(), budget - len(trace))
     return OptimumResult(*max(trace, key=itemgetter(1)), tuple(trace), warning=len(trace) < len(cells))

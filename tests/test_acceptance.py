@@ -148,9 +148,14 @@ def test_criterion_07_headline():
     assert abs(trilocal_score(headline).S - 2.2968) < 5e-4
     mirrored = EjmParams(z=1.0, phi=1.3921, theta=math.pi / 2, gamma=math.pi / 4)
     assert abs(trilocal_score(mirrored).S - 2.2968) < 5e-4
-    result = maximize(budget=20000)
+    # The headline is the optimum on the z = 1 slice over the curves' phi range [0, pi].
+    result = maximize({"z": (1.0, 1.0), "phi": (0.0, math.pi)}, budget=20000)
     assert result.S >= 2.2960
     assert min(abs(result.params.phi - 0.1781), abs(result.params.phi - 1.3921)) < 0.02
+    # Off that slice the full box peaks higher.
+    result = maximize(budget=20000)
+    assert result.S >= 2.31275
+    assert abs(result.params.z - 0.98263) < 1e-3
 
 
 @criterion(8, "violation curve shapes for z = 1, 1/sqrt(2), 1/sqrt(3)")

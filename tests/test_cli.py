@@ -187,10 +187,18 @@ class TestSweepCommand:
 
 class TestOptimizeCommand:
     def test_budget_20000_reaches_reported_maximum(self, capsys):
-        code, out, _ = run(capsys, "optimize", "--budget", "20000")
+        # The headline 2.2968 on the z = 1 slice, and the higher full-box peak off it.
+        code, out, _ = run(capsys, "optimize", "--budget", "20000", "--z-min", "1", "--z-max", "1")
         assert code == 0
         report = json.loads(out)
         assert abs(report["S"] - 2.2968) < 5e-4
+        assert report["violated"] is True
+        assert report["warning"] is False
+        code, out, _ = run(capsys, "optimize", "--budget", "20000")
+        assert code == 0
+        report = json.loads(out)
+        assert report["S"] >= 2.31275
+        assert abs(report["params"]["z"] - 0.98263) < 1e-3
         assert report["violated"] is True
         assert report["warning"] is False
 
@@ -205,11 +213,11 @@ class TestOptimizeCommand:
         assert code == 2
         assert "--budget" in err
 
-    def test_report_is_version_three_without_seed(self, capsys):
+    def test_report_is_version_four_without_seed(self, capsys):
         code, out, _ = run(capsys, "optimize", "--budget", "300")
         assert code == 0
         report = json.loads(out)
-        assert report["version"] == 3
+        assert report["version"] == 4
         assert "seed" not in report
 
     def test_seed_flag_is_gone(self, capsys):

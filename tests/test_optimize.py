@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ejm.optimize
-from ejm.bases import DOMAIN, LIMITS, PARAM_NAMES, EjmParams, INV_SQRT3
-from ejm.network import trilocal_score
+from ejm.bases import DOMAIN, LIMITS, PARAM_NAMES, EjmParams, INV_SQRT3, phi_z
+from ejm.network import closed_form, trilocal_score
 from ejm.optimize import SweepSpec, maximize, sweep
 
 FIXED_TOP = {"z": 1.0, "theta": math.pi / 2, "gamma": math.pi / 4}
+# The z = 1 slice over the phi range of the paper's violation curves.
+Z_ONE_BOX = {"z": (1.0, 1.0), "phi": (0.0, math.pi)}
 
 
 def phi_sweep(z, points=200):
@@ -29,6 +32,37 @@ def range_ends(name):
         st.floats(lo, hi),
         st.builds(lambda bound, offset: bound + offset, st.sampled_from((lo, hi)), st.floats(-9e-15, 9e-15)),
     )
+
+
+def lemma_values(box):
+    """theta and gamma where, by the lemma in closed_form, S peaks on box."""
+    return box["theta"][1], min(max(math.pi / 4, box["gamma"][0]), box["gamma"][1])
+
+
+def lemma_grid_max(box, points=201):
+    """Largest closed-form score on a points x points (z, phi) grid of box,
+    with theta and gamma at their lemma values."""
+    z = np.linspace(*box["z"], points)[:, None]
+    phi = np.linspace(*box["phi"], points)
+    phase = np.array([phi_z(float(v)) for v in z.ravel()])[:, None]
+    correlations = closed_form(z, phi, phase, *lemma_values(box), np.sin, np.cos)
+    return float(sum(np.abs(np.broadcast_to(i, (points, points))) ** (1.0 / 3.0) for i in correlations).max())
+
+
+def random_box(rng, pinned):
+    """A box with the names in pinned fixed at a random value and each other
+    parameter on its whole domain or a random sub-range, z of either sign."""
+    box = {}
+    for name in PARAM_NAMES:
+        lo, hi = DOMAIN[name]
+        if name in pinned:
+            lo = hi = rng.uniform(lo, hi)
+        elif rng.random() < 0.5:
+            lo, hi = sorted(rng.uniform(lo, hi, size=2))
+        if name == "z" and rng.random() < 0.5:
+            lo, hi = -hi, -lo
+        box[name] = (float(lo), float(hi))
+    return box
 
 
 @st.composite
@@ -112,14 +146,23 @@ class TestSweep:
 
 class TestMaximize:
     def test_full_domain_finds_reported_optimum(self):
-        result = maximize(budget=20000)
-        assert result.S >= 2.2960
-        assert not result.warning
-        params = result.params
-        assert abs(params.z - 1.0) < 0.02
+        # The paper's headline 2.2968 is the maximum on the z = 1 slice (S has
+        # period pi in phi; its curves run over [0, pi]); the full box peaks off it.
+        headline = maximize(Z_ONE_BOX, budget=20000)
+        assert headline.S >= 2.2960
+        assert not headline.warning
+        params = headline.params
+        assert params.z == 1.0
         assert abs(params.theta - math.pi / 2) < 0.02
         assert abs(params.gamma - math.pi / 4) < 0.02
         assert min(abs(params.phi - 0.1781), abs(params.phi - 1.3921)) < 0.02
+        result = maximize(budget=20000)
+        assert result.S >= 2.31275
+        assert not result.warning
+        params = result.params
+        assert abs(params.z - 0.98263) < 1e-3
+        assert (params.theta, params.gamma) == (math.pi / 2, math.pi / 4)
+        assert min(abs(params.phi + 1.85056), abs(params.phi - 1.29104)) < 1e-3
 
     def test_result_reevaluates_consistently(self):
         result = maximize(budget=8000)
@@ -165,16 +208,14 @@ class TestMaximize:
         assert 0.8 <= p.z <= 0.9 and 0.0 <= p.phi <= 1.0
 
     def test_budget_exhausted_during_grid_sets_warning(self):
-        result = maximize(budget=100)  # far below the 9**4 grid
+        result = maximize(budget=100)  # far below the 81**2 grid
         assert result.warning
         assert len(result.trace) == 100
 
-    def test_scipy_nelder_mead_keeps_maxfev_and_bounds(self):
+    def test_compass_search_keeps_maxfev_and_bounds(self):
         # maximize relies on this instead of a budget check and a clip of its
-        # own: bounded Nelder-Mead calls the objective at most maxfev times,
-        # and only inside the bounds, here with its optimum mostly outside them.
-        from scipy.optimize import minimize
-
+        # own: minimize calls the objective at most maxfev times, and only
+        # inside the bounds, here with its optimum mostly outside them.
         rng = np.random.default_rng(13)
         for dims in range(1, 5):
             for maxfev in range(1, 31):
@@ -185,19 +226,36 @@ class TestMaximize:
                 points = []
 
                 def objective(x, points=points, target=target):
-                    points.append(x.copy())
-                    return float(np.sum((x - target) ** 2))
+                    points.append(np.array(x))
+                    return float(np.sum((points[-1] - target) ** 2))
 
-                minimize(objective, x0, method="Nelder-Mead", bounds=list(zip(lows, highs)),
-                         options={"maxfev": maxfev, "xatol": 1e-8, "fatol": 1e-10})
+                ejm.optimize.minimize(objective, x0, lows, highs, maxfev)
                 assert 1 <= len(points) <= maxfev, (dims, maxfev)
                 assert all(np.all((lows <= x) & (x <= highs)) for x in points), (dims, maxfev)
 
+    def test_compass_search_reaches_a_quadratic_minimum(self):
+        rng = np.random.default_rng(29)
+        for dims in range(1, 5):
+            lows = rng.uniform(-2.0, -1.0, size=dims)
+            highs = rng.uniform(1.0, 2.0, size=dims)
+            target = rng.uniform(lows, highs)
+            weights = rng.uniform(0.5, 4.0, size=dims)
+            calls = []
+
+            def objective(x, target=target, weights=weights, calls=calls):
+                calls.append(x)
+                return float(weights @ (np.array(x) - target) ** 2)
+
+            x, value = ejm.optimize.minimize(objective, lows, lows, highs, 10**6)
+            assert np.max(np.abs(np.array(x) - target)) < 1e-8, dims
+            assert value == objective(x) < 1e-15
+            assert len(calls) < 10**4
+
     def test_smaller_budget_only_shortens_the_trace(self):
-        # Budgets just past the grid (9**4 cells on the full box, 81 on the
+        # Budgets just past the grid (81**2 cells on the full box, 81 on the
         # z = 1, theta = pi/2 box, whose budgets start at 100) run out inside
         # a refinement.
-        for box, base in ((None, 9**4), ({"z": (1.0, 1.0), "theta": (math.pi / 2, math.pi / 2)}, 99)):
+        for box, base in ((None, 81**2), ({"z": (1.0, 1.0), "theta": (math.pi / 2, math.pi / 2)}, 99)):
             longest = maximize(box).trace
             assert len(longest) > base + 40
             for k in range(1, 41):
@@ -205,28 +263,51 @@ class TestMaximize:
                 assert trace == longest[:base + k], (box, k)
 
     def test_refinements_start_from_distinct_cells(self, monkeypatch):
-        # On a sub-ulp phi range linspace repeats cells; each still seeds once.
+        # theta and gamma are pinned by the lemma, so the grid spans (z, phi)
+        # only; on a sub-ulp phi range linspace repeats cells, and each still
+        # seeds once.
         starts = []
         original = ejm.optimize.minimize
 
-        def recording(fun, x0, **kwargs):
+        def recording(fun, x0, *args):
             starts.append(tuple(x0))
-            return original(fun, x0, **kwargs)
+            return original(fun, x0, *args)
 
         monkeypatch.setattr(ejm.optimize, "minimize", recording)
-        bounds = {"z": (1.0, 1.0), "theta": (math.pi / 2, math.pi / 2), "phi": (0.1, float(np.nextafter(0.1, 1.0)))}
-        result = maximize(bounds, budget=20000)
-        assert len(starts) == ejm.optimize.STARTS == len(set(starts))
-        assert not result.warning
+        z_axis = np.linspace(*DOMAIN["z"], 81)
+        for phi_range in (DOMAIN["phi"], (0.1, float(np.nextafter(0.1, 1.0)))):
+            del starts[:]
+            result = maximize({"phi": phi_range}, budget=20000)
+            assert len(starts) == ejm.optimize.STARTS == len(set(starts))
+            phi_axis = np.linspace(*phi_range, 81)
+            grid = {(p.z, p.phi): score for p, score in result.trace[:81**2]}
+            assert set(grid) == {(z, phi) for z in z_axis.tolist() for phi in phi_axis.tolist()}
+            best = sorted(grid.values(), reverse=True)[:ejm.optimize.STARTS]
+            assert sorted((grid[start] for start in starts), reverse=True) == best
+            assert all(p.theta == math.pi / 2 and p.gamma == math.pi / 4 for p, _ in result.trace)
+            assert not result.warning
 
     def test_grid_that_fills_the_budget_is_complete(self, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("a refinement started with no budget left")
 
         monkeypatch.setattr(ejm.optimize, "minimize", unreachable)
-        result = maximize({"theta": (math.pi / 2, math.pi / 2)}, budget=9**3)
-        assert len(result.trace) == 9**3
+        result = maximize(budget=81**2)
+        assert len(result.trace) == 81**2
         assert not result.warning
+
+    def test_reaches_the_dense_lemma_grid_on_random_boxes(self):
+        # Every pin set of at most two names, five boxes each: the maximum
+        # lies at or above the best of 201 x 201 (z, phi) cells, at the
+        # lemma's theta and gamma.
+        rng = np.random.default_rng(2014)
+        pin_sets = [(), *((name,) for name in PARAM_NAMES), *combinations(PARAM_NAMES, 2)]
+        for pinned in pin_sets * 5:
+            box = random_box(rng, pinned)
+            result = maximize(box, budget=20000)
+            assert result.S >= lemma_grid_max(box) - 1e-12, box
+            assert (result.params.theta, result.params.gamma) == lemma_values(box), box
+            assert not result.warning
 
     def test_validation(self):
         with pytest.raises(ValueError, match="budget"):
