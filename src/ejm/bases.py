@@ -41,7 +41,7 @@ LIMITS: Mapping[str, tuple[int, int]] = MappingProxyType({
     "n": (2, 8),
     # sweep: 100 000 points (phi spaced by 6e-5) take 0.75-0.9 s end to end, 0.5 s of it JSON export (CSV 0.2-0.3 s).
     "points": (2, 100_000),
-    # maximize keeps a trace entry of about 360 bytes per evaluation: a million take 0.4 GB and 30 s.
+    # maximize keeps a trace entry of about 250 bytes per evaluation: a million would take 0.25 GB and 6-8 s.
     "budget": (100, 1_000_000),
 })
 
@@ -112,9 +112,12 @@ class EjmParams:
     phi_z: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in PARAM_NAMES:
-            object.__setattr__(self, name, check_domain(name, getattr(self, name)))
-        object.__setattr__(self, "phi_z", _phi_z(self.z))
+        z = check_domain("z", self.z)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "phi", check_domain("phi", self.phi))
+        object.__setattr__(self, "theta", check_domain("theta", self.theta))
+        object.__setattr__(self, "gamma", check_domain("gamma", self.gamma))
+        object.__setattr__(self, "phi_z", _phi_z(z))
 
     def phi_i(self, i: int) -> float:
         """Azimuth of vertex i: phi, phi+pi/2, phi+pi, phi-pi/2."""

@@ -134,8 +134,11 @@ def _closed_form(params: EjmParams) -> tuple[float, float, float, float]:
 
 
 def cube_root_sum(values) -> float:
-    """The trilocal score S = sum_m |I_m|^(1/3) of one point's I_1..I_4, as Python floats."""
-    return sum([abs(v) ** (1.0 / 3.0) for v in values])
+    """The trilocal score S = sum_m |I_m|^(1/3) of one point's I_1..I_4, as Python floats,
+    added left to right (sum() before Python 3.12, which compensates, gives the same bits)."""
+    i1, i2, i3, i4 = values
+    third = 1.0 / 3.0
+    return abs(i1) ** third + abs(i2) ** third + abs(i3) ** third + abs(i4) ** third
 
 
 def correlation_I_analytic(params: EjmParams, m: int) -> float:

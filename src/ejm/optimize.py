@@ -156,27 +156,30 @@ def maximize(bounds: Mapping[str, tuple[float, float]] | None = None, budget: in
     theta = box["theta"][1]
     gamma = min(max(math.pi / 4, box["gamma"][0]), box["gamma"][1])
     box.update(theta=(theta, theta), gamma=(gamma, gamma))
-    lows, highs = np.array([box[name] for name in PARAM_NAMES]).T
-    free = highs > lows
-    axes = [np.linspace(lo, hi, GRID_POINTS) if lo < hi else [lo] for lo, hi in zip(lows, highs)]
+    lows, highs = zip(*(box[name] for name in PARAM_NAMES))
+    free = [axis for axis, (lo, hi) in enumerate(zip(lows, highs)) if lo < hi]
+    axes = [np.linspace(lo, hi, GRID_POINTS).tolist() if lo < hi else [lo] for lo, hi in zip(lows, highs)]
     cells = list(product(*axes))
     trace: list[tuple[EjmParams, float]] = []
 
     def evaluate(x) -> float:
-        params = EjmParams(*map(float, x))
-        trace.append((params, trilocal_score(params).S))
-        return trace[-1][1]
+        params = EjmParams(*x)
+        score = trilocal_score(params).S
+        trace.append((params, score))
+        return score
 
     # Keyed by cell, so equal cells (a sub-ulp range repeats them) seed at most once.
     scores = {cell: evaluate(cell) for cell in cells[:budget]}
-    for start in sorted(scores, key=lambda cell: -scores[cell])[:STARTS] if free.any() else ():
+    for start in sorted(scores, key=lambda cell: -scores[cell])[:STARTS] if free else ():
         if len(trace) >= budget:
             break
-        x = np.array(start)
+        x = list(start)
 
         def negated(xfree) -> float:
-            x[free] = xfree
+            for axis, value in zip(free, xfree):
+                x[axis] = value
             return -evaluate(x)
 
-        minimize(negated, x[free], lows[free].tolist(), highs[free].tolist(), budget - len(trace))
+        minimize(negated, [x[axis] for axis in free], [lows[axis] for axis in free],
+                 [highs[axis] for axis in free], budget - len(trace))
     return OptimumResult(*max(trace, key=itemgetter(1)), tuple(trace), warning=len(trace) < len(cells))

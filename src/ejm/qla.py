@@ -145,7 +145,11 @@ def partial_trace(state: StateVector, keep: Iterable[int]) -> np.ndarray:
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
     """Bloch vectors tr(rho sigma) of single-qubit density matrices: shape
-    (..., 2, 2) in, (..., 3) out, one batched product for the whole stack."""
+    (..., 2, 2) in, (..., 3) out, read from the entries that each trace
+    keeps: x = Re rho01 + Re rho10, y = Im rho10 - Im rho01, z = Re rho00 - Re rho11.
+    Adding 0.0 turns -0.0 into +0.0, so each component keeps the bits of
+    the trace of the complex product with PAULIS."""
     if rho.shape[-2:] != (2, 2):
         raise ValueError(f"bloch_vector needs 2x2 density matrices, got shape {rho.shape}")
-    return np.trace(rho[..., None, :, :] @ PAULIS, axis1=-2, axis2=-1).real
+    (r00, r01), (r10, r11) = np.moveaxis(rho, (-2, -1), (0, 1))
+    return np.stack([r01.real + r10.real, r10.imag - r01.imag, r00.real - r11.real], axis=-1) + 0.0

@@ -1,6 +1,8 @@
 import cmath
 import math
+from functools import reduce
 from itertools import product
+from operator import add
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from ejm.network import (
     StarScenario,
     correlation_I_analytic,
     correlation_I_bruteforce,
+    cube_root_sum,
     outcome_table,
     trilocal_score,
 )
@@ -282,6 +285,10 @@ def single_expression_score(params):
     )
 
 
+# Any finite float, with exact zeros of both signs and subnormals drawn often.
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from((0.0, -0.0, 5e-324, -1e-310, 1e-300))
+
+
 class TestTrilocalScore:
     def test_headline_value(self):
         report = trilocal_score(OPTIMUM)
@@ -334,6 +341,13 @@ class TestTrilocalScore:
         gamma_star = min(max(math.pi / 4, gamma_lo), gamma_hi)
         best = EjmParams(z=params.z, phi=params.phi, theta=theta_hi, gamma=gamma_star)
         assert trilocal_score(best, cross_check=True).S >= trilocal_score(params).S
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(finite_floats, min_size=4, max_size=4))
+    def test_cube_root_sum_adds_the_roots_left_to_right(self, values):
+        # sum() before Python 3.12 adds the same way: start at 0, then each root in order.
+        roots = [abs(v) ** (1 / 3) for v in values]
+        assert cube_root_sum(values).hex() == reduce(add, roots, 0).hex()
 
     @pytest.mark.parametrize("method", ["analytic", "brute_force"])
     def test_full_box_value(self, method):

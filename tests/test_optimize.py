@@ -207,6 +207,24 @@ class TestMaximize:
         p = result.params
         assert 0.8 <= p.z <= 0.9 and 0.0 <= p.phi <= 1.0
 
+    @pytest.mark.parametrize("box", [None, {"z": (1.0, 1.0)}])
+    def test_builds_one_float_params_per_trace_entry(self, monkeypatch, box):
+        # Counted through __post_init__, as the benchmark's tracer counts EjmParams.
+        built = []
+        original = EjmParams.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(EjmParams, "__post_init__", counting)
+        trace = maximize(box).trace
+        assert len(built) == len(trace)
+        assert all(params is entry for params, (entry, _) in zip(built, trace))
+        for params, score in trace:
+            assert all(type(getattr(params, name)) is float for name in (*PARAM_NAMES, "phi_z"))
+            assert type(score) is float
+
     def test_budget_exhausted_during_grid_sets_warning(self):
         result = maximize(budget=100)  # far below the 81**2 grid
         assert result.warning

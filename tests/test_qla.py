@@ -248,6 +248,22 @@ class TestBlochVector:
             with pytest.raises(ValueError, match="2x2"):
                 bloch_vector(rho)
 
+    def test_matches_the_pauli_traces_bit_for_bit(self):
+        # Random density matrices, and the single-qubit reductions of the n = 3
+        # family at z = -1, phi = pi, theta = gamma = 0, whose off-diagonal
+        # entries are +0.0 and -0.0: the uint64 views make the sign of zero count.
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
+        random = a @ a.conj().transpose(0, 2, 1)
+        random /= np.trace(random, axis1=1, axis2=2)[:, None, None]
+        family = n_qubit_ejm(EjmParams(-1.0, math.pi, 0.0, 0.0), 3)
+        degenerate = np.array([[partial_trace(state, {q}) for q in (1, 2, 3)] for state in family.states.values()])
+        off_diagonal = degenerate[..., [0, 1], [1, 0]].real
+        assert np.signbit(off_diagonal[off_diagonal == 0]).any()
+        for rho in (random, degenerate):
+            expected = np.stack([np.trace(rho @ s, axis1=-2, axis2=-1).real for s in PAULIS], axis=-1)
+            assert np.array_equal(bloch_vector(rho).view(np.uint64), expected.view(np.uint64))
+
     def test_named_triple(self):
         v = BlochVector(0.1, -0.2, 0.3)
         assert (v.x, v.y, v.z) == tuple(v) == (0.1, -0.2, 0.3)
