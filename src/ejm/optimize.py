@@ -15,7 +15,8 @@ from .network import closed_form, cube_root_sum, trilocal_score
 
 # Grid points per free parameter of (z, phi): the bounds and every eightieth between; 81^2 cells fit the default budget.
 GRID_POINTS = 81
-# Compass-search refinements, one from each of this many best distinct grid cells.
+# Compass-search refinements, one from each of this many best distinct grid cells;
+# one alone stops below a denser grid on some sub-boxes.
 STARTS = 5
 # A compass search stops once its largest step falls below this.
 STEP_TOL = 1e-9
@@ -113,9 +114,11 @@ def minimize(fun, x0, lows, highs, maxfev: int) -> tuple[list[float], float]:
 
     Each pass tries x + step and x - step along each axis in turn, clipped to
     the box, and moves to the first trial that lowers fun; a pass without a
-    move halves every step.  The steps start at a quarter of each side.  The
-    search stops once the largest step is below STEP_TOL or fun has been
-    called maxfev (at least 1) times, and returns the best point and value.
+    move halves every step.  The steps start at a quarter of each side, so a
+    pinned axis (lo == hi) has step 0 and is never tried: its trials clip
+    back onto x and are skipped without a call.  The search stops once the
+    largest step is below STEP_TOL or fun has been called maxfev (at least 1)
+    times, and returns the best point and value.
     """
     x = [float(v) for v in x0]
     best = fun(x)
@@ -145,11 +148,12 @@ def maximize(bounds: Mapping[str, tuple[float, float]] | None = None, budget: in
     By the lemma in network.closed_form, S peaks at theta = the box maximum
     and gamma = the box value nearest pi/4 for every (z, phi), so both are
     pinned there first.  A grid of GRID_POINTS per free parameter of
-    (z, phi) then seeds compass-search refinements (minimize) from the best
-    STARTS distinct cells.  The search is deterministic and ends when the
-    refinements finish or the budget runs out; warning=True means it ran out
-    before the grid was complete.  The grid takes the first `budget` cells,
-    each refinement what is left as its maxfev.
+    (z, phi) then seeds compass-search refinements (minimize) over the whole
+    parameter vector from the best STARTS distinct cells; the pinned axes
+    never move.  The search is deterministic and ends when the refinements
+    finish or the budget runs out; warning=True means it ran out before the
+    grid was complete.  The grid takes the first `budget` cells, each
+    refinement what is left as its maxfev.
     """
     check_limit("budget", budget)
     box = _resolve_bounds(bounds)
@@ -157,7 +161,6 @@ def maximize(bounds: Mapping[str, tuple[float, float]] | None = None, budget: in
     gamma = min(max(math.pi / 4, box["gamma"][0]), box["gamma"][1])
     box.update(theta=(theta, theta), gamma=(gamma, gamma))
     lows, highs = zip(*(box[name] for name in PARAM_NAMES))
-    free = [axis for axis, (lo, hi) in enumerate(zip(lows, highs)) if lo < hi]
     axes = [np.linspace(lo, hi, GRID_POINTS).tolist() if lo < hi else [lo] for lo, hi in zip(lows, highs)]
     cells = list(product(*axes))
     trace: list[tuple[EjmParams, float]] = []
@@ -170,16 +173,8 @@ def maximize(bounds: Mapping[str, tuple[float, float]] | None = None, budget: in
 
     # Keyed by cell, so equal cells (a sub-ulp range repeats them) seed at most once.
     scores = {cell: evaluate(cell) for cell in cells[:budget]}
-    for start in sorted(scores, key=lambda cell: -scores[cell])[:STARTS] if free else ():
+    for start in sorted(scores, key=lambda cell: -scores[cell])[:STARTS] if len(cells) > 1 else ():
         if len(trace) >= budget:
             break
-        x = list(start)
-
-        def negated(xfree) -> float:
-            for axis, value in zip(free, xfree):
-                x[axis] = value
-            return -evaluate(x)
-
-        minimize(negated, [x[axis] for axis in free], [lows[axis] for axis in free],
-                 [highs[axis] for axis in free], budget - len(trace))
+        minimize(lambda x: -evaluate(x), start, lows, highs, budget - len(trace))
     return OptimumResult(*max(trace, key=itemgetter(1)), tuple(trace), warning=len(trace) < len(cells))

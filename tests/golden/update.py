@@ -146,6 +146,14 @@ def argument_vectors() -> list[list[str]]:
         ["sweep", "--vary", "z", f"--lo={INV_SQRT3 - 5e-15!r}", f"--hi={1 + 5e-15!r}", "--points", "2000",
          "--format", "csv", *RANDOM],
     ]
+    # Default budgets, which leave room for the compass-search refinement after the grid.
+    vectors += [
+        ["optimize"],
+        ["optimize", "--z-min", "1", "--z-max", "1"],
+        ["optimize", "--z-min=1", "--z-max=1", "--phi-min=0", f"--phi-max={PI!r}"],
+        ["optimize", "--z-min=-1", "--z-max=-0.9"],
+        ["optimize", "--phi-min=0.1", "--phi-max=0.10000000000000002"],
+    ]
     return vectors
 
 

@@ -10,6 +10,7 @@ import shlex
 import pytest
 from golden.update import REPORTS, argument_vectors, run, versions
 
+import ejm.optimize
 from ejm.cli import SCHEMA_VERSION
 
 GOLDEN = json.loads(REPORTS.read_text())
@@ -29,3 +30,20 @@ def test_report_matches_its_digests(entry):
             f"`ejm {shlex.join(entry['argv'])}` changed: recorded with python {GOLDEN['python']}"
             f" and numpy {GOLDEN['numpy']}, run with python {versions()['python']} and numpy {versions()['numpy']}"
         )
+
+
+def test_golden_optimize_vectors_reach_the_refinement(monkeypatch):
+    # A run whose budget ends inside the grid never calls minimize; the
+    # digests must pin the refinement too.
+    calls = []
+    original = ejm.optimize.minimize
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ejm.optimize, "minimize", counting)
+    for argv in argument_vectors():
+        if argv[:1] == ["optimize"]:
+            run(argv)
+    assert calls

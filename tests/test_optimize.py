@@ -283,27 +283,62 @@ class TestMaximize:
     def test_refinements_start_from_distinct_cells(self, monkeypatch):
         # theta and gamma are pinned by the lemma, so the grid spans (z, phi)
         # only; on a sub-ulp phi range linspace repeats cells, and each still
-        # seeds once.
-        starts = []
+        # seeds once.  Every refinement searches the whole parameter vector
+        # on the box the lemma leaves.
+        calls = []
         original = ejm.optimize.minimize
 
-        def recording(fun, x0, *args):
-            starts.append(tuple(x0))
-            return original(fun, x0, *args)
+        def recording(fun, x0, lows, highs, maxfev):
+            calls.append((tuple(x0), tuple(lows), tuple(highs)))
+            return original(fun, x0, lows, highs, maxfev)
 
         monkeypatch.setattr(ejm.optimize, "minimize", recording)
         z_axis = np.linspace(*DOMAIN["z"], 81)
         for phi_range in (DOMAIN["phi"], (0.1, float(np.nextafter(0.1, 1.0)))):
-            del starts[:]
+            del calls[:]
             result = maximize({"phi": phi_range}, budget=20000)
+            starts = [x0 for x0, _, _ in calls]
             assert len(starts) == ejm.optimize.STARTS == len(set(starts))
+            lows, highs = zip(DOMAIN["z"], phi_range, (math.pi / 2,) * 2, (math.pi / 4,) * 2)
+            assert {(lo, hi) for _, lo, hi in calls} == {(lows, highs)}
             phi_axis = np.linspace(*phi_range, 81)
-            grid = {(p.z, p.phi): score for p, score in result.trace[:81**2]}
-            assert set(grid) == {(z, phi) for z in z_axis.tolist() for phi in phi_axis.tolist()}
+            grid = {(p.z, p.phi, p.theta, p.gamma): score for p, score in result.trace[:81**2]}
+            assert set(grid) == {(z, phi, math.pi / 2, math.pi / 4) for z in z_axis.tolist() for phi in phi_axis.tolist()}
             best = sorted(grid.values(), reverse=True)[:ejm.optimize.STARTS]
             assert sorted((grid[start] for start in starts), reverse=True) == best
             assert all(p.theta == math.pi / 2 and p.gamma == math.pi / 4 for p, _ in result.trace)
             assert not result.warning
+
+    def test_compass_search_never_moves_a_pinned_axis(self):
+        # A pinned axis (lo == hi) has step 0, so every call keeps its value,
+        # and the free coordinates follow exactly the search over the free
+        # axes alone, budget for budget.
+        rng = np.random.default_rng(31)
+        for pinned in [p for k in range(1, 4) for p in combinations(range(4), k)]:
+            free = [axis for axis in range(4) if axis not in pinned]
+            lows = rng.uniform(-1.0, 0.0, size=4)
+            highs = lows + rng.uniform(0.1, 1.0, size=4)
+            highs[list(pinned)] = lows[list(pinned)]
+            x0 = np.where(rng.random(4) < 0.5, lows, highs)
+            target = rng.normal(size=4)
+            for maxfev in (1, 7, 40, 10**4):
+                full, alone = [], []
+
+                def objective(x, calls=full):
+                    calls.append(list(x))
+                    return float(np.sum((np.array(x) - target) ** 2))
+
+                def objective_free(xfree):
+                    x = x0.tolist()
+                    for axis, value in zip(free, xfree):
+                        x[axis] = value
+                    return objective(x, calls=alone)
+
+                x, value = ejm.optimize.minimize(objective, x0, lows, highs, maxfev)
+                xfree, value_free = ejm.optimize.minimize(objective_free, x0[free], lows[free], highs[free], maxfev)
+                assert all(call[axis] == x0[axis] for call in full for axis in pinned), (pinned, maxfev)
+                assert full == alone, (pinned, maxfev)
+                assert ([x[axis] for axis in free], value) == (xfree, value_free), (pinned, maxfev)
 
     def test_grid_that_fills_the_budget_is_complete(self, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -326,6 +361,23 @@ class TestMaximize:
             assert result.S >= lemma_grid_max(box) - 1e-12, box
             assert (result.params.theta, result.params.gamma) == lemma_values(box), box
             assert not result.warning
+
+    @pytest.mark.parametrize("box", [
+        # A single refinement, from the best grid cell alone, ends below the
+        # dense grid on each of these; the later starts reach it.
+        {"z": (-0.9333259512253896, -0.6277864985929803), "phi": (-3.044633904508336, 1.1677373614631188),
+         "theta": (0.1470435572504389, 0.1470435572504389), "gamma": (0.48295534998125045, 0.48295534998125045)},
+        {"z": (-1.0, -0.5773502691896258), "phi": (-3.141592653589793, 3.141592653589793),
+         "theta": (0.9550587908098778, 0.9550587908098778),
+         "gamma": (0.00021595362270092564, 0.00021595362270092564)},
+        {"z": (-1.0, -0.5773502691896258), "phi": (-1.8364564374399734, 2.6707670548157267),
+         "theta": (1.3375476578029268, 1.3375476578029268), "gamma": (0.34994768999303805, 0.4820247430238777)},
+    ])
+    def test_later_starts_reach_the_dense_lemma_grid(self, box):
+        result = maximize(box, budget=20000)
+        assert result.S >= lemma_grid_max(box) - 1e-12
+        assert (result.params.theta, result.params.gamma) == lemma_values(box)
+        assert not result.warning
 
     def test_validation(self):
         with pytest.raises(ValueError, match="budget"):
