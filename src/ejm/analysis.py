@@ -12,7 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bases import BasisFamily, BasisLabel, EjmParams, _labels, check_limit, m_vector
+from .bases import BasisFamily, BasisLabel, EjmParams, _labels, _vertices, check_limit, m_vector
 from .qla import NORM_ATOL, BlochVector, ContractError, RowView, StateVector, bloch_vector, partial_trace
 
 # The three-tangle is quartic in the amplitudes, so a norm off by up to NORM_ATOL
@@ -76,7 +76,7 @@ def reduction_law(params: EjmParams, n: int) -> np.ndarray:
     """
     check_limit("n", n)
     c = 1.0 if n == 2 else math.cos(2.0 * params.gamma)
-    d = np.array([params.phi_i(k) for k in range(4)]) - params.phi_z
+    d = np.array([phi_k for _, phi_k in _vertices(params)]) - params.phi_z
     xy = math.sqrt(2.0) * c
     v = 0.5 * math.cos(params.theta) * np.stack([xy * np.cos(d), xy * np.sin(d), [1.0, -1.0, 1.0, -1.0]], axis=1)
     vertices = np.array(list(product(range(4), repeat=n // 2)))  # (i, j_1, ...) per chain row

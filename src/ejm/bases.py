@@ -50,6 +50,9 @@ LIMITS: Mapping[str, tuple[int, int]] = MappingProxyType({
 # used by the reference family (parameter-free at theta = 0).
 _REFERENCE_PHI = (math.pi / 4, -math.pi / 4, 3 * math.pi / 4, -3 * math.pi / 4)
 _REFERENCE_Z = (INV_SQRT3, -INV_SQRT3, -INV_SQRT3, INV_SQRT3)
+# Tetrahedron vertex i lies at height _SIGNS[i] z and azimuth phi + _TURNS[i].
+_SIGNS = (1.0, -1.0, 1.0, -1.0)
+_TURNS = (0.0, math.pi / 2, math.pi, -math.pi / 2)
 
 
 def check_domain(name: str, value: float) -> float:
@@ -119,15 +122,10 @@ class EjmParams:
         object.__setattr__(self, "gamma", check_domain("gamma", self.gamma))
         object.__setattr__(self, "phi_z", _phi_z(z))
 
-    def phi_i(self, i: int) -> float:
-        """Azimuth of vertex i: phi, phi+pi/2, phi+pi, phi-pi/2."""
-        check_index("vertex index i", i, 0, 3)
-        return self.phi + (0.0, math.pi / 2, math.pi, -math.pi / 2)[i]
 
-    def z_i(self, i: int) -> float:
-        """Height of vertex i: alternating +z, -z, +z, -z."""
-        check_index("vertex index i", i, 0, 3)
-        return self.z if i % 2 == 0 else -self.z
+def _vertices(params: EjmParams) -> list[tuple[float, float]]:
+    """Height z_i and azimuth phi_i of the four tetrahedron vertices i = 0..3."""
+    return [(sign * params.z, params.phi + turn) for sign, turn in zip(_SIGNS, _TURNS)]
 
 
 @dataclass(frozen=True)
@@ -181,44 +179,46 @@ class BasisFamily:
         return len(self.amplitudes)
 
 
-def _qubit_pair(z: float, phi: float) -> np.ndarray:
+def _qubit_pair(z: float, phi: float) -> list[list[complex]]:
     """Rows |m> and |-m> for the Bloch vector at height z and azimuth phi."""
     half = 0.5 * phi
     lo = cmath.exp(-1j * half)
     hi = cmath.exp(1j * half)
     a = math.sqrt(max(1.0 + z, 0.0) / 2.0)
     b = math.sqrt(max(1.0 - z, 0.0) / 2.0)
-    return np.array([[a * lo, b * hi], [b * lo, -a * hi]])
+    return [[a * lo, b * hi], [b * lo, -a * hi]]
 
 
 def single_qubit_m(params: EjmParams, i: int, sign: int = +1) -> StateVector:
     """Tetrahedron-vertex qubit state |m_i> (sign=+1) or the orthogonal
     |-m_i> (sign=-1), with Bloch vector sign * m_vector(params, i)."""
-    pair = _qubit_pair(params.z_i(i), params.phi_i(i))
+    check_index("vertex index i", i, 0, 3)
     if not (is_integer(sign) and sign in (1, -1)):
         raise ValueError(f"sign={sign!r} must be +1 or -1")
-    return StateVector(pair[0 if sign > 0 else 1])
+    return StateVector(_qubit_pair(*_vertices(params)[i])[0 if sign > 0 else 1])
 
 
 def m_vector(params: EjmParams, i: int) -> np.ndarray:
     """Bloch vector (sqrt(1-z_i^2) cos phi_i, sqrt(1-z_i^2) sin phi_i, z_i)."""
-    zi = params.z_i(i)
+    check_index("vertex index i", i, 0, 3)
+    zi, ph = _vertices(params)[i]
     r = math.sqrt(max(1.0 - zi * zi, 0.0))
-    ph = params.phi_i(i)
     return np.array([r * math.cos(ph), r * math.sin(ph), zi])
 
 
-def _two_qubit_amps(params: EjmParams, i: int) -> np.ndarray:
-    """Row i of the three-parameter two-qubit EJM table Phi."""
+def _phi_table(params: EjmParams) -> np.ndarray:
+    """The three-parameter two-qubit EJM table Phi, row i holding |Phi_i>."""
     z = params.z
     rad = math.sqrt(max(3.0 * z * z - 1.0, 0.0))
     prefactor = (1.0 - 1j * rad) / (2.0 * math.sqrt(3.0) * abs(z))
-    delta = params.phi_i(i) - params.phi_z
     e_theta = cmath.exp(1j * params.theta)
-    parity = 1.0 if i % 2 == 0 else -1.0
-    mid01 = -(parity + e_theta) / math.sqrt(2.0)
-    mid10 = -(parity - e_theta) / math.sqrt(2.0)
-    return prefactor * np.array([cmath.exp(-1j * delta), mid01, mid10, -cmath.exp(1j * delta)])
+    rows = []
+    for parity, (_, phi_i) in zip(_SIGNS, _vertices(params)):
+        delta = phi_i - params.phi_z
+        mid01 = -(parity + e_theta) / math.sqrt(2.0)
+        mid10 = -(parity - e_theta) / math.sqrt(2.0)
+        rows.append([cmath.exp(-1j * delta), mid01, mid10, -cmath.exp(1j * delta)])
+    return prefactor * np.array(rows)
 
 
 def reference_bases(theta: float = 0.0) -> BasisFamily:
@@ -253,7 +253,7 @@ def _family_matrix(params: EjmParams, n: int) -> np.ndarray:
     The products are taken in the order of the per-label chain, so each
     amplitude equals it bit for bit.
     """
-    phi = np.array([_two_qubit_amps(params, i) for i in range(4)])
+    phi = _phi_table(params)
     if n == 2:
         return phi
     k = n // 2
@@ -262,7 +262,7 @@ def _family_matrix(params: EjmParams, n: int) -> np.ndarray:
     plain = chains.reshape(shape)
     primed = chains[np.arange(len(chains)) ^ int("10" * k, 2)].reshape(shape)
     if n % 2:
-        tails = np.array([_qubit_pair(params.z_i(i), params.phi_i(i)) for i in range(4)])[:, None, :, None, :]
+        tails = np.array([_qubit_pair(*vertex) for vertex in _vertices(params)])[:, None, :, None, :]
         plain, primed = plain * tails, primed * tails[:, :, ::-1]
     s = math.sin(params.gamma)
     plain *= math.cos(params.gamma)

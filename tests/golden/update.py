@@ -2,8 +2,9 @@
 
 Each entry is an argument vector of `ejm`, run through `cli.main` in this
 process, with the SHA-256 of its stdout and stderr, its exit code and the
-SCHEMA_VERSION it was recorded at.  Rerun after a schema bump, from the
-repository root:
+SCHEMA_VERSION it was recorded at.  tests/test_golden.py fails on every
+entry whose version is not the current one, so rerun after a schema bump,
+from the repository root:
 
     PYTHONPATH=src python tests/golden/update.py
 """

@@ -1,3 +1,4 @@
+import cmath
 import math
 from itertools import product
 
@@ -23,6 +24,9 @@ from ejm.bases import (
 from ejm.qla import PAULIS, StateVector, bloch_vector, partial_trace
 
 PARAMS = EjmParams(z=0.8, phi=0.3, theta=1.0, gamma=0.5)
+# The domain's corners and edges, where amplitudes vanish.
+BOUNDARY = list(product((1.0, -1.0, INV_SQRT3, -INV_SQRT3), (0.0, math.pi, -math.pi),
+                        (0.0, math.pi / 2), (0.0, math.pi / 4, math.pi / 2)))
 
 
 def inner(a, b):
@@ -62,6 +66,41 @@ def kron_chain_rows(params, family):
             rows.append(c * np.kron(chain(idx), tails[-1][label.i])
                         - sgn * s * np.kron(chain(shifted), tails[+1][label.i]))
     return np.array(rows)
+
+
+def vertex_formula_tables(params):
+    """Phi and the (|m_i>, |-m_i>) rows from the paper's formulas, one vertex
+    at a time: vertex i sits at height (-1)^i z and azimuth phi + i pi/2,
+    written phi - pi/2 for i = 3."""
+    z = params.z
+    rad = math.sqrt(max(3.0 * z * z - 1.0, 0.0))
+    prefactor = (1.0 - 1j * rad) / (2.0 * math.sqrt(3.0) * abs(z))
+    e_theta = cmath.exp(1j * params.theta)
+    phi_rows, pairs = [], []
+    for i, turn in enumerate((0.0, math.pi / 2, math.pi, -math.pi / 2)):
+        parity = 1.0 if i % 2 == 0 else -1.0
+        z_i, phi_i = parity * z, params.phi + turn
+        delta = phi_i - params.phi_z
+        mid01 = -(parity + e_theta) / math.sqrt(2.0)
+        mid10 = -(parity - e_theta) / math.sqrt(2.0)
+        phi_rows.append(prefactor * np.array([cmath.exp(-1j * delta), mid01, mid10, -cmath.exp(1j * delta)]))
+        lo, hi = cmath.exp(-1j * (0.5 * phi_i)), cmath.exp(1j * (0.5 * phi_i))
+        a = math.sqrt(max(1.0 + z_i, 0.0) / 2.0)
+        b = math.sqrt(max(1.0 - z_i, 0.0) / 2.0)
+        pairs.append((np.array([a * lo, b * hi]), np.array([b * lo, -a * hi])))
+    return np.array(phi_rows), pairs
+
+
+def assert_vertex_tables_match(params):
+    """Phi and every |+-m_i> equal vertex_formula_tables byte for byte, so
+    that the sign of every zero amplitude counts.  The chain tests read Phi
+    and the tails from the same tables as the builders and would not see
+    them move."""
+    phi, pairs = vertex_formula_tables(params)
+    assert n_qubit_ejm(params, 2).matrix().tobytes() == phi.tobytes(), params
+    for i, pair in enumerate(pairs):
+        for sign, row in zip((+1, -1), pair):
+            assert single_qubit_m(params, i, sign).amplitudes.tobytes() == row.tobytes(), (params, i, sign)
 
 
 class TestPhiZ:
@@ -124,12 +163,16 @@ class TestEjmParams:
         with pytest.raises(ValueError, match=field):
             EjmParams(**kwargs)
 
-    @pytest.mark.parametrize("i", [True, False, 1.0, np.float64(2.0), "1", -1, 4, 7])
-    def test_vertex_accessors_reject_bad_indices(self, i):
-        with pytest.raises(ValueError, match="vertex index"):
-            PARAMS.phi_i(i)
-        with pytest.raises(ValueError, match="vertex index"):
-            PARAMS.z_i(i)
+
+class TestVertexTables:
+    @settings(max_examples=200, deadline=None)
+    @given(domain_params)
+    def test_vertex_tables_match_the_per_vertex_formulas_over_domain(self, params):
+        assert_vertex_tables_match(params)
+
+    def test_vertex_tables_match_the_per_vertex_formulas_on_boundary(self):
+        for point in BOUNDARY:
+            assert_vertex_tables_match(EjmParams(*point))
 
 
 class TestSingleQubit:
@@ -376,10 +419,8 @@ class TestNQubitFamily:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matrix_equals_per_label_kron_chain_on_boundary(self, n):
-        # Bytes, not values, so that the sign of every zero amplitude counts:
-        # the domain's corners and edges, where amplitudes vanish.
-        for point in product((1.0, -1.0, INV_SQRT3, -INV_SQRT3), (0.0, math.pi, -math.pi),
-                             (0.0, math.pi / 2), (0.0, math.pi / 4, math.pi / 2)):
+        # Bytes, not values, so that the sign of every zero amplitude counts.
+        for point in BOUNDARY:
             params = EjmParams(*point)
             family = n_qubit_ejm(params, n)
             assert family.matrix().tobytes() == kron_chain_rows(params, family).tobytes(), point

@@ -1,8 +1,8 @@
 """Reports are byte-identical or the schema version says why not: every
 argument vector in golden/reports.json reruns through `cli.main` in process
-with the stdout and stderr digests and exit code recorded for it, unless
-SCHEMA_VERSION has grown past the version recorded with it.
-`golden/update.py` records the file anew."""
+with the stdout and stderr digests and exit code recorded for it.  Every
+entry must carry the current SCHEMA_VERSION, so a bump fails until
+`golden/update.py` records the file anew; it never skips a comparison."""
 
 import json
 import shlex
@@ -22,14 +22,13 @@ def test_golden_file_holds_every_argument_vector():
 
 @pytest.mark.parametrize("entry", GOLDEN["reports"], ids=lambda entry: shlex.join(entry["argv"]) or "(none)")
 def test_report_matches_its_digests(entry):
-    assert entry["schema_version"] <= SCHEMA_VERSION
+    assert entry["schema_version"] == SCHEMA_VERSION, "rerun tests/golden/update.py"
     got = run(entry["argv"])
-    if entry["schema_version"] == SCHEMA_VERSION:
-        recorded = {key: entry[key] for key in got}
-        assert got == recorded, (
-            f"`ejm {shlex.join(entry['argv'])}` changed: recorded with python {GOLDEN['python']}"
-            f" and numpy {GOLDEN['numpy']}, run with python {versions()['python']} and numpy {versions()['numpy']}"
-        )
+    recorded = {key: entry[key] for key in got}
+    assert got == recorded, (
+        f"`ejm {shlex.join(entry['argv'])}` changed: recorded with python {GOLDEN['python']}"
+        f" and numpy {GOLDEN['numpy']}, run with python {versions()['python']} and numpy {versions()['numpy']}"
+    )
 
 
 def test_golden_optimize_vectors_reach_the_refinement(monkeypatch):

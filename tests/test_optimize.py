@@ -106,6 +106,19 @@ class TestSweep:
                 counts.append(len(calls))
             assert counts[0] == counts[1], name
 
+    @pytest.mark.parametrize("points", [2, 3, 100_000])
+    @pytest.mark.parametrize("name, lo, hi", [
+        ("phi", 0.1, math.nextafter(0.1, 1)),  # no float lies between the ends
+        ("z", -1.0, -INV_SQRT3),
+        ("phi", *DOMAIN["phi"]),
+    ])
+    def test_grid_runs_from_lo_to_hi(self, name, lo, hi, points):
+        # The checked ends of the SweepSpec bound every grid value against DOMAIN.
+        fixed = {"z": -0.8, "phi": 0.3, "theta": 1.0, "gamma": 0.5}
+        values = [v for v, _ in sweep(SweepSpec(name, lo, hi, points, {n: v for n, v in fixed.items() if n != name}))]
+        assert (values[0], values[-1]) == (lo, hi)
+        assert all(lo <= v <= hi for v in values)
+
     def test_violation_curve_at_z_one(self):
         assert max(s for _, s in phi_sweep(1.0)) >= 2.29
 
