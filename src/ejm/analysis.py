@@ -12,7 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bases import BasisFamily, BasisLabel, EjmParams, _labels, _vertices, check_limit, m_vector
+from .bases import _SIGNS, BasisFamily, BasisLabel, EjmParams, _labels, _vertices, check_limit, m_vector
 from .qla import NORM_ATOL, BlochVector, ContractError, RowView, StateVector, bloch_vector, partial_trace
 
 # The three-tangle is quartic in the amplitudes, so a norm off by up to NORM_ATOL
@@ -78,7 +78,7 @@ def reduction_law(params: EjmParams, n: int) -> np.ndarray:
     c = 1.0 if n == 2 else math.cos(2.0 * params.gamma)
     d = np.array([phi_k for _, phi_k in _vertices(params)]) - params.phi_z
     xy = math.sqrt(2.0) * c
-    v = 0.5 * math.cos(params.theta) * np.stack([xy * np.cos(d), xy * np.sin(d), [1.0, -1.0, 1.0, -1.0]], axis=1)
+    v = 0.5 * math.cos(params.theta) * np.stack([xy * np.cos(d), xy * np.sin(d), _SIGNS], axis=1)
     vertices = np.array(list(product(range(4), repeat=n // 2)))  # (i, j_1, ...) per chain row
     law = np.stack([v, -v], axis=1)[vertices].reshape(len(vertices), -1, 3)
     if n % 2:
@@ -171,7 +171,7 @@ def _clusters(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Signs of u_1, u_2, u_3 in a signed sum u_0 +- u_1 +- u_2 +- u_3.
-_SIGNS = np.array([(1.0, *signs) for signs in product((1.0, -1.0), repeat=3)])
+_SUM_SIGNS = np.array([(1.0, *signs) for signs in product((1.0, -1.0), repeat=3)])
 
 
 def _is_rectangular_box(points: np.ndarray) -> bool:
@@ -196,7 +196,7 @@ def _is_rectangular_box(points: np.ndarray) -> bool:
         return False
     u = points[np.arange(8) < np.argmax(antipodal, axis=1)]
     one_length = np.ptp(np.linalg.norm(u, axis=1)) <= GEOMETRY_ATOL
-    vanishing = np.max(np.abs(_SIGNS @ u), axis=1) <= GEOMETRY_ATOL
+    vanishing = np.max(np.abs(_SUM_SIGNS @ u), axis=1) <= GEOMETRY_ATOL
     return bool(one_length and np.any(vanishing))
 
 
@@ -209,7 +209,8 @@ def symmetry_report(family: BasisFamily) -> SymmetryReport:
     rectangular-parallelepiped predicate on the eight points +-v formed
     by that position's reduction directions.  Positions whose vertex set
     collapses (radius below GEOMETRY_ATOL or coincident vertices) are
-    flagged degenerate and skipped, leaving the predicate vacuously true.
+    flagged degenerate and skipped; the predicate must hold at every other,
+    live, position, and holds vacuously when none is live.
 
     Points count as equal under one rule, _clusters, applied twice: to the
     sorted norms, whose clusters give the radii as their means, and to the
@@ -230,20 +231,13 @@ def symmetry_report(family: BasisFamily) -> SymmetryReport:
     plus, minus = (np.bincount(half.ravel(), minlength=len(reps)) for half in signed)
     mirror_ok = bool(np.all((plus == minus) | (np.max(np.abs(reps), axis=1) <= GEOMETRY_ATOL)))
 
-    parallelepiped_ok = True
-    degenerate = False
-    for at_position in signed.transpose(2, 0, 1):
-        octet = reps[np.bincount(at_position.ravel(), minlength=len(reps)) > 0]
-        if np.max(np.linalg.norm(octet, axis=1)) <= GEOMETRY_ATOL or len(octet) < 8:
-            degenerate = True
-            continue
-        if not _is_rectangular_box(octet):
-            parallelepiped_ok = False
+    octets = [reps[np.bincount(position.ravel(), minlength=len(reps)) > 0] for position in signed.transpose(2, 0, 1)]
+    live = [octet for octet in octets if not (np.max(np.linalg.norm(octet, axis=1)) <= GEOMETRY_ATOL or len(octet) < 8)]
     return SymmetryReport(
         vectors=view,
         radii=radii,
         vector_sum=vector_sum,
-        parallelepiped_ok=parallelepiped_ok,
+        parallelepiped_ok=all(map(_is_rectangular_box, live)),
         mirror_pairs_ok=mirror_ok,
-        degenerate=degenerate,
+        degenerate=len(live) < len(octets),
     )

@@ -171,19 +171,8 @@ def _cmd_tangle(args: argparse.Namespace) -> tuple[int, dict]:
 def _cmd_reduce(args: argparse.Namespace) -> tuple[int, dict]:
     report = symmetry_report(args.family)
     labels = {label: asdict(label) for label in args.family.labels}  # once per label, not per (label, qubit)
-    vectors = [
-        {**labels[label], "qubit": qubit, "vector": [v.x, v.y, v.z]}
-        for (label, qubit), v in report.vectors.items()
-    ]
-    return 0, {
-        "params": asdict(args.params),
-        "vectors": vectors,
-        "radii": list(report.radii),
-        "vector_sum": [report.vector_sum.x, report.vector_sum.y, report.vector_sum.z],
-        "parallelepiped_ok": report.parallelepiped_ok,
-        "mirror_pairs_ok": report.mirror_pairs_ok,
-        "degenerate": report.degenerate,
-    }
+    vectors = [{**labels[label], "qubit": qubit, "vector": list(v)} for (label, qubit), v in report.vectors.items()]
+    return 0, {**vars(report), "params": asdict(args.params), "vectors": vectors}
 
 
 def _cmd_basis(args: argparse.Namespace) -> tuple[int, dict]:

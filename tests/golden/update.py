@@ -7,6 +7,10 @@ entry whose version is not the current one, so rerun after a schema bump,
 from the repository root:
 
     PYTHONPATH=src python tests/golden/update.py
+
+It refuses to write, and exits non-zero, when a report recorded at the
+current SCHEMA_VERSION changed under the recorded Python and numpy versions:
+such a change needs a schema bump.  New argument vectors are appended.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import json
 import math
 import os
 import platform
+import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +193,25 @@ def record() -> dict:
     return {**versions(), "reports": reports}
 
 
+def changed_reports(recorded: dict, current: dict) -> list[list[str]]:
+    """Argument vectors recorded at the current SCHEMA_VERSION and rerun in
+    `current` whose exit code or digests differ; none when the Python or
+    numpy version differs, as the digests then need not carry over."""
+    if any(recorded[key] != current[key] for key in versions()):
+        return []
+    now = {tuple(entry["argv"]): entry for entry in current["reports"]}
+    return [
+        entry["argv"]
+        for entry in recorded["reports"]
+        if entry["schema_version"] == SCHEMA_VERSION and tuple(entry["argv"]) in now
+        and any(entry[key] != now[tuple(entry["argv"])][key] for key in ("exit", "stdout", "stderr"))
+    ]
+
+
 if __name__ == "__main__":
-    REPORTS.write_text(json.dumps(record(), indent=1) + "\n")
+    current = record()
+    if REPORTS.exists() and (changed := changed_reports(json.loads(REPORTS.read_text()), current)):
+        sys.exit(f"reports changed at schema version {SCHEMA_VERSION}; bump it or undo the change:\n"
+                 + "\n".join(shlex.join(argv) for argv in changed))
+    REPORTS.write_text(json.dumps(current, indent=1) + "\n")
     print(f"wrote {REPORTS}")

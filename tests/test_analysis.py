@@ -32,6 +32,7 @@ from ejm.qla import BlochVector, StateVector, bloch_vector, partial_trace
 
 GHZ = StateVector(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2))
 W = StateVector(np.array([0, 1, 1, 0, 1, 0, 0, 0]) / math.sqrt(3))
+UP = np.array([1.0, 0.0])
 
 
 def random_unitary(rng):
@@ -282,6 +283,23 @@ class TestSymmetryReport:
         for n in range(2, 9):
             report = symmetry_report(n_qubit_ejm(params, n))
             assert (report.parallelepiped_ok, report.mirror_pairs_ok, report.degenerate) == (True, True, True), n
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(("rows", "flags"), [
+        # qubit 1: sixteen points +-u_s, no box; qubits 2 and 3: the octet {+z, -z}
+        (lambda kets: [(kets[s][0], UP, UP) for s in range(8)], (False, False, True)),
+        # qubit 1: the eight points +-u_k of four random u_k, live but no box
+        (lambda kets: [(kets[s // 2][0], UP, UP) for s in range(8)], (False, False, True)),
+        # each qubit: the eight points +-u_k of its own four kets, so every position is live
+        (lambda kets: [kets[s // 2] for s in range(8)], (False, False, False)),
+    ], ids=["eight-kets-on-qubit-1", "four-kets-twice-on-qubit-1", "four-product-kets-twice"])
+    def test_report_says_no_on_product_rows(self, rows, flags, seed):
+        # BasisFamily checks only the row norms, so n = 3 product rows are valid input;
+        # each ket appears without its orthogonal partner, so no vector has its mirror.
+        rng = np.random.default_rng(seed)
+        kets = [[random_unitary(rng)[:, 0] for _ in range(3)] for _ in range(8)]
+        report = symmetry_report(BasisFamily([np.kron(np.kron(u, w), x) for u, w, x in rows(kets)]))
+        assert (report.parallelepiped_ok, report.mirror_pairs_ok, report.degenerate) == flags
 
     @settings(max_examples=60, deadline=None)
     @given(domain_params, st.integers(2, 8))

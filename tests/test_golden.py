@@ -2,13 +2,16 @@
 argument vector in golden/reports.json reruns through `cli.main` in process
 with the stdout and stderr digests and exit code recorded for it.  Every
 entry must carry the current SCHEMA_VERSION, so a bump fails until
-`golden/update.py` records the file anew; it never skips a comparison."""
+`golden/update.py` records the file anew; it never skips a comparison.
+`update.py` itself refuses to re-record a report that changed while the
+schema version stayed."""
 
+import copy
 import json
 import shlex
 
 import pytest
-from golden.update import REPORTS, argument_vectors, run, versions
+from golden.update import REPORTS, argument_vectors, changed_reports, run, sha256, versions
 
 import ejm.optimize
 from ejm.cli import SCHEMA_VERSION
@@ -46,3 +49,27 @@ def test_golden_optimize_vectors_reach_the_refinement(monkeypatch):
         if argv[:1] == ["optimize"]:
             run(argv)
     assert calls
+
+
+def tampered(recorded: dict) -> dict:
+    """A copy of the recorded file with the first report's stdout changed and one new vector appended."""
+    current = copy.deepcopy(recorded)
+    current["reports"][0]["stdout"] = sha256("tampered")
+    current["reports"].append({**current["reports"][0], "argv": ["new"]})
+    return current
+
+
+def test_update_refuses_a_changed_report():
+    assert changed_reports(GOLDEN, copy.deepcopy(GOLDEN)) == []
+    assert changed_reports(GOLDEN, tampered(GOLDEN)) == [GOLDEN["reports"][0]["argv"]]
+
+
+def test_update_rerecords_after_a_schema_bump():
+    recorded = copy.deepcopy(GOLDEN)
+    for entry in recorded["reports"]:
+        entry["schema_version"] = SCHEMA_VERSION - 1
+    assert changed_reports(recorded, tampered(GOLDEN)) == []
+
+
+def test_update_rerecords_under_another_numpy():
+    assert changed_reports({**GOLDEN, "numpy": "1.26.4"}, tampered(GOLDEN)) == []
