@@ -92,11 +92,12 @@ def reduction_law(params: EjmParams, n: int) -> np.ndarray:
 def _bloch_array(family: BasisFamily) -> np.ndarray:
     """Bloch vectors of every single-qubit reduction, shape (states, qubits, 3), read-only.
 
-    Each 2x2 reduced density matrix comes from partial_trace on one state;
-    one bloch_vector call then takes the vectors of the whole stack.
+    Each 2x2 reduced density matrix comes from partial_trace on one state, a
+    row of the family matrix; one bloch_vector call then takes the vectors of
+    the whole stack.
     """
     qubits = range(1, family.n_qubits + 1)
-    rho = np.array([[partial_trace(state, {q}) for q in qubits] for state in family.states.values()])
+    rho = np.array([[partial_trace(state, {q}) for q in qubits] for state in map(StateVector, family.matrix())])
     vectors = bloch_vector(rho)
     vectors.setflags(write=False)
     return vectors
@@ -132,13 +133,14 @@ def verify_orthonormal_complete(family: BasisFamily) -> OrthonormalityReport:
     """Measure how far the family is from an orthonormal, complete basis.
 
     gram_error is max |<s|t> - delta_st|; completeness_error is the largest
-    entry of |sum_s |s><s| - I|.  Both are reported, never asserted.
+    entry of |sum_s |s><s| - I|.  Both are reported, never asserted; I is
+    subtracted from each product's diagonal in place.
     """
     v = family.matrix()
-    eye = np.eye(len(v))
-    gram_error = float(np.max(np.abs(v.conj() @ v.T - eye)))
-    completeness_error = float(np.max(np.abs(v.T @ v.conj() - eye)))
-    return OrthonormalityReport(gram_error, completeness_error)
+    gram, completeness = v.conj() @ v.T, v.T @ v.conj()
+    gram.flat[:: len(v) + 1] -= 1.0
+    completeness.flat[:: len(v) + 1] -= 1.0
+    return OrthonormalityReport(float(np.max(np.abs(gram))), float(np.max(np.abs(completeness))))
 
 
 @dataclass(frozen=True)

@@ -95,10 +95,10 @@ class RowView(Mapping[K, V]):
         return len(self.index)
 
 
-# sigma_x, sigma_y, sigma_z stacked as one read-only (3, 2, 2) array.
+# sigma_x, sigma_y, sigma_z stacked as one read-only (3, 2, 2) array; network reads sigma_x and sigma_z.
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 PAULIS.setflags(write=False)
-PAULI_X, PAULI_Y, PAULI_Z = PAULIS
+PAULI_X, PAULI_Z = PAULIS[::2]
 
 
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:
@@ -127,6 +127,11 @@ def partial_trace(state: StateVector, keep: Iterable[int]) -> np.ndarray:
     keep : iterable of int
         1-based qubit indices to keep; the traced-out qubits are the
         complement.  Kept qubits preserve their relative order.
+
+    One kept qubit takes the one-qubit path: a three-axis view (before, kept,
+    after) with its first two axes swapped, and np.dot, cheaper per call than
+    @; more take a transpose of all n axes and @.  Both order the traced-out
+    amplitudes alike, and a test pins the one-qubit path's bytes to the other's.
     """
     keep = set(keep)
     if not all(is_integer(q) for q in keep):
@@ -134,12 +139,16 @@ def partial_trace(state: StateVector, keep: Iterable[int]) -> np.ndarray:
     kept = sorted(keep)
     if not kept:
         raise ValueError("keep must contain at least one qubit index")
-    if kept[0] < 1 or kept[-1] > state.n_qubits:
-        raise ValueError(f"keep {kept!r} out of range for {state.n_qubits} qubits")
+    n = state.n_qubits
+    if kept[0] < 1 or kept[-1] > n:
+        raise ValueError(f"keep {kept!r} out of range for {n} qubits")
+    if len(kept) == 1:
+        q = int(kept[0])  # a numpy integer would keep its own width in 2 ** (n - q)
+        psi = state.amplitudes.reshape(2 ** (q - 1), 2, 2 ** (n - q)).swapaxes(0, 1).reshape(2, -1)
+        return np.dot(psi, psi.conj().T)
     axes = [q - 1 for q in kept]
-    rest = [a for a in range(state.n_qubits) if a not in axes]
-    psi = state.amplitudes.reshape([2] * state.n_qubits)
-    psi = psi.transpose(axes + rest).reshape(2 ** len(axes), -1)
+    rest = [a for a in range(n) if a not in axes]
+    psi = state.amplitudes.reshape([2] * n).transpose(axes + rest).reshape(2 ** len(axes), -1)
     return psi @ psi.conj().T
 
 

@@ -1,16 +1,20 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ejm.bases import DOMAIN, PARAM_NAMES, EjmParams
+from ejm.bases import DOMAIN, INV_SQRT3, PARAM_NAMES, EjmParams
 from ejm.qla import StateVector
 
 GRID_Z = (1.0 / math.sqrt(3.0), 0.85, 1.0)
 GRID_PHI = (-2.0, 0.3, 2.5)
 GRID_THETA = (0.0, 0.8, math.pi / 2)
 GRID_GAMMA = (0.0, 0.5, math.pi / 2)
+# The domain's corners and edges, where amplitudes vanish: (z, phi, theta, gamma).
+BOUNDARY = list(product((1.0, -1.0, INV_SQRT3, -INV_SQRT3), (0.0, math.pi, -math.pi),
+                        (0.0, math.pi / 2), (0.0, math.pi / 4, math.pi / 2)))
 
 
 def ket(bits):

@@ -371,6 +371,16 @@ class TestVerifyOrthonormalComplete:
         assert report.gram_error < 1e-9
         assert report.completeness_error < 1e-9
 
+    @settings(max_examples=60, deadline=None)
+    @given(domain_params, st.integers(2, 8))
+    def test_errors_equal_the_identity_subtraction(self, params, n):
+        # The diagonal subtracted in place against I built and subtracted whole, bit for bit.
+        family = n_qubit_ejm(params, n)
+        v, eye = family.matrix(), np.eye(2**n)
+        report = verify_orthonormal_complete(family)
+        assert report.gram_error.hex() == float(np.max(np.abs(v.conj() @ v.T - eye))).hex()
+        assert report.completeness_error.hex() == float(np.max(np.abs(v.T @ v.conj() - eye))).hex()
+
     def test_corrupted_family_detected(self):
         params = EjmParams(z=0.8, phi=0.3, theta=1.0, gamma=0.5)
         family = n_qubit_ejm(params, 3)

@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import domain_params, expectation, primed_rows
+from conftest import BOUNDARY, domain_params, expectation, primed_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,9 +24,6 @@ from ejm.bases import (
 from ejm.qla import PAULIS, StateVector, bloch_vector, partial_trace
 
 PARAMS = EjmParams(z=0.8, phi=0.3, theta=1.0, gamma=0.5)
-# The domain's corners and edges, where amplitudes vanish.
-BOUNDARY = list(product((1.0, -1.0, INV_SQRT3, -INV_SQRT3), (0.0, math.pi, -math.pi),
-                        (0.0, math.pi / 2), (0.0, math.pi / 4, math.pi / 2)))
 
 
 def inner(a, b):
@@ -448,12 +445,15 @@ class TestBasisFamilyContract:
             with pytest.raises(ValueError, match=r"not a 2\*\*n x 2\*\*n matrix with n >= 2"):
                 BasisFamily(bad)
 
-    @pytest.mark.parametrize("scale", [1.0 + 1e-9, np.nan])
+    @pytest.mark.parametrize("scale", [1.0 + 1e-9, np.nan, np.inf])
     def test_unnormalized_row_rejected(self, scale):
+        # The whole matrix, and the row alone as a one-dimensional state.
         rows = n_qubit_ejm(PARAMS, 3).matrix().copy()
         rows[5] *= scale
         with pytest.raises(ValueError, match="not normalized"):
             BasisFamily(rows)
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(rows[5])
 
     def test_matrix_is_stored_read_only(self):
         family = n_qubit_ejm(PARAMS, 4)

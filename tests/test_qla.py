@@ -1,10 +1,11 @@
 import cmath
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import expectation, ket
+from conftest import BOUNDARY, expectation, ket
 from hypothesis import strategies as st
 
 from ejm.bases import BasisLabel, EjmParams, m_vector, n_qubit_ejm, single_qubit_m
@@ -56,7 +57,7 @@ class TestStateVector:
             StateVector(np.array([1.0, 0.0, 0.0]))
 
     def test_requires_normalization(self):
-        for amps in ([1.0, 1.0], [np.nan, 0.0]):
+        for amps in ([1.0, 1.0], [1.0 + 1e-9, 0.0], [np.nan, 0.0], [np.inf, 0.0]):
             with pytest.raises(ValueError, match="not normalized"):
                 StateVector(np.array(amps))
 
@@ -107,6 +108,15 @@ class TestTensorProduct:
         assert np.max(np.abs(left.amplitudes - right.amplitudes)) < 1e-15
 
 
+def transpose_trace(state, kept):
+    """The reduction on the sorted kept qubits as partial_trace took it for any
+    number of them: a transpose of all n axes, then the product with @."""
+    axes = [q - 1 for q in kept]
+    rest = [a for a in range(state.n_qubits) if a not in axes]
+    psi = state.amplitudes.reshape([2] * state.n_qubits).transpose(axes + rest).reshape(2 ** len(axes), -1)
+    return psi @ psi.conj().T
+
+
 class TestPartialTrace:
     def test_product_state(self):
         rho = partial_trace(ket("01"), {1})
@@ -155,9 +165,25 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="integer"):
             partial_trace(ket("01"), keep)
 
-    @pytest.mark.parametrize("keep", [[np.int64(1)], (1, 1), iter([1])])
+    @pytest.mark.parametrize("keep", [[np.int64(1)], (1, 1), iter([1]), [np.int8(1)], [np.uint8(1)]])
     def test_integral_indices_are_accepted(self, keep):
-        assert np.array_equal(partial_trace(ket("01"), keep), partial_trace(ket("01"), {1}))
+        # At n = 9, 2 ** 8 overflows a one-byte integer.
+        state = random_state(np.random.default_rng(9), 9)
+        assert np.array_equal(partial_trace(state, keep), partial_trace(state, {1}))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bits_equal_the_full_transpose(self, n):
+        # Every keep subset up to n = 5, every single qubit beyond; bytes, so
+        # that the sign of every zero entry counts.
+        rng = np.random.default_rng(n)
+        points = BOUNDARY + [(z, 0.3, 1.0, 0.5) for z in (0.8, -0.8)]
+        states = [StateVector(row) for point in points for row in n_qubit_ejm(EjmParams(*point), n).matrix()]
+        states += [random_state(rng, n) for _ in range(16)]
+        size_limit = n if n <= 5 else 1
+        keeps = [keep for size in range(1, size_limit + 1) for keep in combinations(range(1, n + 1), size)]
+        got = b"".join(partial_trace(state, keep).tobytes() for state in states for keep in keeps)
+        want = b"".join(transpose_trace(state, keep).tobytes() for state in states for keep in keeps)
+        assert got == want
 
 
 class TestExpectation:
