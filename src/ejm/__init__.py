@@ -11,16 +11,7 @@ from .analysis import (
     three_tangle,
     verify_orthonormal_complete,
 )
-from .bases import (
-    BasisFamily,
-    BasisLabel,
-    EjmParams,
-    m_vector,
-    n_qubit_ejm,
-    phi_z,
-    reference_bases,
-    single_qubit_m,
-)
+from .bases import BasisFamily, BasisLabel, EjmParams, m_vector, n_qubit_ejm
 from .network import (
     CorrelationReport,
     StarScenario,

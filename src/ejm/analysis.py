@@ -74,7 +74,7 @@ def reduction_law(params: EjmParams, n: int) -> np.ndarray:
     and those vanish: Phi'_j = Phi_{j XOR 2} is orthogonal to Phi_j, and |-m_i>
     to |m_i>.
     """
-    check_limit("n", n)
+    n = check_limit("n", n)
     c = 1.0 if n == 2 else math.cos(2.0 * params.gamma)
     d = np.array([phi_k for _, phi_k in _vertices(params)]) - params.phi_z
     xy = math.sqrt(2.0) * c

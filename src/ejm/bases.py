@@ -1,10 +1,14 @@
 """Constructors for the symmetric joint-measurement basis families.
 
-Single-qubit tetrahedron states |m_i> / |-m_i>, the two-qubit elegant
-joint measurement (EJM) in its parameter-free, single-parameter and
-three-parameter forms, and the n-qubit generalizations built from one
-table, the two-qubit family Phi; its primed partner, Phi with the |00> and
-|11> amplitudes negated, is Phi'_i = Phi_{i XOR 2}.
+Every family is a point of the three-parameter family on one tetrahedron,
+vertex i at height (-1)^i z and azimuth phi + i pi/2.  The parameter-free
+EJM (theta = 0) and the single-parameter family that runs from it to the
+Bell measurement (theta = pi/2) are its two-qubit points at |z| = 1/sqrt(3),
+phi = phi_z + pi/4, up to the order and phases of the states.  The n-qubit
+families are built from one table, the two-qubit family Phi; its primed
+partner, Phi with the |00> and |11> amplitudes negated, is
+Phi'_i = Phi_{i XOR 2}.  Odd n adds the single-qubit pair |m_i> / |-m_i> of
+each vertex.
 """
 
 from __future__ import annotations
@@ -45,11 +49,6 @@ LIMITS: Mapping[str, tuple[int, int]] = MappingProxyType({
     "budget": (100, 1_000_000),
 })
 
-# Azimuths and z-heights whose Bloch vectors are the fixed tetrahedron
-# (1,1,1)/sqrt(3), (1,-1,-1)/sqrt(3), (-1,1,-1)/sqrt(3), (-1,-1,1)/sqrt(3)
-# used by the reference family (parameter-free at theta = 0).
-_REFERENCE_PHI = (math.pi / 4, -math.pi / 4, 3 * math.pi / 4, -3 * math.pi / 4)
-_REFERENCE_Z = (INV_SQRT3, -INV_SQRT3, -INV_SQRT3, INV_SQRT3)
 # Tetrahedron vertex i lies at height _SIGNS[i] z and azimuth phi + _TURNS[i].
 _SIGNS = (1.0, -1.0, 1.0, -1.0)
 _TURNS = (0.0, math.pi / 2, math.pi, -math.pi / 2)
@@ -72,7 +71,7 @@ def check_domain(name: str, value: float) -> float:
 
 
 def check_limit(name: str, value: int) -> int:
-    """Return value, or raise ValueError if it is not an integer or lies outside LIMITS[name]."""
+    """Return value as an int, or raise ValueError if it is not an integer or lies outside LIMITS[name]."""
     lo, hi = LIMITS[name]
     if not is_integer(value):
         raise ValueError(f"{name}={value!r} must be an integer")
@@ -80,23 +79,19 @@ def check_limit(name: str, value: int) -> int:
         raise ValueError(f"{name}={value!r} must be at least {lo}")
     if value > hi:
         raise ValueError(f"{name}={value!r} exceeds the cap {hi}")
-    return value
+    return int(value)
 
 
 def _phi_z(z: float) -> float:
-    """phi_z of a z already checked against DOMAIN."""
-    re = math.sqrt(max(1.0 - z * z, 0.0))
-    im = math.sqrt(max(3.0 * z * z - 1.0, 0.0))
-    return math.atan2(im, re)
-
-
-def phi_z(z: float) -> float:
-    """Auxiliary phase arg[(sqrt(1-z^2) + i*sqrt(3z^2-1)) / (sqrt(2)|z|)].
+    """Auxiliary phase arg[(sqrt(1-z^2) + i*sqrt(3z^2-1)) / (sqrt(2)|z|)] of a z
+    already checked against DOMAIN.
 
     Always lies in [0, pi/2]; the positive real denominator does not
     affect the argument.
     """
-    return _phi_z(check_domain("z", z))
+    re = math.sqrt(max(1.0 - z * z, 0.0))
+    im = math.sqrt(max(3.0 * z * z - 1.0, 0.0))
+    return math.atan2(im, re)
 
 
 @dataclass(frozen=True)
@@ -175,9 +170,6 @@ class BasisFamily:
         """Amplitudes, one row per label in label order (the stored array)."""
         return self.amplitudes
 
-    def __len__(self) -> int:
-        return len(self.amplitudes)
-
 
 def _qubit_pair(z: float, phi: float) -> list[list[complex]]:
     """Rows |m> and |-m> for the Bloch vector at height z and azimuth phi."""
@@ -187,15 +179,6 @@ def _qubit_pair(z: float, phi: float) -> list[list[complex]]:
     a = math.sqrt(max(1.0 + z, 0.0) / 2.0)
     b = math.sqrt(max(1.0 - z, 0.0) / 2.0)
     return [[a * lo, b * hi], [b * lo, -a * hi]]
-
-
-def single_qubit_m(params: EjmParams, i: int, sign: int = +1) -> StateVector:
-    """Tetrahedron-vertex qubit state |m_i> (sign=+1) or the orthogonal
-    |-m_i> (sign=-1), with Bloch vector sign * m_vector(params, i)."""
-    check_index("vertex index i", i, 0, 3)
-    if not (is_integer(sign) and sign in (1, -1)):
-        raise ValueError(f"sign={sign!r} must be +1 or -1")
-    return StateVector(_qubit_pair(*_vertices(params)[i])[0 if sign > 0 else 1])
 
 
 def m_vector(params: EjmParams, i: int) -> np.ndarray:
@@ -219,23 +202,6 @@ def _phi_table(params: EjmParams) -> np.ndarray:
         mid10 = -(parity - e_theta) / math.sqrt(2.0)
         rows.append([cmath.exp(-1j * delta), mid01, mid10, -cmath.exp(1j * delta)])
     return prefactor * np.array(rows)
-
-
-def reference_bases(theta: float = 0.0) -> BasisFamily:
-    """Two-qubit reference family on the fixed (1,+-1,+-1)/sqrt(3) tetrahedron.
-
-    The weights (sqrt(3) + exp(i*theta), sqrt(3) - exp(i*theta)) interpolate
-    between the parameter-free family (theta=0) and the Bell-state
-    measurement (theta=pi/2).
-    """
-    t = check_domain("theta", theta)
-    e_theta = cmath.exp(1j * t)
-    s3 = math.sqrt(3.0)
-    rows = []
-    for zi, phi in zip(_REFERENCE_Z, _REFERENCE_PHI):
-        mp, mm = _qubit_pair(zi, phi)
-        rows.append(((s3 + e_theta) * np.kron(mp, mm) + (s3 - e_theta) * np.kron(mm, mp)) / (2.0 * math.sqrt(2.0)))
-    return BasisFamily(np.array(rows))
 
 
 def _family_matrix(params: EjmParams, n: int) -> np.ndarray:
@@ -281,5 +247,4 @@ def n_qubit_ejm(params: EjmParams, n: int) -> BasisFamily:
     three-parameter family; gamma only enters for n >= 3 where a primed
     mixing partner exists.
     """
-    check_limit("n", n)
-    return BasisFamily(_family_matrix(params, n))
+    return BasisFamily(_family_matrix(params, check_limit("n", n)))

@@ -54,7 +54,7 @@ class SweepSpec:
         object.__setattr__(self, "hi", hi)
         if self.lo == self.hi:
             raise ValueError(f"range [{self.lo!r}, {self.hi!r}] invalid for {self.varying}: lo < hi required")
-        check_limit("points", self.points)
+        object.__setattr__(self, "points", check_limit("points", self.points))
         expected = set(PARAM_NAMES) - {self.varying}
         if set(self.fixed) != expected:
             raise ValueError(f"fixed must supply exactly {sorted(expected)}")
@@ -151,7 +151,7 @@ def maximize(bounds: Mapping[str, tuple[float, float]] | None = None, budget: in
     grid was complete.  The grid takes the first `budget` cells, each
     refinement what is left as its maxfev.
     """
-    check_limit("budget", budget)
+    budget = check_limit("budget", budget)
     box = _resolve_bounds(bounds)
     theta = box["theta"][1]
     gamma = min(max(math.pi / 4, box["gamma"][0]), box["gamma"][1])

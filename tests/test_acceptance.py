@@ -18,12 +18,7 @@ from ejm.analysis import (
     three_tangle,
     verify_orthonormal_complete,
 )
-from ejm.bases import (
-    EjmParams,
-    INV_SQRT3,
-    n_qubit_ejm,
-    reference_bases,
-)
+from ejm.bases import EjmParams, INV_SQRT3, n_qubit_ejm
 from ejm.cli import main as cli_main
 from ejm.network import (
     StarScenario,
@@ -36,6 +31,7 @@ from ejm.optimize import SweepSpec, maximize, sweep
 from ejm.qla import StateVector, partial_trace
 
 from conftest import star_state, tilde_state
+from oracles import reference_bases
 from test_network import bob_state, no_signaling_deviation, tilde_000_expansion
 
 

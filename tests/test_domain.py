@@ -22,8 +22,6 @@ from ejm.bases import (
     check_domain,
     check_limit,
     n_qubit_ejm,
-    phi_z,
-    reference_bases,
 )
 from ejm.cli import main
 from ejm.network import trilocal_score
@@ -120,7 +118,6 @@ class TestOneDomain:
             lambda: SweepSpec(varied, 0.0, 1.0, 3, {**held, name: bad}),
             lambda: maximize({name: (bad, DOMAIN[name][1])}, budget=100),
         ]
-        entry_points += {"z": [lambda: phi_z(bad)], "theta": [lambda: reference_bases(bad)]}.get(name, [])
         for build in entry_points:
             with pytest.raises(ValueError, match=f"{name}={bad!r} must be a real number"):
                 build()
@@ -205,8 +202,13 @@ class TestSizes:
     def test_non_integral_size_is_a_value_error(self, name):
         lo, hi = LIMITS[name]
         assert check_limit(name, lo) == lo and check_limit(name, np.int64(hi)) == hi
+        assert type(check_limit(name, np.int64(hi))) is int
         for value in (float(lo), lo + 0.5, math.nan, math.inf, str(lo), None):
             with pytest.raises(ValueError, match="must be an integer"):
                 check_limit(name, value)
             with pytest.raises(ValueError, match="must be an integer"):
                 SIZED[name](value)
+
+    def test_numpy_sizes_are_kept_as_ints(self):
+        spec = SIZED["points"](np.int8(100))
+        assert type(spec.points) is int and spec.points == 100

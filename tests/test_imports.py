@@ -1,7 +1,7 @@
 """The import graph: scipy and numpy.ma never load, not even when the
 optimizer runs, checked in fresh interpreters so that no other test's imports leak in; every top-level
-import of a module is read by it; and every private module-level name of
-the package is read somewhere in it."""
+import of a module is read by it; every private module-level name of
+the package is read somewhere in it; and the test oracles read no private name of it."""
 
 import ast
 import json
@@ -14,10 +14,12 @@ import pytest
 
 from ejm.cli import main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-# Library modules (the package __init__ imports only to export) and test modules.
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+# Library modules (the package __init__ imports only to export), test modules and
+# the scripts beside them: every Python file that runs outside bench/.
 LINTED = sorted(p for p in (SRC / "ejm").glob("*.py") if p.name != "__init__.py") + sorted(
-    Path(__file__).resolve().parent.glob("*.py")
+    [*(ROOT / "tests").glob("*.py"), ROOT / "tests" / "golden" / "update.py", *(ROOT / "tools").glob("*.py")]
 )
 
 
@@ -97,6 +99,10 @@ def test_every_top_level_import_is_read(path):
     assert unread_imports(path.read_text()) == []
 
 
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def unread_private_names(sources: list[str]) -> list[str]:
     """Module-level names with one leading underscore that the sources define
     (by def, class or assignment) but never read, by name or as an attribute."""
@@ -113,7 +119,7 @@ def unread_private_names(sources: list[str]) -> list[str]:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return [name for name in defined if name.startswith("_") and not name.startswith("__") and name not in read]
+    return [name for name in defined if is_private(name) and name not in read]
 
 
 def test_unread_private_names_are_found():
@@ -123,3 +129,29 @@ def test_unread_private_names_are_found():
 
 def test_every_private_name_is_read():
     assert unread_private_names([path.read_text() for path in sorted((SRC / "ejm").glob("*.py"))]) == []
+
+
+def private_reads(source: str, package: str = "ejm") -> list[str]:
+    """Names with one leading underscore that the source imports from the
+    package, or reads as an attribute of any object (a module of the package
+    among them)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == package:
+            found += [alias.name for alias in node.names if is_private(alias.name)]
+        elif isinstance(node, ast.Attribute) and is_private(node.attr):
+            found.append(node.attr)
+    return found
+
+
+def test_private_reads_are_found():
+    source = (
+        "import ejm.bases\nfrom ejm import bases as b, _x\nfrom os import _exit\n"
+        "ejm.bases._qubit_pair, b._vertices, b.EjmParams.__init__, ejm.bases.DOMAIN, _exit\n"
+    )
+    assert private_reads(source) == ["_x", "_qubit_pair", "_vertices"]
+
+
+def test_oracles_read_no_private_name_of_the_package():
+    # An oracle that read the builders' private tables would move with them.
+    assert private_reads((ROOT / "tests" / "oracles.py").read_text()) == []

@@ -224,9 +224,8 @@ class TestCorrelations:
 
     def test_analytic_zero_structure(self):
         # phi = phi_z - pi/4 makes the last correlator vanish and the third maximal
-        from ejm.bases import phi_z
-
-        params = EjmParams(z=1.0, phi=phi_z(1.0) - math.pi / 4, theta=math.pi / 2, gamma=0.3)
+        phi_z = EjmParams(z=1.0, phi=0.0, theta=0.0, gamma=0.0).phi_z
+        params = EjmParams(z=1.0, phi=phi_z - math.pi / 4, theta=math.pi / 2, gamma=0.3)
         assert abs(correlation_I_analytic(params, 4)) < 1e-15
         assert abs(correlation_I_analytic(params, 3) - 1.0 / (2.0 * math.sqrt(2.0))) < 1e-15
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ejm.optimize
-from ejm.bases import DOMAIN, LIMITS, PARAM_NAMES, EjmParams, INV_SQRT3, phi_z
+from ejm.bases import DOMAIN, LIMITS, PARAM_NAMES, EjmParams, INV_SQRT3
 from ejm.network import closed_form, trilocal_score
 from ejm.optimize import SweepSpec, maximize, sweep
 
@@ -44,7 +44,7 @@ def lemma_grid_max(box, points=201):
     with theta and gamma at their lemma values."""
     z = np.linspace(*box["z"], points)[:, None]
     phi = np.linspace(*box["phi"], points)
-    phase = np.array([phi_z(float(v)) for v in z.ravel()])[:, None]
+    phase = np.array([EjmParams(float(v), 0.0, 0.0, 0.0).phi_z for v in z.ravel()])[:, None]
     correlations = closed_form(z, phi, phase, *lemma_values(box), np.sin, np.cos)
     return float(sum(np.abs(np.broadcast_to(i, (points, points))) ** (1.0 / 3.0) for i in correlations).max())
 

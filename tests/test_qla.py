@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from conftest import BOUNDARY, expectation, ket
 from hypothesis import strategies as st
+from oracles import vertex_formula_tables
 
-from ejm.bases import BasisLabel, EjmParams, m_vector, n_qubit_ejm, single_qubit_m
+from ejm.bases import BasisLabel, EjmParams, m_vector, n_qubit_ejm
 from ejm.qla import (
     PAULI_Z,
     PAULIS,
@@ -83,7 +84,7 @@ class TestTensorProduct:
             [m0[0] * minus[0], m0[0] * minus[1], m0[1] * minus[0], m0[1] * minus[1]]
         )
         params = EjmParams(z=s, phi=math.pi / 4, theta=0.0, gamma=0.0)
-        got = tensor_product(single_qubit_m(params, 0, +1), single_qubit_m(params, 0, -1))
+        got = tensor_product(*map(StateVector, vertex_formula_tables(params)[1][0]))
         assert np.max(np.abs(got.amplitudes - expected)) < 1e-15
 
     def test_associative_bit_exact_on_dyadic_amplitudes(self):
@@ -100,9 +101,10 @@ class TestTensorProduct:
         # Floating multiplication is not associative in the last bit, so
         # generic amplitudes are compared at machine precision instead.
         params = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
-        a = single_qubit_m(params, 0, +1)
+        pairs = vertex_formula_tables(params)[1]
+        a = StateVector(pairs[0][0])
         b = n_qubit_ejm(params, 2).states[BasisLabel(1)]
-        c = single_qubit_m(params, 2, -1)
+        c = StateVector(pairs[2][1])
         left = tensor_product(tensor_product(a, b), c)
         right = tensor_product(a, tensor_product(b, c))
         assert np.max(np.abs(left.amplitudes - right.amplitudes)) < 1e-15
@@ -192,7 +194,7 @@ class TestExpectation:
 
     def test_tetrahedron_vertex_bloch_vector(self):
         params = EjmParams(z=INV_SQRT3, phi=math.pi / 4, theta=0.0, gamma=0.0)
-        state = single_qubit_m(params, 0, +1)
+        state = StateVector(vertex_formula_tables(params)[1][0][0])
         got = np.array([expectation(state, s) for s in PAULIS])
         assert np.max(np.abs(got - np.full(3, INV_SQRT3))) < 1e-12
 
