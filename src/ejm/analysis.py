@@ -137,10 +137,10 @@ def verify_orthonormal_complete(family: BasisFamily) -> OrthonormalityReport:
     subtracted from each product's diagonal in place.
     """
     v = family.matrix()
-    gram, completeness = v.conj() @ v.T, v.T @ v.conj()
-    gram.flat[:: len(v) + 1] -= 1.0
-    completeness.flat[:: len(v) + 1] -= 1.0
-    return OrthonormalityReport(float(np.max(np.abs(gram))), float(np.max(np.abs(completeness))))
+    gram, completeness = v.conj().dot(v.T), v.T.dot(v.conj())  # as @, without its ufunc dispatch
+    gram.reshape(-1)[:: len(v) + 1] -= 1.0
+    completeness.reshape(-1)[:: len(v) + 1] -= 1.0
+    return OrthonormalityReport(float(np.abs(gram).max()), float(np.abs(completeness).max()))
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,9 @@ LIMITS: Mapping[str, tuple[int, int]] = MappingProxyType({
 # Tetrahedron vertex i lies at height _SIGNS[i] z and azimuth phi + _TURNS[i].
 _SIGNS = (1.0, -1.0, 1.0, -1.0)
 _TURNS = (0.0, math.pi / 2, math.pi, -math.pi / 2)
+# (-1)^floor(i/2) per vertex i, the sign of the primed chain's sin(gamma) weight in _family_matrix.
+_GAMMA_SIGNS = np.array([1.0, 1.0, -1.0, -1.0]).reshape(4, 1, 1, 1, 1)
+_GAMMA_SIGNS.setflags(write=False)
 
 
 def check_domain(name: str, value: float) -> float:
@@ -195,13 +198,13 @@ def _phi_table(params: EjmParams) -> np.ndarray:
     rad = math.sqrt(max(3.0 * z * z - 1.0, 0.0))
     prefactor = (1.0 - 1j * rad) / (2.0 * math.sqrt(3.0) * abs(z))
     e_theta = cmath.exp(1j * params.theta)
-    rows = []
+    entries = []
     for parity, (_, phi_i) in zip(_SIGNS, _vertices(params)):
         delta = phi_i - params.phi_z
         mid01 = -(parity + e_theta) / math.sqrt(2.0)
         mid10 = -(parity - e_theta) / math.sqrt(2.0)
-        rows.append([cmath.exp(-1j * delta), mid01, mid10, -cmath.exp(1j * delta)])
-    return prefactor * np.array(rows)
+        entries += (cmath.exp(-1j * delta), mid01, mid10, -cmath.exp(1j * delta))
+    return prefactor * np.array(entries).reshape(4, 4)
 
 
 def _family_matrix(params: EjmParams, n: int) -> np.ndarray:
@@ -226,13 +229,16 @@ def _family_matrix(params: EjmParams, n: int) -> np.ndarray:
     chains = reduce(np.kron, [phi] * k)
     shape = (4, -1, 1, 4**k, 1)
     plain = chains.reshape(shape)
-    primed = chains[np.arange(len(chains)) ^ int("10" * k, 2)].reshape(shape)
+    # Reversing the axis of each digit's high bit flips that bit.  A reversed axis
+    # cannot merge into shape, so the reshape copies: primed never aliases plain.
+    flip_high_bits = (slice(None, None, -1), slice(None)) * k
+    primed = chains.reshape((2, 2) * k + (-1,))[flip_high_bits].reshape(shape)
     if n % 2:
-        tails = np.array([_qubit_pair(*vertex) for vertex in _vertices(params)])[:, None, :, None, :]
+        tails = np.array([a for vertex in _vertices(params) for row in _qubit_pair(*vertex) for a in row])
+        tails = tails.reshape(4, 1, 2, 1, 2)
         plain, primed = plain * tails, primed * tails[:, :, ::-1]
-    s = math.sin(params.gamma)
     plain *= math.cos(params.gamma)
-    primed *= np.array([s, s, -s, -s]).reshape(4, 1, 1, 1, 1)
+    primed *= _GAMMA_SIGNS * math.sin(params.gamma)
     plain[:, :, :1] += primed[:, :, :1]
     plain[:, :, 1:] -= primed[:, :, 1:]  # l = 1, odd n only
     return plain.reshape(2**n, 2**n)

@@ -59,6 +59,8 @@ _ALICE_STAR = np.einsum(
 ).reshape(2, 2, 2, 2, 2, 2, 8)
 _ALICE.setflags(write=False)
 _ALICE_STAR.setflags(write=False)
+# Shape of outcome_table's distribution: three inputs, three Alice outputs, Bob's raw output.
+_TABLE_SHAPE = _ALICE_STAR.shape
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +86,11 @@ class StarScenario:
 
 def outcome_table(scenario: StarScenario) -> np.ndarray:
     """Full joint distribution P[x1,x2,x3,a1,a2,a3,b] over raw outcomes,
-    shape (2,2,2,2,2,2,8): the constant projected star tensor times Bob's
+    shape (2,2,2,2,2,2,8): one (64 x 8)·(8 x 8) product of the constant
+    projected star tensor, flattened over its Alice indices, and Bob's
     conjugated basis rows."""
-    return np.abs(_ALICE_STAR @ scenario.bob_basis.matrix().conj().T) ** 2
+    amplitudes = _ALICE_STAR.reshape(64, 8) @ scenario.bob_basis.matrix().conj().T
+    return (np.abs(amplitudes) ** 2).reshape(_TABLE_SHAPE)
 
 
 def correlation_I_bruteforce(table: np.ndarray, m: int) -> float:
@@ -94,11 +98,15 @@ def correlation_I_bruteforce(table: np.ndarray, m: int) -> float:
     ``table`` (as returned by outcome_table).
 
     Averages the signed correlator <A1 A2 A3 B^m> over the eight input
-    triples with the input-dependent sign (-1)^g_m.
+    triples with the input-dependent sign (-1)^g_m.  Raises ValueError
+    unless table is an array of outcome_table's shape.
     """
     check_index("m", m, 1, 4)
-    correlators = table.reshape(8, 8, 8) @ _BOB_SIGNS[m - 1]
-    return float(_INPUT_SIGNS[m - 1] @ correlators @ _ALICE_SIGNS) / 8.0
+    if not isinstance(table, np.ndarray) or table.shape != _TABLE_SHAPE:
+        raise ValueError(f"table must be an array of outcome_table's shape {_TABLE_SHAPE}, not {np.shape(table)}")
+    # ndarray.dot calls the same BLAS kernels as @ without its ufunc dispatch: the same bits, at less cost.
+    correlators = table.reshape(64, 8).dot(_BOB_SIGNS[m - 1]).reshape(8, 8)
+    return float(_INPUT_SIGNS[m - 1].dot(correlators).dot(_ALICE_SIGNS)) / 8.0
 
 
 def closed_form(z, phi, phi_z, theta, gamma, sin, cos):

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
+import oracles
 import pytest
 
 import ejm
@@ -464,18 +465,40 @@ def test_readme_size_table_matches_limits():
         assert callable(getattr(ejm, checker, None)), checker
 
 
+def readme_targets():
+    """Parameter names of every function and non-exception class defined in ejm or tests/oracles.py,
+    by bare and by module-qualified name (``bases.check_limit``), and of every public
+    method of those classes by bare name, ``self`` dropped; no third-party name."""
+    modules = [ejm, *(value for value in vars(ejm).values() if isinstance(value, ModuleType)), oracles]
+    targets = {}
+    for module in modules:
+        prefix = module.__name__.rpartition(".")[2]
+        for name, value in vars(module).items():
+            is_class = inspect.isclass(value) and not issubclass(value, Exception)
+            own = getattr(value, "__module__", "").partition(".")[0] in ("ejm", "oracles")
+            if not (own and (inspect.isfunction(value) or is_class)):
+                continue
+            params = tuple(inspect.signature(value).parameters)
+            for key in (name, f"{prefix}.{name}"):
+                targets.setdefault(key, set()).add(params)
+            if is_class:
+                for attr, method in vars(value).items():
+                    if inspect.isfunction(method) and not attr.startswith("_"):
+                        targets.setdefault(attr, set()).add(tuple(inspect.signature(method).parameters)[1:])
+    return targets
+
+
 def test_readme_signatures_match_the_code():
-    # A name counts if it resolves to a callable in ejm or one of its modules;
-    # method calls such as `matrix()` resolve to nothing and are skipped.
-    roots = [ejm, *(value for value in vars(ejm).values() if isinstance(value, ModuleType))]
-    checked = 0
-    for name, params in readme_calls():
-        for root in roots:
-            target = root
-            for part in name.split("."):
-                target = getattr(target, part, None)
-            if callable(target):
-                assert params == list(inspect.signature(target).parameters), name
-                checked += 1
-                break
-    assert checked >= 6
+    targets = readme_targets()
+    calls = readme_calls()
+    assert len(calls) >= 6
+    for name, params in calls:
+        assert name in targets, f"`{name}(...)` names no function, class or method of ejm or tests/oracles.py"
+        assert targets[name] == {tuple(params)}, name
+
+
+def test_readme_signature_check_fails_on_unknown_and_third_party_names():
+    targets = readme_targets()
+    assert targets["matrix"] == {()} and targets["reference_bases"] == {("theta",)}
+    for name in ("deleted_function", "array", "np.array", "math.sqrt", "dataclass", "cache"):
+        assert name not in targets, name

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from functools import reduce
 from itertools import product
 from operator import add
@@ -7,7 +8,7 @@ from operator import add
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import domain_params, ket, star_state, tilde_state
+from conftest import BOUNDARY, domain_params, ket, star_state, tilde_state
 from hypothesis import strategies as st
 
 import ejm.network
@@ -268,6 +269,53 @@ class TestCorrelations:
     def test_numpy_integer_m_is_accepted(self, method):
         correlation = self.route(method)
         assert [correlation(np.int64(m)) for m in range(1, 5)] == [correlation(m) for m in range(1, 5)]
+
+    @pytest.mark.parametrize("reshape", [
+        lambda t: np.full(512, 1 / 512),
+        lambda t: np.zeros((8, 64)),
+        lambda t: t.reshape(8, 8, 8),
+        lambda t: t.T,
+        lambda t: t[..., :4],
+        lambda t: t.tolist(),
+    ], ids=["flat", "8x64", "8x8x8", "transposed", "half", "list"])
+    def test_table_must_be_an_outcome_table_array(self, reshape):
+        table = reshape(outcome_table(StarScenario(GENERIC)))
+        message = f"outcome_table's shape (2, 2, 2, 2, 2, 2, 8), not {np.shape(table)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            correlation_I_bruteforce(table, 1)
+        with pytest.raises(ValueError, match="must be 1..4"):
+            correlation_I_bruteforce(table, 5)  # m is checked first
+
+
+def bit_identity_points():
+    """200 seeded domain points, half with negative z, then the domain's
+    corners and edges (|z| = 1/sqrt(3) and 1, theta and gamma in {0, pi/2})."""
+    rng = np.random.default_rng(28)
+    drawn = [
+        EjmParams(z=sign * rng.uniform(INV_SQRT3, 1.0), phi=rng.uniform(-math.pi, math.pi),
+                  theta=rng.uniform(0.0, math.pi / 2), gamma=rng.uniform(0.0, math.pi / 2))
+        for sign in (1.0, -1.0) for _ in range(100)
+    ]
+    return drawn + [EjmParams(*point) for point in BOUNDARY]
+
+
+def test_outcome_tables_and_correlations_keep_their_bits():
+    """The (64 x 8) outcome product and the (64 x 8) sign product give, byte
+    for byte, what the batched forms over the 7-D star tensor and the
+    (8, 8, 8) table give."""
+    star, bob_signs = ejm.network._ALICE_STAR, ejm.network._BOB_SIGNS
+    input_signs, alice_signs = ejm.network._INPUT_SIGNS, ejm.network._ALICE_SIGNS
+    points = bit_identity_points()
+    assert len(points) >= 200 and {p.z < 0 for p in points} == {True, False}
+    for params in points:
+        scenario = StarScenario(params)
+        table = outcome_table(scenario)
+        batched = np.abs(star @ scenario.bob_basis.matrix().conj().T) ** 2
+        assert table.shape == batched.shape and table.tobytes() == batched.tobytes(), params
+        for m in range(1, 5):
+            correlators = table.reshape(8, 8, 8) @ bob_signs[m - 1]
+            expected = float(input_signs[m - 1] @ correlators @ alice_signs) / 8.0
+            assert correlation_I_bruteforce(table, m).hex() == expected.hex(), (params, m)
 
 
 def single_expression_score(params):
