@@ -2,8 +2,9 @@
 symmetry, evaluate the star network, run sweeps and optimizations, and export
 machine-readable JSON/CSV reports. `main` checks the parameter flags and --n
 once, builds the family of each command that takes --n, and wraps each
-handler's fields in the report's schema, version and n. A report's fields
-come from the library's result dataclasses, whose field names are its keys."""
+handler's fields in the report's schema and version, adding n and the
+family's params on those commands. A report's fields come from the
+library's result dataclasses, whose field names are its keys."""
 
 from __future__ import annotations
 
@@ -115,8 +116,10 @@ def export(report: dict, fmt: str = "json") -> bytes:
 
     JSON carries a schema name and version and round-trips every float
     bit-exactly; CSV, which only `ejm sweep` offers, holds a sweep's samples
-    with 17 significant digits.
+    with 17 significant digits.  Any other fmt is a ValueError.
     """
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"unknown report format {fmt!r}: expected 'json' or 'csv'")
     if fmt == "csv":
         lines = ["value,S"]
         lines.extend(f"{value:.17e},{score:.17e}" for value, score in report["samples"])
@@ -127,11 +130,13 @@ def export(report: dict, fmt: str = "json") -> bytes:
 def _emit(data: bytes, output: Path | None) -> None:
     """Write data to the --output file, or to stdout without one."""
     try:
-        if output is None:
+        if output is not None:
+            output.write_bytes(data)
+        elif sys.stdout is None:  # the process started with its stdout closed
+            raise OSError("stdout is closed")
+        else:
             sys.stdout.write(data.decode("utf-8"))
             sys.stdout.flush()
-        else:
-            output.write_bytes(data)
     except OSError as exc:
         where = "stdout" if output is None else "--output"
         raise ValueError(f"{where} cannot be written: {exc}") from None
@@ -142,45 +147,30 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
         raise ValueError(f"--tol out of domain: tol={args.tol!r} must be positive and finite")
     report = verify_orthonormal_complete(args.family)
     ok = max(report.gram_error, report.completeness_error) <= args.tol
-    return (0 if ok else 1), {
-        "params": asdict(args.params),
-        **asdict(report),
-        "tol": float(args.tol),
-        "ok": ok,
-    }
+    return (0 if ok else 1), {**asdict(report), "tol": args.tol, "ok": ok}
 
 
 def _cmd_tangle(args: argparse.Namespace) -> tuple[int, dict]:
-    measure = three_tangle if args.n == 3 else concurrence
-    values = [
-        {**asdict(label), "value": float(measure(state))}
-        for label, state in args.family.states.items()
-    ]
+    name, measure = ("three_tangle", three_tangle) if args.n == 3 else ("concurrence", concurrence)
+    values = [{**asdict(label), "value": measure(state)} for label, state in args.family.states.items()]
     numbers = [entry["value"] for entry in values]
-    fields = {
-        "measure": "three_tangle" if args.n == 3 else "concurrence",
-        "params": asdict(args.params),
-        "values": values,
-        "spread": float(max(numbers) - min(numbers)),
-    }
+    fields = {"measure": name, "values": values, "spread": max(numbers) - min(numbers)}
     if args.n == 3:
-        fields["iso_value"] = float(tangle_law(args.params))
+        fields["iso_value"] = tangle_law(args.params)
     return 0, fields
 
 
 def _cmd_reduce(args: argparse.Namespace) -> tuple[int, dict]:
     report = symmetry_report(args.family)
-    labels = {label: asdict(label) for label in args.family.labels}  # once per label, not per (label, qubit)
-    vectors = [{**labels[label], "qubit": qubit, "vector": list(v)} for (label, qubit), v in report.vectors.items()]
-    return 0, {**vars(report), "params": asdict(args.params), "vectors": vectors}
+    rows = zip(map(asdict, args.family.labels), report.vectors.rows.tolist())  # one asdict per label
+    vectors = [{**label, "qubit": q, "vector": v} for label, row in rows for q, v in enumerate(row, 1)]
+    return 0, {**vars(report), "vectors": vectors}
 
 
 def _cmd_basis(args: argparse.Namespace) -> tuple[int, dict]:
-    states = [
-        {**asdict(label), "amplitudes": [[float(a.real), float(a.imag)] for a in row]}
-        for label, row in zip(args.family.labels, args.family.matrix())
-    ]
-    return 0, {"params": asdict(args.params), "states": states}
+    matrix = args.family.matrix()
+    amplitudes = matrix.view(float).reshape(*matrix.shape, 2).tolist()  # [re, im] per amplitude
+    return 0, {"states": [{**asdict(label), "amplitudes": row} for label, row in zip(args.family.labels, amplitudes)]}
 
 
 def _cmd_network(args: argparse.Namespace) -> tuple[int, dict]:
@@ -204,7 +194,7 @@ def _cmd_optimize(args: argparse.Namespace) -> tuple[int, dict]:
     result = maximize(bounds, budget=_param(args, "budget", args.budget))
     return 0, {
         "params": asdict(result.params),
-        "S": float(result.S),
+        "S": result.S,
         "violated": result.S > TRILOCAL_BOUND,
         "budget": args.budget,
         "n_evaluations": len(result.trace),
@@ -224,6 +214,7 @@ def main(argv: list[str] | None = None) -> int:
             args.params = EjmParams(**{name: _param(args, name, getattr(args, name)) for name in PARAM_NAMES})
         if "n" in vars(args):
             envelope["n"] = args.n = _param(args, "n", args.n)
+            envelope["params"] = asdict(args.params)
             args.family = n_qubit_ejm(args.params, args.n)
         code, fields = args.handler(args)
         _emit(export({**fields, **envelope}, args.format), args.output)

@@ -25,6 +25,7 @@ import platform
 import shlex
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -171,16 +172,8 @@ def sha256(text: str) -> str:
 def run(argv: list[str]) -> dict:
     """Exit code and stdout and stderr digests of `ejm argv`, run in process."""
     out, err = io.StringIO(), io.StringIO()
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = COLUMNS
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(argv))
-    finally:
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
+    with mock.patch.dict(os.environ, COLUMNS=COLUMNS), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
     return {"exit": code, "stdout": sha256(out.getvalue()), "stderr": sha256(err.getvalue())}
 
 

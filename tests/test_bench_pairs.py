@@ -1,9 +1,11 @@
 """tools/bench_pairs.py summarizes canned result lines, with no benchmark run:
 the parsed lines, the verdict per metric, the bounds of BENCHMARK.json, the
-failed share and the traced metrics side by side."""
+failed share and the traced metrics side by side; and main refuses to
+overwrite a BENCH file."""
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -122,3 +124,17 @@ def test_unpaired_runs_are_refused():
     found = runs([100.0, 100.0], [100.0, 100.0])
     with pytest.raises(ValueError, match="different pairs"):
         bench_pairs.summarize(found[:-1], BENCHMARK)
+
+
+def test_an_existing_bench_file_is_not_overwritten(tmp_path, monkeypatch, capsys):
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+    (tmp_path / "BENCH_x.json").write_text("kept\n")
+
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError(f"subprocess.run called with {args}")
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_subprocess)
+    assert bench_pairs.main(["--label", "x"]) != 0
+    assert (tmp_path / "BENCH_x.json").read_text() == "kept\n"
+    assert capsys.readouterr().err == "error: BENCH_x.json exists; pick another --label\n"

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -14,11 +15,13 @@ import oracles
 import pytest
 
 import ejm
-from ejm import network
+from ejm import analysis, network
 from ejm.bases import LIMITS, PARAM_NAMES, _DOMAIN_ATOL
 from ejm.cli import SCHEMA_VERSION, export, main
+from ejm.qla import BlochVector
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 HEADLINE = ["--z", "1", "--phi", "0.1781", "--theta", "1.5707963267948966",
             "--gamma", "0.7853981633974483"]
 
@@ -120,6 +123,20 @@ class TestReduceCommand:
         assert len(report["vectors"]) == 24
         total = [sum(entry["vector"][axis] for entry in report["vectors"]) for axis in range(3)]
         assert max(abs(t) for t in total) < 1e-9
+
+    def test_report_builds_only_the_vector_sum(self, capsys, monkeypatch):
+        made = []
+
+        def counting(*xyz):
+            made.append(xyz)
+            return BlochVector(*xyz)
+
+        monkeypatch.setattr(analysis, "BlochVector", counting)
+        code, out, _ = run(capsys, "reduce", "--n", "8")
+        assert code == 0
+        report = json.loads(out)
+        assert len(report["vectors"]) == 2**8 * 8
+        assert made == [tuple(report["vector_sum"])]  # the vectors are written from the array
 
 
 class TestBasisCommand:
@@ -309,6 +326,21 @@ class TestArgumentHandling:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: stdout cannot be written: ") and os.strerror(errno.ENOSPC) in err
 
+    def test_missing_stdout_is_invalid_input(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)  # as Python sets it when fd 1 is closed at start
+        code = main(["network"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: stdout cannot be written: stdout is closed\n"
+
+    def test_closed_stdout_in_a_child_is_invalid_input(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run(["sh", "-c", '"$0" -m ejm network >&-', sys.executable],
+                               env=env, capture_output=True, text=True)
+        assert child.returncode == 2
+        assert child.stderr == "error: stdout cannot be written: stdout is closed\n"
+
     def test_out_of_domain_phi(self, capsys):
         code, _, err = run(capsys, "network", "--phi", "4.0")
         assert code == 2
@@ -356,6 +388,11 @@ class TestExport:
         line = export(report, "csv").decode().strip().split("\n")[1]
         mantissa = line.split(",")[1].split("e")[0]
         assert len(mantissa.replace(".", "").replace("-", "")) >= 12
+
+    @pytest.mark.parametrize("fmt", ["CSV", "xml", "", "Json"])
+    def test_unknown_format_is_refused(self, fmt):
+        with pytest.raises(ValueError, match="unknown report format"):
+            export({"schema": "sweep", "version": 1, "samples": []}, fmt)
 
 
 # One invocation per subcommand: its schema and every top-level field but schema and version.

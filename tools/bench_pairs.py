@@ -14,7 +14,9 @@ line of standard output and the ``calibration:`` line of standard error.
 tree (``tree_digest``), and per workload and end-to-end metric each side's
 median and quartiles, the pairs the change won, the bound from
 ``BENCHMARK.json`` and a verdict (``VERDICTS``), plus each side's failed
-share and the traced per-layer metrics side by side.
+share and the traced per-layer metrics side by side.  It refuses to
+overwrite an existing ``BENCH_<label>.json``, so every run made stays on
+record.
 """
 
 from __future__ import annotations
@@ -161,6 +163,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", required=True, help="the output is BENCH_<label>.json at the repository root")
     args = parser.parse_args(argv)
     out = ROOT / f"BENCH_{args.label}.json"
+    if out.exists():
+        print(f"error: {out.name} exists; pick another --label", file=sys.stderr)
+        return 1
     parent = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True,
                             check=True).stdout.strip()
     seconds, seeds = benchmark["run_seconds"], [pair + 1 for pair in range(PAIRS)]
