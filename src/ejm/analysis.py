@@ -159,16 +159,22 @@ def _clusters(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Greedy max-norm clustering in input order, one pass per cluster.
 
     Each cluster is the first unlabelled point (its representative) and every
-    unlabelled point within GEOMETRY_ATOL of it.  Returns each point's cluster
-    index and the representatives.
+    unlabelled point within GEOMETRY_ATOL of it, tested one coordinate column
+    at a time.  A point with a NaN or inf coordinate is within GEOMETRY_ATOL
+    of no point, itself included (inf - inf is NaN), and is a cluster of its
+    own.  Returns each point's cluster index and the representatives.
     """
+    columns = np.ascontiguousarray(points.T)
     labels = np.full(len(points), -1)
     firsts = []
-    while (left := labels < 0).any():
-        first = int(np.argmax(left))
-        near = left & (np.max(np.abs(points - points[first]), axis=1) <= GEOMETRY_ATOL)
-        labels[near] = len(firsts)
-        firsts.append(first)
+    with np.errstate(invalid="ignore"):
+        while (near := labels < 0).any():
+            first = int(np.argmax(near))
+            for column in columns:
+                near &= np.abs(column - column[first]) <= GEOMETRY_ATOL
+            near[first] = True
+            labels[near] = len(firsts)
+            firsts.append(first)
     return labels, points[firsts]
 
 
@@ -177,8 +183,9 @@ _SUM_SIGNS = np.array([(1.0, *signs) for signs in product((1.0, -1.0), repeat=3)
 
 
 def _is_rectangular_box(points: np.ndarray) -> bool:
-    """True iff the eight points are the vertices +-a +-b +-c of a box with
-    orthogonal, non-zero edges.
+    """True iff the eight points, or each octet of a stack of shape
+    (..., 8, 3), are the vertices +-a +-b +-c of a box with orthogonal,
+    non-zero edges; an empty stack holds vacuously.
 
     The points must form four antipodal pairs +-u_k.  They are then such a
     box iff the u_k have one length r and some signed sum w_0 + w_1 + w_2 +
@@ -191,15 +198,15 @@ def _is_rectangular_box(points: np.ndarray) -> bool:
     +-a +-b +-c have one length, and a + b + c, a - b - c, -a + b - c and
     -a - b + c sum to zero.
     """
-    if len(points) != 8:
+    if points.shape[-2] != 8:
         return False
-    antipodal = np.max(np.abs(points[:, None] + points[None]), axis=2) <= GEOMETRY_ATOL
-    if np.any(np.diag(antipodal)) or np.any(antipodal.sum(axis=1) != 1):
+    antipodal = np.max(np.abs(points[..., :, None, :] + points[..., None, :, :]), axis=-1) <= GEOMETRY_ATOL
+    if np.any(np.diagonal(antipodal, axis1=-2, axis2=-1)) or np.any(antipodal.sum(axis=-1) != 1):
         return False
-    u = points[np.arange(8) < np.argmax(antipodal, axis=1)]
-    one_length = np.ptp(np.linalg.norm(u, axis=1)) <= GEOMETRY_ATOL
-    vanishing = np.max(np.abs(_SUM_SIGNS @ u), axis=1) <= GEOMETRY_ATOL
-    return bool(one_length and np.any(vanishing))
+    u = points[np.arange(8) < np.argmax(antipodal, axis=-1)].reshape(*points.shape[:-2], 4, 3)
+    one_length = np.ptp(np.linalg.norm(u, axis=-1), axis=-1) <= GEOMETRY_ATOL
+    vanishing = np.max(np.abs(_SUM_SIGNS @ u), axis=-1) <= GEOMETRY_ATOL
+    return bool(np.all(one_length & np.any(vanishing, axis=-1)))
 
 
 def symmetry_report(family: BasisFamily) -> SymmetryReport:
@@ -233,13 +240,18 @@ def symmetry_report(family: BasisFamily) -> SymmetryReport:
     plus, minus = (np.bincount(half.ravel(), minlength=len(reps)) for half in signed)
     mirror_ok = bool(np.all((plus == minus) | (np.max(np.abs(reps), axis=1) <= GEOMETRY_ATOL)))
 
-    octets = [reps[np.bincount(position.ravel(), minlength=len(reps)) > 0] for position in signed.transpose(2, 0, 1)]
-    live = [octet for octet in octets if not (np.max(np.linalg.norm(octet, axis=1)) <= GEOMETRY_ATOL or len(octet) < 8)]
+    positions = np.arange(vectors.shape[1])
+    hit = np.zeros((len(positions), len(reps)), dtype=bool)  # (position, cluster): the position's octet
+    hit[positions, signed] = True
+    sizes = hit.sum(axis=1)
+    radius = np.max(np.where(hit, np.linalg.norm(reps, axis=1), -np.inf), axis=1)
+    live = (sizes >= 8) & ~(radius <= GEOMETRY_ATOL)
+    octets = reps[hit[live].nonzero()[1]]
     return SymmetryReport(
         vectors=view,
         radii=radii,
         vector_sum=vector_sum,
-        parallelepiped_ok=all(map(_is_rectangular_box, live)),
+        parallelepiped_ok=bool(np.all(sizes[live] == 8)) and _is_rectangular_box(octets.reshape(-1, 8, 3)),
         mirror_pairs_ok=mirror_ok,
-        degenerate=len(live) < len(octets),
+        degenerate=not live.all(),
     )

@@ -28,9 +28,11 @@ def check_index(name: str, value: Any, lo: int, hi: int) -> None:
 
 def check_normalized(amplitudes: np.ndarray) -> None:
     """Raise ValueError, naming the first, if a state along the last axis misses norm 1
-    by more than NORM_ATOL.  np.linalg.norm of one state takes the same dot products."""
-    re, im = amplitudes.real, amplitudes.imag
-    deviation = abs(np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)) - 1.0)
+    by more than NORM_ATOL.  Each norm is one real dot product over the state's
+    (re, im) pairs, read as float64 from a contiguous complex copy when the input
+    is not one already."""
+    flat = np.ascontiguousarray(amplitudes, dtype=np.complex128).view(np.float64)
+    deviation = abs(np.sqrt(np.vecdot(flat, flat)) - 1.0)
     if not deviation.max() <= NORM_ATOL:  # NaN fails too
         first = deviation.flat[np.argmax(~(deviation <= NORM_ATOL))]
         raise ValueError(f"state is not normalized: |norm - 1| = {first:.3e}")
@@ -129,12 +131,12 @@ def partial_trace(state: StateVector, keep: Iterable[int]) -> np.ndarray:
         complement.  Kept qubits preserve their relative order.
 
     One kept qubit takes the one-qubit path: a three-axis view (before, kept,
-    after) with its first two axes swapped, and np.dot, cheaper per call than
-    @; more take a transpose of all n axes and @.  Both order the traced-out
+    after) with its first two axes swapped, and ndarray.dot, cheaper per call
+    than @; more take a transpose of all n axes and @.  Both order the traced-out
     amplitudes alike, and a test pins the one-qubit path's bytes to the other's.
     """
     keep = set(keep)
-    if not all(is_integer(q) for q in keep):
+    if not all(map(is_integer, keep)):
         raise ValueError(f"keep {keep!r} must hold integer qubit indices")
     kept = sorted(keep)
     if not kept:
@@ -145,7 +147,7 @@ def partial_trace(state: StateVector, keep: Iterable[int]) -> np.ndarray:
     if len(kept) == 1:
         q = int(kept[0])  # a numpy integer would keep its own width in 2 ** (n - q)
         psi = state.amplitudes.reshape(2 ** (q - 1), 2, 2 ** (n - q)).swapaxes(0, 1).reshape(2, -1)
-        return np.dot(psi, psi.conj().T)
+        return psi.dot(psi.conj().T)
     axes = [q - 1 for q in kept]
     rest = [a for a in range(n) if a not in axes]
     psi = state.amplitudes.reshape([2] * n).transpose(axes + rest).reshape(2 ** len(axes), -1)

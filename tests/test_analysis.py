@@ -486,3 +486,70 @@ class TestGeometryPredicates:
         labels, reps = _clusters(chain)
         assert labels.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4]
         assert reps.tobytes() == chain[::2].tobytes()
+
+    def test_stacked_octets_hold_together_as_they_hold_one_by_one(self):
+        rng = np.random.default_rng(13)
+        boxes = [box_octet(rng, *random_frame(rng, rng.uniform(0.05, 1.0, size=3))) for _ in range(6)]
+        assert _is_rectangular_box(np.stack(boxes))
+        assert _is_rectangular_box(np.empty((0, 8, 3)))
+        a, b, c = random_frame(rng, rng.uniform(0.05, 1.0, size=3))
+        u = rng.normal(size=(4, 3))
+        for bad in (box_octet(rng, a, b + 0.3 * a, c), np.concatenate([u, -u]), rng.normal(size=(8, 3))):
+            for at in (0, 3, 6):
+                stack = np.stack([*boxes[:at], bad, *boxes[at:]])
+                assert not _is_rectangular_box(stack), at
+
+
+def row_wise_clusters(points):
+    """The clustering rule as one max-norm reduction per pass over whole rows."""
+    labels = np.full(len(points), -1)
+    firsts = []
+    while (left := labels < 0).any():
+        first = int(np.argmax(left))
+        near = left & (np.max(np.abs(points - points[first]), axis=1) <= GEOMETRY_ATOL)
+        labels[near] = len(firsts)
+        firsts.append(first)
+    return labels, points[firsts]
+
+
+def offset_cloud(rng, columns):
+    """Points at 0 and at a few seeded sites, each also moved by 0.5, exactly
+    1 and 1.5 GEOMETRY_ATOL along one coordinate or along all of them, in
+    seeded order.  About 0 each offset is exact, so 1 GEOMETRY_ATOL lies on
+    the boundary, and a move along one coordinate is seen only in its column."""
+    sites = np.concatenate([np.zeros((1, columns)), rng.normal(size=(3, columns))])
+    moves = [np.eye(columns)[j] for j in range(columns)] + [rng.choice((-1.0, 1.0), size=columns)]
+    points = [site + scale * GEOMETRY_ATOL * move for site in sites for scale in (0.0, 0.5, 1.0, 1.5) for move in moves]
+    return np.array(points)[rng.permutation(len(points))]
+
+
+class TestClusters:
+    def clouds(self):
+        rng = np.random.default_rng(14)
+        for columns in (3, 1):
+            for _ in range(20):
+                yield offset_cloud(rng, columns)
+                # A seeded cloud on a grid of GEOMETRY_ATOL / 2 around a few sites.
+                sites = rng.normal(size=(4, columns))
+                steps = rng.integers(-3, 4, size=(60, columns)) * (0.5 * GEOMETRY_ATOL)
+                yield sites[rng.integers(0, 4, size=60)] + steps
+                yield rng.normal(size=(30, columns))
+        yield np.sort(np.linalg.norm(_bloch_array(n_qubit_ejm(EjmParams(0.9, 0.5, 1.0, 0.4), 5)), axis=2).ravel())[:, None]
+
+    def test_columns_give_the_labels_and_representatives_of_whole_rows(self):
+        for points in self.clouds():
+            labels, reps = _clusters(points)
+            expected_labels, expected_reps = row_wise_clusters(points)
+            assert labels.tolist() == expected_labels.tolist()
+            assert reps.tobytes() == expected_reps.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nan_and_inf_points_are_clusters_of_their_own(self, bad):
+        # Such a point is within GEOMETRY_ATOL of no point, itself included
+        # (inf - inf is NaN); unlabelled, it would keep the passes going for ever.
+        points = np.array([[bad, 0, 0], [1, 0, 0], [0, bad, 0], [bad, 0, 0], [1, 0, 0]])
+        labels, reps = _clusters(points)
+        assert labels.tolist() == [0, 1, 2, 3, 1]
+        assert reps.tobytes() == points[[0, 1, 2, 3]].tobytes()
+        labels, reps = _clusters(np.array([[bad], [bad], [0.0]]))
+        assert labels.tolist() == [0, 1, 2]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -17,6 +18,7 @@ from ejm.qla import (
     StateVector,
     bloch_vector,
     check_index,
+    check_normalized,
     partial_trace,
     permute_qubits,
     tensor_product,
@@ -66,6 +68,35 @@ class TestStateVector:
         state = ket("0")
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
+
+
+class TestCheckNormalized:
+    def test_names_the_first_state_that_misses(self):
+        rows = n_qubit_ejm(EjmParams(0.9, 0.5, 1.0, 0.4), 3).matrix().copy()
+        rows[2] *= 1.0 + 1e-9
+        rows[5] *= 1.0 + 2e-6
+        with pytest.raises(ValueError, match=r"\|norm - 1\| = 1\.000e-09$"):
+            check_normalized(rows)
+
+    def test_any_layout_and_dtype_is_read_as_complex_amplitudes(self):
+        rows = n_qubit_ejm(EjmParams(0.9, 0.5, 1.0, 0.4), 3).matrix()
+        spread = np.zeros((8, 16), dtype=complex)
+        spread[:, ::2] = rows
+        for good in (rows.T, np.asfortranarray(rows), spread[:, ::2], spread.T[::2], np.array([0.6, 0.8]),
+                     np.array([0, 1]), np.array([[0, 1j]], dtype=np.complex64)):
+            check_normalized(good)
+        for bad in (rows[:, ::2], spread[:, 1::2], spread.T[1::2], np.array([1, 1])):
+            with pytest.raises(ValueError, match="not normalized"):
+                check_normalized(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.inf, np.nan)])
+    def test_nan_and_inf_raise_without_a_warning(self, bad):
+        state = np.array([bad, 0, 0, 0], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for amplitudes in (state, np.stack([np.eye(4)[0], state, state])):
+                with pytest.raises(ValueError, match="not normalized"):
+                    check_normalized(amplitudes)
 
 
 class TestTensorProduct:
