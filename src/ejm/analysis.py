@@ -97,7 +97,7 @@ def _bloch_array(family: BasisFamily) -> np.ndarray:
     the whole stack.
     """
     qubits = range(1, family.n_qubits + 1)
-    rho = np.array([[partial_trace(state, {q}) for q in qubits] for state in map(StateVector, family.matrix())])
+    rho = np.array([[partial_trace(state, q) for q in qubits] for state in map(StateVector, family.matrix())])
     vectors = bloch_vector(rho)
     vectors.setflags(write=False)
     return vectors

@@ -26,7 +26,7 @@ from .analysis import (
 )
 from .bases import DOMAIN, LIMITS, PARAM_NAMES, EjmParams, check_domain, check_limit, n_qubit_ejm
 from .network import TRILOCAL_BOUND, trilocal_score
-from .optimize import SweepSpec, maximize, sweep
+from .optimize import DEFAULT_BUDGET, SweepSpec, maximize, sweep
 from .qla import ContractError
 
 SCHEMA_VERSION = 4
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
 
     p_opt = add("optimize", "optimum", _cmd_optimize, "maximize the score over a parameter box", params=False)
-    p_opt.add_argument("--budget", type=int, default=20000, help="maximum score evaluations")
+    p_opt.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="maximum score evaluations")
     for flag in (f"--{name}-{end}" for name in PARAM_NAMES for end in ("min", "max")):
         p_opt.add_argument(flag, type=float)
 
@@ -222,7 +222,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ContractError) else 2  # 1: a numeric contract failed
     return code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

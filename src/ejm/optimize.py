@@ -13,7 +13,9 @@ import numpy as np
 from .bases import DOMAIN, PARAM_NAMES, EjmParams, _phi_z, check_domain, check_limit
 from .network import closed_form, cube_root_sum, trilocal_score
 
-# Grid points per free parameter of (z, phi): the bounds and every eightieth between; 81^2 cells fit the default budget.
+# Score evaluations maximize may spend unless told otherwise.
+DEFAULT_BUDGET = 20000
+# Grid points per free parameter of (z, phi): the bounds and every eightieth between; 81^2 cells fit DEFAULT_BUDGET.
 GRID_POINTS = 81
 # Compass-search refinements, one from each of this many best distinct grid cells;
 # one alone stops below a denser grid on some sub-boxes.
@@ -138,7 +140,7 @@ def minimize(fun, x0, lows, highs, maxfev: int) -> tuple[list[float], float]:
     return x, best
 
 
-def maximize(bounds: Mapping[str, tuple[float, float]] | None = None, budget: int = 20000) -> OptimumResult:
+def maximize(bounds: Mapping[str, tuple[float, float]] | None = None, budget: int = DEFAULT_BUDGET) -> OptimumResult:
     """Maximize the trilocal score over a box in (z, phi, theta, gamma).
 
     By the lemma in network.closed_form, S peaks at theta = the box maximum

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -119,39 +119,24 @@ def permute_qubits(state: StateVector, order: Sequence[int]) -> StateVector:
     return StateVector(tensor.transpose([q - 1 for q in order]).reshape(-1))
 
 
-def partial_trace(state: StateVector, keep: Iterable[int]) -> np.ndarray:
-    """Reduced density matrix on the kept qubits, a 2**k x 2**k array.
+def partial_trace(state: StateVector, qubit: int) -> np.ndarray:
+    """Reduced density matrix of one qubit, a 2 x 2 array.
 
     Parameters
     ----------
     state : StateVector
         Pure state to reduce.
-    keep : iterable of int
-        1-based qubit indices to keep; the traced-out qubits are the
-        complement.  Kept qubits preserve their relative order.
+    qubit : int
+        1-based index of the kept qubit; every other qubit is traced out.
 
-    One kept qubit takes the one-qubit path: a three-axis view (before, kept,
-    after) with its first two axes swapped, and ndarray.dot, cheaper per call
-    than @; more take a transpose of all n axes and @.  Both order the traced-out
-    amplitudes alike, and a test pins the one-qubit path's bytes to the other's.
+    A three-axis view (before, kept, after) with its first two axes swapped
+    gives the kept qubit's rows, and ndarray.dot their Gram matrix.
     """
-    keep = set(keep)
-    if not all(map(is_integer, keep)):
-        raise ValueError(f"keep {keep!r} must hold integer qubit indices")
-    kept = sorted(keep)
-    if not kept:
-        raise ValueError("keep must contain at least one qubit index")
     n = state.n_qubits
-    if kept[0] < 1 or kept[-1] > n:
-        raise ValueError(f"keep {kept!r} out of range for {n} qubits")
-    if len(kept) == 1:
-        q = int(kept[0])  # a numpy integer would keep its own width in 2 ** (n - q)
-        psi = state.amplitudes.reshape(2 ** (q - 1), 2, 2 ** (n - q)).swapaxes(0, 1).reshape(2, -1)
-        return psi.dot(psi.conj().T)
-    axes = [q - 1 for q in kept]
-    rest = [a for a in range(n) if a not in axes]
-    psi = state.amplitudes.reshape([2] * n).transpose(axes + rest).reshape(2 ** len(axes), -1)
-    return psi @ psi.conj().T
+    check_index("qubit", qubit, 1, n)
+    q = int(qubit)  # a numpy integer would keep its own width in 2 ** (n - q)
+    psi = state.amplitudes.reshape(2 ** (q - 1), 2, 2 ** (n - q)).swapaxes(0, 1).reshape(2, -1)
+    return psi.dot(psi.conj().T)
 
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:

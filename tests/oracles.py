@@ -1,5 +1,5 @@
 """Independent oracles for the basis builders, written from the paper's
-formulas one vertex at a time.
+formulas one vertex at a time, and a partial trace over any kept qubits.
 
 They read only public names of ``ejm`` (test_imports checks this), so a
 builder whose private tables move cannot carry its oracle along with it.
@@ -61,3 +61,12 @@ def reference_bases(theta=0.0):
         mp, mm = qubit_pair(zi, phi)
         rows.append(((s3 + e_theta) * np.kron(mp, mm) + (s3 - e_theta) * np.kron(mm, mp)) / (2.0 * math.sqrt(2.0)))
     return BasisFamily(np.array(rows))
+
+
+def transpose_trace(state, kept):
+    """Reduced density matrix on the sorted kept qubits (1-based), any number
+    of them: a transpose of all n axes, then the product with @."""
+    axes = [q - 1 for q in kept]
+    rest = [a for a in range(state.n_qubits) if a not in axes]
+    psi = state.amplitudes.reshape([2] * state.n_qubits).transpose(axes + rest).reshape(2 ** len(axes), -1)
+    return psi @ psi.conj().T

@@ -180,7 +180,7 @@ def test_criterion_09_known_bases():
     bell_limit = reference_bases(math.pi / 2)
     for state in bell_limit.states.values():
         for qubit in (1, 2):
-            rho = partial_trace(state, {qubit})
+            rho = partial_trace(state, qubit)
             assert np.max(np.abs(rho - np.eye(2) / 2.0)) < 1e-10
 
 

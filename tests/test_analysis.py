@@ -132,7 +132,7 @@ class TestReducedVectors:
             family = n_qubit_ejm(params, n)
             vectors = reduced_bloch_vectors(family)
             expected = {
-                (label, q): bloch_vector(partial_trace(state, {q}))
+                (label, q): bloch_vector(partial_trace(state, q))
                 for label, state in family.states.items()
                 for q in range(1, n + 1)
             }

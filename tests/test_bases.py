@@ -212,7 +212,7 @@ class TestTwoQubitFamily:
         for params in small_grid:
             law = reduction_law(params, 2)
             for row, state in enumerate(n_qubit_ejm(params, 2).states.values()):
-                got = [bloch_vector(partial_trace(state, {q})) for q in (1, 2)]
+                got = [bloch_vector(partial_trace(state, q)) for q in (1, 2)]
                 assert np.max(np.abs(got - law[row])) < 1e-12
 
     def test_reduces_to_single_parameter_family(self):
@@ -244,7 +244,7 @@ class TestReferenceBases:
         family = reference_bases(math.pi / 2)
         for state in family.states.values():
             for qubit in (1, 2):
-                rho = partial_trace(state, {qubit})
+                rho = partial_trace(state, qubit)
                 assert np.max(np.abs(rho - np.eye(2) / 2)) < 1e-10
 
     def test_parameter_free_iso_entangled(self):
@@ -279,7 +279,7 @@ class TestThreeQubitFamily:
         for params in small_grid:
             law = reduction_law(params, 3)
             for row, state in enumerate(n_qubit_ejm(params, 3).states.values()):
-                got = bloch_vector(partial_trace(state, {3}))
+                got = bloch_vector(partial_trace(state, 3))
                 assert np.max(np.abs(got - law[row, 2])) < 1e-10
 
     def test_bit_validation(self):

@@ -1,5 +1,6 @@
 """tools/bench_trajectory.py reads canned BENCH files: one Markdown row per
-file and workload, labels in numeric order."""
+file and workload, labels in numeric order, then the noise floor of each pair
+of consecutive labels."""
 
 import importlib.util
 import json
@@ -43,6 +44,30 @@ def test_one_row_per_file_and_workload_in_numeric_label_order(tmp_path, monkeypa
         "| 26 | cli | 7.698 → 7.726 | within the bound | 129.9 → 129.4 | unresolved |",
         "| 100 | geometry | 200 → 230.5 | better | 1.2 → 1.1 | within the bound |",
         "| x | search | 175.8 → 120 | worse beyond the bound | — | — |",
+        "",
+        "| labels | workload | ops_per_s drift | light_op_ms drift |",
+        "|---|---|---|---|",
+    ]
+
+
+def test_noise_floor_compares_the_next_parent_with_the_change_for_consecutive_labels(tmp_path):
+    write_bench(tmp_path, 26, {
+        "geometry": {"ops_per_s": metric(150.0, 200.0, "better"), "light_op_ms": metric(1.3, 1.25, "better")},
+        "cli": {"ops_per_s": metric(7.7, 7.8, "within the bound")},
+    })
+    write_bench(tmp_path, 27, {
+        "geometry": {"ops_per_s": metric(191.0, 192.0, "within the bound"),
+                     "light_op_ms": metric(1.375, 1.3, "within the bound")},
+        "cli": {"ops_per_s": metric(7.8, 7.9, "within the bound"), "light_op_ms": metric(129.0, 128.0, "unresolved")},
+        "search": {"ops_per_s": metric(175.0, 176.0, "within the bound")},
+    })
+    # 29 has no 28 before it, and 27 no 28 after it: neither pair is the same code.
+    write_bench(tmp_path, 29, {"geometry": {"ops_per_s": metric(100.0, 100.0, "within the bound")}})
+    assert bench_trajectory.noise_floor(tmp_path) == [
+        "| labels | workload | ops_per_s drift | light_op_ms drift |",
+        "|---|---|---|---|",
+        "| 26 → 27 | geometry | -4.5% | +10.0% |",
+        "| 26 → 27 | cli | +0.0% | — |",
     ]
 
 
@@ -51,3 +76,10 @@ def test_the_committed_files_each_give_a_row_per_workload():
     files = sorted(ROOT.glob("BENCH_*.json"))
     workloads = sum(len(json.loads(path.read_text())["workloads"]) for path in files)
     assert len(lines) == 2 + workloads
+
+
+def test_the_committed_files_give_the_noise_floor_the_roadmap_quotes():
+    cells = [line.strip("| ").split(" | ") for line in bench_trajectory.noise_floor(ROOT)[2:]]
+    drift = {(labels, workload): rest for labels, workload, *rest in cells}
+    assert drift["27 → 28", "geometry"][0] == "-4.3%"
+    assert drift["27 → 28", "search"][1] == "-10.5%"

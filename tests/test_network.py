@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from conftest import BOUNDARY, domain_params, ket, star_state, tilde_state
+from oracles import transpose_trace
 from hypothesis import strategies as st
 
 import ejm.network
@@ -24,7 +25,7 @@ from ejm.network import (
     outcome_table,
     trilocal_score,
 )
-from ejm.qla import ContractError, StateVector, partial_trace
+from ejm.qla import ContractError, StateVector
 
 OPTIMUM = EjmParams(z=1.0, phi=0.1781, theta=math.pi / 2, gamma=math.pi / 4)
 GENERIC = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
@@ -113,7 +114,7 @@ class TestStarState:
 
     def test_bob_marginal_is_maximally_mixed(self):
         star = star_state()
-        rho = partial_trace(star, {4, 5, 6})
+        rho = transpose_trace(star, (4, 5, 6))
         assert np.max(np.abs(rho - np.eye(8) / 8.0)) < 1e-12
 
     @pytest.mark.parametrize("params", [GENERIC, OPTIMUM])

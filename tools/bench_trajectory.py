@@ -6,6 +6,13 @@ Reads every ``BENCH_<label>.json`` that ``tools/bench_pairs.py`` wrote at the
 repository root, numeric labels first in numeric order, then any others by
 name.  Prints one row per file and workload: the parent -> change medians of
 ``ops_per_s`` and ``light_op_ms``, each with its verdict.
+
+A second table gives the noise floor.  ``tools/bench_pairs.py`` takes HEAD as
+the parent, so file k + 1's parent is the tree that file k measured as its
+change.  For each pair of consecutive numeric labels k, k + 1 and each
+workload of both, a row gives (parent median of k + 1 - change median of k) /
+change median of k for ``ops_per_s`` and ``light_op_ms``: how far two
+measurements of the same code drift apart.
 """
 
 from __future__ import annotations
@@ -24,10 +31,14 @@ def _order(path: Path) -> tuple:
     return (0, int(label), "") if label.isdigit() else (1, 0, label)
 
 
+def _row(cells: list[str]) -> str:
+    return "| " + " | ".join(cells) + " |"
+
+
 def table(root: Path) -> list[str]:
     """The header, then a row per BENCH file under root and workload."""
     header = ["label", "workload", *(f"{name} {column}" for name in METRICS for column in ("parent → change", "verdict"))]
-    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    lines = [_row(header), "|" + "---|" * len(header)]
     for path in sorted(root.glob("BENCH_*.json"), key=_order):
         for workload, summary in json.loads(path.read_text())["workloads"].items():
             cells = [path.stem.removeprefix("BENCH_"), workload]
@@ -37,13 +48,35 @@ def table(root: Path) -> list[str]:
                     cells += ["—", "—"]
                 else:
                     cells += [f"{metric['parent_median']:.4g} → {metric['change_median']:.4g}", metric["verdict"]]
-            lines.append("| " + " | ".join(cells) + " |")
+            lines.append(_row(cells))
+    return lines
+
+
+def noise_floor(root: Path) -> list[str]:
+    """The header, then a row per pair of consecutive numeric labels under root
+    and workload of both: the relative drift of each metric's median."""
+    header = ["labels", "workload", *(f"{name} drift" for name in METRICS)]
+    lines = [_row(header), "|" + "---|" * len(header)]
+    files = {int(label): path for path in root.glob("BENCH_*.json")
+             if (label := path.stem.removeprefix("BENCH_")).isdigit()}
+    for label in sorted(label for label in files if label + 1 in files):
+        before, after = (json.loads(files[k].read_text())["workloads"] for k in (label, label + 1))
+        for workload in (name for name in before if name in after):
+            cells = [f"{label} → {label + 1}", workload]
+            for name in METRICS:
+                old = before[workload]["end_to_end"].get(name)
+                new = after[workload]["end_to_end"].get(name)
+                if old is None or new is None:
+                    cells.append("—")
+                else:
+                    cells.append(f"{(new['parent_median'] - old['change_median']) / old['change_median']:+.1%}")
+            lines.append(_row(cells))
     return lines
 
 
 def main(argv: list[str] | None = None) -> int:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
-    print("\n".join(table(ROOT)))
+    print("\n".join([*table(ROOT), "", *noise_floor(ROOT)]))
     return 0
 
 
