@@ -79,28 +79,15 @@ def reduction_law(params: EjmParams, n: int) -> np.ndarray:
     d = np.array([phi_k for _, phi_k in _vertices(params)]) - params.phi_z
     xy = math.sqrt(2.0) * c
     v = 0.5 * math.cos(params.theta) * np.stack([xy * np.cos(d), xy * np.sin(d), _SIGNS], axis=1)
-    vertices = np.array(list(product(range(4), repeat=n // 2)))  # (i, j_1, ...) per chain row
+    labels = _labels(n)
+    vertices = np.array([(label.i, *label.j) for label in labels])
     law = np.stack([v, -v], axis=1)[vertices].reshape(len(vertices), -1, 3)
     if n % 2:
         m = c * np.array([m_vector(params, i) for i in range(4)])
-        tails = np.stack([m, -m], axis=1)[vertices[:, 0]].reshape(-1, 1, 3)  # l fastest
-        law = np.concatenate([law.repeat(2, axis=0), tails], axis=1)
+        tails = np.stack([m, -m], axis=1)[vertices[:, 0], [label.l for label in labels]]
+        law = np.concatenate([law, tails[:, None]], axis=1)
     law.setflags(write=False)
     return law
-
-
-def _bloch_array(family: BasisFamily) -> np.ndarray:
-    """Bloch vectors of every single-qubit reduction, shape (states, qubits, 3), read-only.
-
-    Each 2x2 reduced density matrix comes from partial_trace on one state, a
-    row of the family matrix; one bloch_vector call then takes the vectors of
-    the whole stack.
-    """
-    qubits = range(1, family.n_qubits + 1)
-    rho = np.array([[partial_trace(state, q) for q in qubits] for state in map(StateVector, family.matrix())])
-    vectors = bloch_vector(rho)
-    vectors.setflags(write=False)
-    return vectors
 
 
 @cache
@@ -111,14 +98,20 @@ def _vector_index(n: int) -> Mapping[tuple[BasisLabel, int], tuple[int, int]]:
     )
 
 
-def _bloch(xyz: np.ndarray) -> BlochVector:
-    return BlochVector(*xyz.tolist())
-
-
 def reduced_bloch_vectors(family: BasisFamily) -> RowView[tuple[BasisLabel, int], BlochVector]:
     """Bloch vector of every single-qubit reduction, keyed by (basis label,
-    1-based qubit position): a read-only view that builds each on read."""
-    return RowView(_bloch_array(family), _vector_index(family.n_qubits), _bloch)
+    1-based qubit position): a read-only view over one (states, qubits, 3)
+    array that builds each vector on read.
+
+    Each 2x2 reduced density matrix comes from partial_trace on one of the
+    family's states; one bloch_vector call then takes the vectors of the
+    whole stack.
+    """
+    qubits = range(1, family.n_qubits + 1)
+    rho = np.array([[partial_trace(state, q) for q in qubits] for state in family.states.values()])
+    vectors = bloch_vector(rho)
+    vectors.setflags(write=False)
+    return RowView(vectors, _vector_index(family.n_qubits), lambda xyz: BlochVector(*xyz.tolist()))
 
 
 @dataclass(frozen=True)
@@ -198,8 +191,6 @@ def _is_rectangular_box(points: np.ndarray) -> bool:
     +-a +-b +-c have one length, and a + b + c, a - b - c, -a + b - c and
     -a - b + c sum to zero.
     """
-    if points.shape[-2] != 8:
-        return False
     antipodal = np.max(np.abs(points[..., :, None, :] + points[..., None, :, :]), axis=-1) <= GEOMETRY_ATOL
     if np.any(np.diagonal(antipodal, axis1=-2, axis2=-1)) or np.any(antipodal.sum(axis=-1) != 1):
         return False

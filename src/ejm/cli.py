@@ -116,7 +116,7 @@ def export(report: dict, fmt: str = "json") -> bytes:
 
     JSON carries a schema name and version and round-trips every float
     bit-exactly; CSV, which only `ejm sweep` offers, holds a sweep's samples
-    with 17 significant digits.  Any other fmt is a ValueError.
+    with 18 significant digits (format .17e).  Any other fmt is a ValueError.
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown report format {fmt!r}: expected 'json' or 'csv'")
@@ -180,8 +180,8 @@ def _cmd_network(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[int, dict]:
     fixed = {name: getattr(args.params, name) for name in PARAM_NAMES if name != args.vary}
-    lo = _param(args, args.vary, args.lo)
-    hi = _param(args, args.vary, args.hi)
+    lo = _param(args, args.vary, args.lo, "lo")
+    hi = _param(args, args.vary, args.hi, "hi")
     spec = SweepSpec(varying=args.vary, lo=lo, hi=hi, points=_param(args, "points", args.points), fixed=fixed)
     return 0, {**asdict(spec), "samples": sweep(spec)}
 

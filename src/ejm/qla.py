@@ -20,10 +20,13 @@ def is_integer(value: Any) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_index(name: str, value: Any, lo: int, hi: int) -> None:
-    """Raise ValueError unless value is an integer (is_integer) in lo..hi."""
+def check_index(name: str, value: Any, lo: int, hi: int) -> int:
+    """Return value as an int, or raise ValueError unless it is an integer
+    (is_integer) in lo..hi.  A numpy integer would keep its own width in
+    arithmetic such as 2 ** (n - value)."""
     if not (is_integer(value) and lo <= value <= hi):
         raise ValueError(f"{name}={value!r} must be {lo}..{hi}")
+    return int(value)
 
 
 def check_normalized(amplitudes: np.ndarray) -> None:
@@ -133,8 +136,7 @@ def partial_trace(state: StateVector, qubit: int) -> np.ndarray:
     gives the kept qubit's rows, and ndarray.dot their Gram matrix.
     """
     n = state.n_qubits
-    check_index("qubit", qubit, 1, n)
-    q = int(qubit)  # a numpy integer would keep its own width in 2 ** (n - q)
+    q = check_index("qubit", qubit, 1, n)
     psi = state.amplitudes.reshape(2 ** (q - 1), 2, 2 ** (n - q)).swapaxes(0, 1).reshape(2, -1)
     return psi.dot(psi.conj().T)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ejm.analysis import (
-    _bloch_array,
+    reduced_bloch_vectors,
     reduction_law,
     symmetry_report,
     three_tangle,
@@ -90,7 +90,7 @@ def test_criterion_03_reductions(grid_families):
     # the law puts +-cos(2g) m_i on the odd-n final position, the block vectors on all others
     for n, bound in ((3, 1e-10), (4, 1e-10), (5, 1e-9)):
         for params, family in grid_families[n]:
-            vectors = _bloch_array(family)
+            vectors = reduced_bloch_vectors(family).rows
             assert np.max(np.abs(vectors - reduction_law(params, n))) < bound, (n, params)
             assert np.linalg.norm(vectors.sum(axis=(0, 1))) < 1e-9, (n, params)
 

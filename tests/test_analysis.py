@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import ejm.analysis
 from ejm.analysis import (
     GEOMETRY_ATOL,
-    _bloch_array,
     _clusters,
     _is_rectangular_box,
     concurrence,
@@ -102,7 +101,7 @@ class TestConcurrence:
 class TestReducedVectors:
     def test_three_qubit_closed_forms(self, grid_params):
         for params in grid_params:
-            got = _bloch_array(n_qubit_ejm(params, 3))
+            got = reduced_bloch_vectors(n_qubit_ejm(params, 3)).rows
             assert np.max(np.abs(got - reduction_law(params, 3))) < 1e-10, params
 
     def test_gamma_quarter_pi_collapses_block_tetrahedra(self):
@@ -123,7 +122,7 @@ class TestReducedVectors:
 
     def test_even_family_block_pattern(self):
         params = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
-        got = _bloch_array(n_qubit_ejm(params, 4))
+        got = reduced_bloch_vectors(n_qubit_ejm(params, 4)).rows
         assert np.max(np.abs(got - reduction_law(params, 4))) < 1e-10
 
     @pytest.mark.parametrize("n", range(2, 7))
@@ -144,7 +143,7 @@ class TestReducedVectors:
     def test_odd_family_special_position(self):
         # exactly one qubit carries the +-cos(2*gamma) m_i reductions
         params = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
-        got = _bloch_array(n_qubit_ejm(params, 5))
+        got = reduced_bloch_vectors(n_qubit_ejm(params, 5)).rows
         assert np.max(np.abs(got - reduction_law(params, 5))) < 1e-9
 
 
@@ -154,13 +153,13 @@ class TestReductionLaw:
     @settings(max_examples=60, deadline=None)
     @given(domain_params, st.integers(2, 8))
     def test_matches_the_dense_reductions_over_the_domain(self, params, n):
-        assert np.max(np.abs(_bloch_array(n_qubit_ejm(params, n)) - reduction_law(params, n))) <= 1e-13
+        assert np.max(np.abs(reduced_bloch_vectors(n_qubit_ejm(params, n)).rows - reduction_law(params, n))) <= 1e-13
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_the_dense_reductions_at_a_point(self, n):
         law = reduction_law(self.PARAMS, n)
         assert law.shape == (2**n, n, 3) and not law.flags.writeable
-        assert np.max(np.abs(_bloch_array(n_qubit_ejm(self.PARAMS, n)) - law)) <= 1e-13
+        assert np.max(np.abs(reduced_bloch_vectors(n_qubit_ejm(self.PARAMS, n)).rows - law)) <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 9, 3.0, True])
     def test_checks_n_as_the_builder_does(self, n):
@@ -180,7 +179,8 @@ class TestVectorView:
     def test_keys_in_family_order_and_values_bit_exact(self, n):
         family = n_qubit_ejm(self.PARAMS, n)
         want_keys = [(label, q) for label in family.labels for q in range(1, n + 1)]
-        want = _bloch_array(family).reshape(-1, 3)
+        want = np.array([bloch_vector(partial_trace(state, q)) for state in family.states.values()
+                         for q in range(1, n + 1)])
         for view in (symmetry_report(family).vectors, reduced_bloch_vectors(family)):
             assert list(view) == want_keys
             assert len(view) == len(want_keys)
@@ -311,7 +311,7 @@ class TestSymmetryReport:
         # odd-n tail, up to scale.
         c2g = abs(math.cos(2 * params.gamma))
         tail = math.sqrt((1 - params.z**2) / 2)
-        vectors = _bloch_array(n_qubit_ejm(params, n))
+        vectors = reduced_bloch_vectors(n_qubit_ejm(params, n)).rows
         for qubit, at_position in enumerate(vectors.transpose(1, 0, 2), start=1):
             _, octet = _clusters(np.concatenate([at_position, -at_position]))
             if np.max(np.linalg.norm(octet, axis=1)) <= GEOMETRY_ATOL or len(octet) < 8:
@@ -463,13 +463,14 @@ class TestGeometryPredicates:
         params = EjmParams(z=0.9, phi=0.5, theta=1.0, gamma=0.4)
         for n in range(2, 9):
             family = n_qubit_ejm(params, n)
-            vectors = _bloch_array(family)
+            view = reduced_bloch_vectors(family)
             assert symmetry_report(family).mirror_pairs_ok
-            count = len(vectors) * n
+            count = len(view.rows) * n
             for index in (0, count // 2 + 1, count - 1):
-                flipped = vectors.copy()
+                flipped = view.rows.copy()
                 flipped.reshape(-1, 3)[index] *= -1
-                monkeypatch.setattr(ejm.analysis, "_bloch_array", lambda _, flipped=flipped: flipped)
+                flipped_view = dataclasses.replace(view, rows=flipped)
+                monkeypatch.setattr(ejm.analysis, "reduced_bloch_vectors", lambda _, v=flipped_view: v)
                 assert not symmetry_report(family).mirror_pairs_ok, (n, index)
                 monkeypatch.undo()
 
@@ -534,7 +535,8 @@ class TestClusters:
                 steps = rng.integers(-3, 4, size=(60, columns)) * (0.5 * GEOMETRY_ATOL)
                 yield sites[rng.integers(0, 4, size=60)] + steps
                 yield rng.normal(size=(30, columns))
-        yield np.sort(np.linalg.norm(_bloch_array(n_qubit_ejm(EjmParams(0.9, 0.5, 1.0, 0.4), 5)), axis=2).ravel())[:, None]
+        vectors = reduced_bloch_vectors(n_qubit_ejm(EjmParams(0.9, 0.5, 1.0, 0.4), 5)).rows
+        yield np.sort(np.linalg.norm(vectors, axis=2).ravel())[:, None]
 
     def test_columns_give_the_labels_and_representatives_of_whole_rows(self):
         for points in self.clouds():

@@ -1,6 +1,6 @@
 """tools/bench_trajectory.py reads canned BENCH files: one Markdown row per
 file and workload, labels in numeric order, then the noise floor of each pair
-of consecutive labels."""
+of consecutive labels and its widest drift per workload."""
 
 import importlib.util
 import json
@@ -68,6 +68,27 @@ def test_noise_floor_compares_the_next_parent_with_the_change_for_consecutive_la
         "|---|---|---|---|",
         "| 26 → 27 | geometry | -4.5% | +10.0% |",
         "| 26 → 27 | cli | +0.0% | — |",
+        "| widest | geometry | -4.5% | +10.0% |",
+        "| widest | cli | +0.0% | — |",
+    ]
+
+
+def test_widest_rows_keep_the_drift_of_largest_magnitude_with_its_sign(tmp_path):
+    write_bench(tmp_path, 30, {"geometry": {"ops_per_s": metric(190.0, 200.0, "better"),
+                                            "light_op_ms": metric(1.0, 1.0, "within the bound")}})
+    write_bench(tmp_path, 31, {"geometry": {"ops_per_s": metric(210.0, 100.0, "worse beyond the bound"),
+                                            "light_op_ms": metric(0.97, 1.0, "within the bound")},
+                               "cli": {"ops_per_s": metric(7.8, 7.9, "within the bound")}})
+    write_bench(tmp_path, 32, {"geometry": {"ops_per_s": metric(93.0, 93.0, "within the bound"),
+                                            "light_op_ms": metric(1.02, 1.0, "within the bound")},
+                               "cli": {"ops_per_s": metric(7.9, 7.9, "within the bound"),
+                                       "light_op_ms": metric(128.0, 128.0, "within the bound")}})
+    assert bench_trajectory.noise_floor(tmp_path)[2:] == [
+        "| 30 → 31 | geometry | +5.0% | -3.0% |",
+        "| 31 → 32 | geometry | -7.0% | +2.0% |",
+        "| 31 → 32 | cli | +0.0% | — |",
+        "| widest | geometry | -7.0% | -3.0% |",
+        "| widest | cli | +0.0% | — |",
     ]
 
 
@@ -83,3 +104,16 @@ def test_the_committed_files_give_the_noise_floor_the_roadmap_quotes():
     drift = {(labels, workload): rest for labels, workload, *rest in cells}
     assert drift["27 → 28", "geometry"][0] == "-4.3%"
     assert drift["27 → 28", "search"][1] == "-10.5%"
+    assert drift["30 → 31", "geometry"][0] == "-7.1%"
+
+
+def test_the_committed_widest_rows_hold_the_largest_magnitude_of_each_column():
+    cells = [line.strip("| ").split(" | ") for line in bench_trajectory.noise_floor(ROOT)[2:]]
+    widest = {workload: rest for labels, workload, *rest in cells if labels == "widest"}
+    pairs = [(workload, rest) for labels, workload, *rest in cells if labels != "widest"]
+    assert list(widest) == list(dict.fromkeys(workload for workload, _ in pairs))
+    for workload, row in widest.items():
+        for column, value in enumerate(row):
+            column_values = [rest[column] for name, rest in pairs if name == workload and rest[column] != "—"]
+            assert value in column_values
+            assert all(abs(float(value.rstrip("%"))) >= abs(float(other.rstrip("%"))) for other in column_values)

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,8 @@ from types import ModuleType
 
 import oracles
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ejm
 from ejm import analysis, network
@@ -383,11 +386,16 @@ class TestExport:
         assert parsed["value"] == report["value"]
         assert parsed["S"] == report["S"]
 
-    def test_csv_digits(self):
-        report = {"schema": "sweep", "samples": [[0.5, 2.2968104]]}
-        line = export(report, "csv").decode().strip().split("\n")[1]
-        mantissa = line.split(",")[1].split("e")[0]
-        assert len(mantissa.replace(".", "").replace("-", "")) >= 12
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(allow_nan=False, allow_infinity=False)), max_size=4))
+    @example([(-0.0, 0.0), (5e-324, -2.2250738085072009e-308), (sys.float_info.max, -sys.float_info.max)])
+    @example([(0.5, 2.296810411748562)])
+    def test_csv_round_trip_is_bit_exact(self, samples):
+        lines = export({"schema": "sweep", "samples": samples}, "csv").decode().splitlines()
+        assert lines[0] == "value,S" and len(lines) == len(samples) + 1
+        parsed = [tuple(float(cell) for cell in line.split(",")) for line in lines[1:]]
+        assert [struct.pack("<2d", *row) for row in parsed] == [struct.pack("<2d", *row) for row in samples]
 
     @pytest.mark.parametrize("fmt", ["CSV", "xml", "", "Json"])
     def test_unknown_format_is_refused(self, fmt):

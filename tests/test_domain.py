@@ -182,12 +182,18 @@ class TestRangeErrors:
         code, _, err = run_cli("sweep", "--vary", "z", f"--lo={lo!r}", f"--hi={hi!r}", "--points", "3")
         assert code == 2 and "invalid for z" in err
 
-    @pytest.mark.parametrize("name, lo, hi", [("z", "0.5", "1"), ("phi", "0", "4"), ("theta", "-0.1", "1"),
-                                              ("gamma", "0", "1.6")])
-    def test_sweep_endpoint_error_names_the_varying_flag(self, name, lo, hi):
-        code, out, err = run_cli("sweep", "--vary", name, f"--lo={lo}", f"--hi={hi}", "--points", "3")
+    @pytest.mark.parametrize("name, lo, hi, bad, deg", [
+        ("z", "0.5", "1", "lo", False), ("z", "0.9", "1.1", "hi", False), ("phi", "0", "4", "hi", False),
+        ("phi", "-4", "0", "lo", False), ("theta", "-0.1", "1", "lo", False), ("gamma", "0", "1.6", "hi", False),
+        ("theta", "0", "91", "hi", True),
+    ])
+    def test_sweep_endpoint_error_names_the_endpoint_flag(self, name, lo, hi, bad, deg):
+        # --z 0.9 is valid: the error names the endpoint that is out of domain, not the fixed --z.
+        extra = ["--deg"] if deg else []
+        code, out, err = run_cli("sweep", "--vary", name, "--z", "0.9", *extra, f"--lo={lo}", f"--hi={hi}",
+                                 "--points", "3")
         assert code == 2 and out == ""
-        assert err.startswith(f"error: --{name} out of domain") and len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: --{bad} out of domain: {name}=") and len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("flag, value", [("z-min", "0.5"), ("z-max", "1.1"), ("phi-min", "-4"),
                                              ("theta-max", "2"), ("gamma-min", "-0.1")])

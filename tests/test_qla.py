@@ -43,9 +43,10 @@ def state_strategy(n):
 
 
 class TestCheckIndex:
-    def test_accepts_integers_within_the_closed_range(self):
-        for value in (1, 4, np.int64(2)):
-            assert check_index("m", value, 1, 4) is None
+    def test_returns_integers_within_the_closed_range_as_ints(self):
+        for value in (1, 4, np.int64(2), np.int8(3), np.uint8(4), np.int64(1)):
+            checked = check_index("m", value, 1, 4)
+            assert checked == value and type(checked) is int
 
     @pytest.mark.parametrize("value", [0, 5, True, 1.0, "1", None], ids=repr)
     def test_rejects_other_values(self, value):

@@ -12,7 +12,9 @@ the parent, so file k + 1's parent is the tree that file k measured as its
 change.  For each pair of consecutive numeric labels k, k + 1 and each
 workload of both, a row gives (parent median of k + 1 - change median of k) /
 change median of k for ``ops_per_s`` and ``light_op_ms``: how far two
-measurements of the same code drift apart.
+measurements of the same code drift apart.  The table ends with one
+``widest`` row per workload: for each metric, the drift of largest magnitude
+over all those pairs, the noise floor that the committed files show.
 """
 
 from __future__ import annotations
@@ -54,23 +56,31 @@ def table(root: Path) -> list[str]:
 
 def noise_floor(root: Path) -> list[str]:
     """The header, then a row per pair of consecutive numeric labels under root
-    and workload of both: the relative drift of each metric's median."""
+    and workload of both: the relative drift of each metric's median; then a
+    ``widest`` row per workload: each metric's drift of largest magnitude."""
     header = ["labels", "workload", *(f"{name} drift" for name in METRICS)]
     lines = [_row(header), "|" + "---|" * len(header)]
     files = {int(label): path for path in root.glob("BENCH_*.json")
              if (label := path.stem.removeprefix("BENCH_")).isdigit()}
+    drifts: dict[str, dict[str, list[float]]] = {}  # workload -> metric -> drift of each pair
     for label in sorted(label for label in files if label + 1 in files):
         before, after = (json.loads(files[k].read_text())["workloads"] for k in (label, label + 1))
         for workload in (name for name in before if name in after):
             cells = [f"{label} → {label + 1}", workload]
+            seen = drifts.setdefault(workload, {name: [] for name in METRICS})
             for name in METRICS:
                 old = before[workload]["end_to_end"].get(name)
                 new = after[workload]["end_to_end"].get(name)
                 if old is None or new is None:
                     cells.append("—")
                 else:
-                    cells.append(f"{(new['parent_median'] - old['change_median']) / old['change_median']:+.1%}")
+                    drift = (new["parent_median"] - old["change_median"]) / old["change_median"]
+                    seen[name].append(drift)
+                    cells.append(f"{drift:+.1%}")
             lines.append(_row(cells))
+    for workload, seen in drifts.items():
+        lines.append(_row(["widest", workload, *(f"{max(seen[name], key=abs):+.1%}" if seen[name] else "—"
+                                                 for name in METRICS)]))
     return lines
 
 
