@@ -23,7 +23,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .qla import RowView, StateVector, check_index, check_normalized, is_integer
+from .qla import RowView, StateVector, check_index, check_normalized, checked_state, is_integer
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 PARAM_NAMES = ("z", "phi", "theta", "gamma")
@@ -146,7 +146,11 @@ def _labels(n: int) -> Mapping[BasisLabel, int]:
 
 @dataclass(frozen=True, eq=False)
 class BasisFamily:
-    """Ordered orthonormal family: a read-only 2**n x 2**n matrix, one normalized row per label, fixing n_qubits."""
+    """Ordered orthonormal family: a read-only 2**n x 2**n matrix, one normalized row per label, fixing n_qubits.
+
+    The norm check runs once, on the whole matrix.  Each value of states is
+    a StateVector that shares its read-only row (checked_state).
+    """
 
     amplitudes: np.ndarray = field(repr=False)
     n_qubits: int = field(init=False)
@@ -167,7 +171,7 @@ class BasisFamily:
 
     @property
     def states(self) -> Mapping[BasisLabel, StateVector]:
-        return RowView(self.amplitudes, _labels(self.n_qubits), StateVector)
+        return RowView(self.amplitudes, _labels(self.n_qubits), checked_state)
 
     def matrix(self) -> np.ndarray:
         """Amplitudes, one row per label in label order (the stored array)."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Any, Callable, ItemsView, Iterator, Mapping, NamedTuple, Sequence, TypeVar, ValuesView
 
 import numpy as np
 
@@ -48,7 +48,8 @@ class StateVector:
     Index convention is big-endian: the basis label j1 j2 ... jn maps to
     index sum(j_k * 2**(n-k)), so qubit 1 is the leftmost tensor factor
     and the most significant bit.  Amplitudes must be normalized to one
-    within 1e-12 and are frozen after construction.
+    within 1e-12 and are frozen after construction: StateVector(amplitudes)
+    copies and checks them; checked_state wraps a row that is checked already.
     """
 
     amplitudes: np.ndarray = field(repr=False)
@@ -69,6 +70,17 @@ class StateVector:
         object.__setattr__(self, "n_qubits", n)
 
 
+def checked_state(row: np.ndarray) -> StateVector:
+    """StateVector of a row that StateVector's checks already passed: a
+    read-only one-dimensional complex array of normalized amplitudes and
+    power-of-two size, such as a row of a BasisFamily.  The state shares the
+    row's memory; nothing is copied or checked again."""
+    state = object.__new__(StateVector)
+    object.__setattr__(state, "amplitudes", row)
+    object.__setattr__(state, "n_qubits", row.size.bit_length() - 1)
+    return state
+
+
 class BlochVector(NamedTuple):
     """Pauli expectation triple of a single-qubit state."""
 
@@ -84,7 +96,8 @@ V = TypeVar("V")
 @dataclass(frozen=True, eq=False, repr=False)
 class RowView(Mapping[K, V]):
     """Read-only key -> make(rows[index[key]]) view of an array; each value is
-    built when it is read and not kept.  Keys run in index order."""
+    built when it is read and not kept.  Keys run in index order; values()
+    and items() walk index in that order, and membership reads index alone."""
 
     rows: np.ndarray
     index: Mapping[K, Any]
@@ -98,6 +111,27 @@ class RowView(Mapping[K, V]):
 
     def __len__(self) -> int:
         return len(self.index)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self.index
+
+    def values(self) -> ValuesView[V]:
+        return _RowValues(self)
+
+    def items(self) -> ItemsView[K, V]:
+        return _RowItems(self)
+
+
+class _RowValues(ValuesView):
+    def __iter__(self) -> Iterator:
+        view = self._mapping
+        return (view.make(view.rows[row]) for row in view.index.values())
+
+
+class _RowItems(ItemsView):
+    def __iter__(self) -> Iterator:
+        view = self._mapping
+        return ((key, view.make(view.rows[row])) for key, row in view.index.items())
 
 
 # sigma_x, sigma_y, sigma_z stacked as one read-only (3, 2, 2) array; network reads sigma_x and sigma_z.

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import reference_bases, vertex_formula_tables
 
 import ejm.bases
-from ejm.analysis import reduction_law, three_tangle, verify_orthonormal_complete
+from ejm.analysis import concurrence, reduction_law, three_tangle, verify_orthonormal_complete
 from ejm.bases import BasisFamily, BasisLabel, EjmParams, INV_SQRT3, m_vector, n_qubit_ejm
 from ejm.qla import PAULIS, StateVector, bloch_vector, partial_trace
 
@@ -248,8 +248,6 @@ class TestReferenceBases:
                 assert np.max(np.abs(rho - np.eye(2) / 2)) < 1e-10
 
     def test_parameter_free_iso_entangled(self):
-        from ejm.analysis import concurrence
-
         values = [concurrence(s) for s in reference_bases().states.values()]
         assert max(values) - min(values) < 1e-10
 
@@ -434,16 +432,64 @@ class TestBasisFamilyContract:
             n_qubit_ejm(PARAMS, 3).states[BasisLabel(0)]
 
     def test_builders_construct_no_state_vector(self, monkeypatch):
-        calls = []
-        original = StateVector.__post_init__
+        # Rows are checked once, with the matrix: a read wraps its row through
+        # checked_state, while StateVector(row) still copies and checks.
+        made, checked = [], []
+        maker, original = ejm.bases.checked_state, StateVector.__post_init__
 
-        def counting(self):
-            calls.append(self)
+        def counting_maker(row):
+            made.append(row)
+            return maker(row)
+
+        def counting_check(self):
+            checked.append(self)
             original(self)
 
-        monkeypatch.setattr(StateVector, "__post_init__", counting)
+        monkeypatch.setattr(ejm.bases, "checked_state", counting_maker)
+        monkeypatch.setattr(StateVector, "__post_init__", counting_check)
         for n in range(2, 9):
             n_qubit_ejm(PARAMS, n)
-        assert calls == []
-        next(iter(n_qubit_ejm(PARAMS, 2).states.values()))
-        assert len(calls) == 1
+        assert made == [] and checked == []
+        family = n_qubit_ejm(PARAMS, 2)
+        next(iter(family.states.values()))
+        assert len(made) == 1 and checked == []
+        StateVector(family.matrix()[0])
+        assert len(made) == 1 and len(checked) == 1
+
+    def test_membership_builds_no_state(self, monkeypatch):
+        made = []
+        maker = ejm.bases.checked_state
+        monkeypatch.setattr(ejm.bases, "checked_state", lambda row: made.append(row) or maker(row))
+        states = n_qubit_ejm(PARAMS, 3).states
+        assert BasisLabel(1, (), 0) in states and BasisLabel(1) not in states
+        assert states.get(BasisLabel(1)) is None and made == []
+        with pytest.raises(KeyError):
+            states[BasisLabel(1)]
+        assert made == []
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_states_share_the_read_only_rows(self, n):
+        family = n_qubit_ejm(PARAMS, n)
+        for row, state in zip(family.matrix(), family.states.values()):
+            assert not state.amplitudes.flags.writeable
+            assert np.shares_memory(state.amplitudes, family.matrix())
+            assert state.n_qubits == n and state.amplitudes.tobytes() == row.tobytes()
+            with pytest.raises(ValueError):
+                state.amplitudes[0] = 0.0
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_shared_rows_reduce_as_the_checked_copies_bit_for_bit(self, n):
+        # z < 0, |z| = 1/sqrt(3), theta = pi/2, gamma = 0 and phi = -0.0.
+        points = [(-0.8, 0.3, 1.0, 0.5), (-INV_SQRT3, 2.0, 0.2, 1.1), (0.8, -1.3, math.pi / 2, 0.5),
+                  (0.9, 0.3, 1.0, 0.0), (INV_SQRT3, -0.0, 0.7, 0.4)]
+        qubits = range(1, n + 1)
+        for point in points:
+            family = n_qubit_ejm(EjmParams(*point), n)
+            for row, state in zip(family.matrix(), family.states.values()):
+                copy = StateVector(row)
+                for q in qubits:
+                    assert partial_trace(state, q).tobytes() == partial_trace(copy, q).tobytes(), (point, q)
+                if n == 3:
+                    assert three_tangle(state).hex() == three_tangle(copy).hex()
+                if n == 2:
+                    assert concurrence(state).hex() == concurrence(copy).hex()

@@ -1,6 +1,7 @@
 """tools/bench_trajectory.py reads canned BENCH files: one Markdown row per
 file and workload, labels in numeric order, then the noise floor of each pair
-of consecutive labels and its widest drift per workload."""
+of consecutive labels and its widest drift per workload, for ops_per_s,
+light_op_ms and peak_rss_mb."""
 
 import importlib.util
 import json
@@ -26,9 +27,11 @@ def write_bench(root, label, workloads):
 
 def test_one_row_per_file_and_workload_in_numeric_label_order(tmp_path, monkeypatch, capsys):
     write_bench(tmp_path, 100, {"geometry": {"ops_per_s": metric(200.0, 230.5, "better"),
-                                             "light_op_ms": metric(1.2, 1.1, "within the bound")}})
+                                             "light_op_ms": metric(1.2, 1.1, "within the bound"),
+                                             "peak_rss_mb": metric(40.04296875, 40.5, "within the bound")}})
     write_bench(tmp_path, 26, {
-        "geometry": {"ops_per_s": metric(157.61, 182.34, "better"), "light_op_ms": metric(1.3301, 1.2192, "better")},
+        "geometry": {"ops_per_s": metric(157.61, 182.34, "better"), "light_op_ms": metric(1.3301, 1.2192, "better"),
+                     "peak_rss_mb": metric(39.958984375, 39.84375, "unresolved")},
         "cli": {"ops_per_s": metric(7.698, 7.726, "within the bound"),
                 "light_op_ms": metric(129.94, 129.41, "unresolved")},
     })
@@ -38,57 +41,62 @@ def test_one_row_per_file_and_workload_in_numeric_label_order(tmp_path, monkeypa
     assert bench_trajectory.main([]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "| label | workload | ops_per_s parent → change | ops_per_s verdict"
-        " | light_op_ms parent → change | light_op_ms verdict |",
-        "|---|---|---|---|---|---|",
-        "| 26 | geometry | 157.6 → 182.3 | better | 1.33 → 1.219 | better |",
-        "| 26 | cli | 7.698 → 7.726 | within the bound | 129.9 → 129.4 | unresolved |",
-        "| 100 | geometry | 200 → 230.5 | better | 1.2 → 1.1 | within the bound |",
-        "| x | search | 175.8 → 120 | worse beyond the bound | — | — |",
+        " | light_op_ms parent → change | light_op_ms verdict | peak_rss_mb parent → change | peak_rss_mb verdict |",
+        "|---|---|---|---|---|---|---|---|",
+        "| 26 | geometry | 157.6 → 182.3 | better | 1.33 → 1.219 | better | 39.96 → 39.84 | unresolved |",
+        "| 26 | cli | 7.698 → 7.726 | within the bound | 129.9 → 129.4 | unresolved | — | — |",
+        "| 100 | geometry | 200 → 230.5 | better | 1.2 → 1.1 | within the bound | 40.04 → 40.5 | within the bound |",
+        "| x | search | 175.8 → 120 | worse beyond the bound | — | — | — | — |",
         "",
-        "| labels | workload | ops_per_s drift | light_op_ms drift |",
-        "|---|---|---|---|",
+        "| labels | workload | ops_per_s drift | light_op_ms drift | peak_rss_mb drift |",
+        "|---|---|---|---|---|",
     ]
 
 
 def test_noise_floor_compares_the_next_parent_with_the_change_for_consecutive_labels(tmp_path):
     write_bench(tmp_path, 26, {
-        "geometry": {"ops_per_s": metric(150.0, 200.0, "better"), "light_op_ms": metric(1.3, 1.25, "better")},
-        "cli": {"ops_per_s": metric(7.7, 7.8, "within the bound")},
+        "geometry": {"ops_per_s": metric(150.0, 200.0, "better"), "light_op_ms": metric(1.3, 1.25, "better"),
+                     "peak_rss_mb": metric(40.0, 40.0, "within the bound")},
+        "cli": {"ops_per_s": metric(7.7, 7.8, "within the bound"), "peak_rss_mb": metric(36.0, 36.0, "within the bound")},
     })
     write_bench(tmp_path, 27, {
         "geometry": {"ops_per_s": metric(191.0, 192.0, "within the bound"),
-                     "light_op_ms": metric(1.375, 1.3, "within the bound")},
+                     "light_op_ms": metric(1.375, 1.3, "within the bound"),
+                     "peak_rss_mb": metric(40.2, 40.0, "within the bound")},
         "cli": {"ops_per_s": metric(7.8, 7.9, "within the bound"), "light_op_ms": metric(129.0, 128.0, "unresolved")},
         "search": {"ops_per_s": metric(175.0, 176.0, "within the bound")},
     })
     # 29 has no 28 before it, and 27 no 28 after it: neither pair is the same code.
     write_bench(tmp_path, 29, {"geometry": {"ops_per_s": metric(100.0, 100.0, "within the bound")}})
     assert bench_trajectory.noise_floor(tmp_path) == [
-        "| labels | workload | ops_per_s drift | light_op_ms drift |",
-        "|---|---|---|---|",
-        "| 26 → 27 | geometry | -4.5% | +10.0% |",
-        "| 26 → 27 | cli | +0.0% | — |",
-        "| widest | geometry | -4.5% | +10.0% |",
-        "| widest | cli | +0.0% | — |",
+        "| labels | workload | ops_per_s drift | light_op_ms drift | peak_rss_mb drift |",
+        "|---|---|---|---|---|",
+        "| 26 → 27 | geometry | -4.5% | +10.0% | +0.5% |",
+        "| 26 → 27 | cli | +0.0% | — | — |",
+        "| widest | geometry | -4.5% | +10.0% | +0.5% |",
+        "| widest | cli | +0.0% | — | — |",
     ]
 
 
 def test_widest_rows_keep_the_drift_of_largest_magnitude_with_its_sign(tmp_path):
     write_bench(tmp_path, 30, {"geometry": {"ops_per_s": metric(190.0, 200.0, "better"),
-                                            "light_op_ms": metric(1.0, 1.0, "within the bound")}})
+                                            "light_op_ms": metric(1.0, 1.0, "within the bound"),
+                                            "peak_rss_mb": metric(40.0, 40.0, "within the bound")}})
     write_bench(tmp_path, 31, {"geometry": {"ops_per_s": metric(210.0, 100.0, "worse beyond the bound"),
-                                            "light_op_ms": metric(0.97, 1.0, "within the bound")},
+                                            "light_op_ms": metric(0.97, 1.0, "within the bound"),
+                                            "peak_rss_mb": metric(40.4, 40.0, "within the bound")},
                                "cli": {"ops_per_s": metric(7.8, 7.9, "within the bound")}})
     write_bench(tmp_path, 32, {"geometry": {"ops_per_s": metric(93.0, 93.0, "within the bound"),
-                                            "light_op_ms": metric(1.02, 1.0, "within the bound")},
+                                            "light_op_ms": metric(1.02, 1.0, "within the bound"),
+                                            "peak_rss_mb": metric(39.8, 40.0, "within the bound")},
                                "cli": {"ops_per_s": metric(7.9, 7.9, "within the bound"),
                                        "light_op_ms": metric(128.0, 128.0, "within the bound")}})
     assert bench_trajectory.noise_floor(tmp_path)[2:] == [
-        "| 30 → 31 | geometry | +5.0% | -3.0% |",
-        "| 31 → 32 | geometry | -7.0% | +2.0% |",
-        "| 31 → 32 | cli | +0.0% | — |",
-        "| widest | geometry | -7.0% | -3.0% |",
-        "| widest | cli | +0.0% | — |",
+        "| 30 → 31 | geometry | +5.0% | -3.0% | +1.0% |",
+        "| 31 → 32 | geometry | -7.0% | +2.0% | -0.5% |",
+        "| 31 → 32 | cli | +0.0% | — | — |",
+        "| widest | geometry | -7.0% | -3.0% | +1.0% |",
+        "| widest | cli | +0.0% | — | — |",
     ]
 
 
@@ -105,6 +113,7 @@ def test_the_committed_files_give_the_noise_floor_the_roadmap_quotes():
     assert drift["27 → 28", "geometry"][0] == "-4.3%"
     assert drift["27 → 28", "search"][1] == "-10.5%"
     assert drift["30 → 31", "geometry"][0] == "-7.1%"
+    assert drift["31 → 32", "geometry"][2] == "-0.1%"
 
 
 def test_the_committed_widest_rows_hold_the_largest_magnitude_of_each_column():

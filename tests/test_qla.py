@@ -9,11 +9,14 @@ from conftest import BOUNDARY, expectation, ket
 from hypothesis import strategies as st
 from oracles import transpose_trace, vertex_formula_tables
 
+import ejm.analysis
+from ejm.analysis import symmetry_report
 from ejm.bases import BasisLabel, EjmParams, m_vector, n_qubit_ejm
 from ejm.qla import (
     PAULI_Z,
     PAULIS,
     BlochVector,
+    RowView,
     StateVector,
     bloch_vector,
     check_index,
@@ -68,6 +71,42 @@ class TestStateVector:
         state = ket("0")
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
+
+
+class TestRowView:
+    @staticmethod
+    def counted_view():
+        made = []
+        rows = np.arange(12.0).reshape(4, 3)
+        view = RowView(rows, {"c": 2, "a": 0, "d": 3}, lambda row: made.append(row) or row.sum())
+        return view, made
+
+    def test_membership_and_get_of_a_missing_key_build_nothing(self):
+        view, made = self.counted_view()
+        assert "a" in view and "b" not in view and "b" not in view.keys()
+        assert view.get("b") is None and view.get("b", 7) == 7
+        with pytest.raises(KeyError):
+            view["b"]
+        assert made == []
+        assert view.get("d") == 30.0 and len(made) == 1
+
+    def test_values_and_items_walk_the_index_in_order_one_value_per_read(self):
+        view, made = self.counted_view()
+        values = iter(view.values())
+        assert next(values) == 21.0 and len(made) == 1
+        assert list(values) == [3.0, 30.0] and len(made) == 3
+        assert list(view.items()) == [("c", 21.0), ("a", 3.0), ("d", 30.0)]
+        assert list(view) == ["c", "a", "d"] and len(view.values()) == len(view.items()) == 3
+        assert ("a", 3.0) in view.items() and ("b", 3.0) not in view.items() and 30.0 in view.values()
+
+    def test_report_vector_membership_builds_no_bloch_vector(self, monkeypatch):
+        vectors = symmetry_report(n_qubit_ejm(EjmParams(0.8, 0.3, 1.0, 0.5), 3)).vectors
+        made = []
+        monkeypatch.setattr(ejm.analysis, "BlochVector", lambda *xyz: made.append(xyz))
+        assert (BasisLabel(3, (), 1), 3) in vectors and (BasisLabel(3, (), 1), 4) not in vectors
+        assert made == []
+        vectors[BasisLabel(3, (), 1), 3]
+        assert len(made) == 1
 
 
 class TestCheckNormalized:

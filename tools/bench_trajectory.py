@@ -5,13 +5,13 @@
 Reads every ``BENCH_<label>.json`` that ``tools/bench_pairs.py`` wrote at the
 repository root, numeric labels first in numeric order, then any others by
 name.  Prints one row per file and workload: the parent -> change medians of
-``ops_per_s`` and ``light_op_ms``, each with its verdict.
+``ops_per_s``, ``light_op_ms`` and ``peak_rss_mb``, each with its verdict.
 
 A second table gives the noise floor.  ``tools/bench_pairs.py`` takes HEAD as
 the parent, so file k + 1's parent is the tree that file k measured as its
 change.  For each pair of consecutive numeric labels k, k + 1 and each
 workload of both, a row gives (parent median of k + 1 - change median of k) /
-change median of k for ``ops_per_s`` and ``light_op_ms``: how far two
+change median of k for each of those metrics: how far two
 measurements of the same code drift apart.  The table ends with one
 ``widest`` row per workload: for each metric, the drift of largest magnitude
 over all those pairs, the noise floor that the committed files show.
@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-METRICS = ("ops_per_s", "light_op_ms")
+METRICS = ("ops_per_s", "light_op_ms", "peak_rss_mb")
 
 
 def _order(path: Path) -> tuple:
