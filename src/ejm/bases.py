@@ -45,7 +45,7 @@ LIMITS: Mapping[str, tuple[int, int]] = MappingProxyType({
     "n": (2, 8),
     # sweep: 100 000 points (phi spaced by 6e-5) take 0.75-0.9 s end to end, 0.5 s of it JSON export (CSV 0.2-0.3 s).
     "points": (2, 100_000),
-    # maximize keeps a trace entry of about 250 bytes per evaluation: a million would take 0.25 GB and 6-8 s.
+    # maximize keeps a trace entry per evaluation: 250 000 grid cells took 0.1 GB and 1.5-2.2 s, so a million 0.4 GB and 6-9 s.
     "budget": (100, 1_000_000),
 })
 
@@ -119,6 +119,20 @@ class EjmParams:
         object.__setattr__(self, "theta", check_domain("theta", self.theta))
         object.__setattr__(self, "gamma", check_domain("gamma", self.gamma))
         object.__setattr__(self, "phi_z", _phi_z(z))
+
+
+def _checked_params(z: float, phi: float, theta: float, gamma: float, phi_z: float) -> EjmParams:
+    """EjmParams of values check_domain already accepted: Python floats
+    inside a box whose bounds it checked, with phi_z = _phi_z(z).  Sets the
+    fields in __post_init__'s order, so the instance shares its class's
+    attribute keys; nothing is checked or computed again."""
+    params = object.__new__(EjmParams)
+    object.__setattr__(params, "z", z)
+    object.__setattr__(params, "phi", phi)
+    object.__setattr__(params, "theta", theta)
+    object.__setattr__(params, "gamma", gamma)
+    object.__setattr__(params, "phi_z", phi_z)
+    return params
 
 
 def _vertices(params: EjmParams) -> list[tuple[float, float]]:

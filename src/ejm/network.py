@@ -193,4 +193,4 @@ def trilocal_score(
         if worst > CROSS_CHECK_ATOL:
             raise ContractError(f"analytic and brute-force correlations disagree by {worst:.3e}")
     score = cube_root_sum(values)
-    return CorrelationReport(I=values, S=score, violated=score > TRILOCAL_BOUND, method=method)
+    return CorrelationReport(values, score, score > TRILOCAL_BOUND, method)  # keywords cost 0.3 µs a call

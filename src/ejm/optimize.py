@@ -10,7 +10,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bases import DOMAIN, PARAM_NAMES, EjmParams, _phi_z, check_domain, check_limit
+from .bases import DOMAIN, PARAM_NAMES, EjmParams, _checked_params, _phi_z, check_domain, check_limit
 from .network import closed_form, cube_root_sum, trilocal_score
 
 # Score evaluations maximize may spend unless told otherwise.
@@ -152,6 +152,12 @@ def maximize(bounds: Mapping[str, tuple[float, float]] | None = None, budget: in
     finish or the budget runs out; warning=True means it ran out before the
     grid was complete.  The grid takes the first `budget` cells, each
     refinement what is left as its maxfev.
+
+    Every evaluated point lies in the box _resolve_bounds checked: the grid
+    is np.linspace between its bounds, whose ends are exact, and minimize
+    clips each trial to them.  So each trace entry is built by
+    _checked_params, with phi_z computed once per grid z, and no point is
+    checked twice.
     """
     budget = check_limit("budget", budget)
     box = _resolve_bounds(bounds)
@@ -161,18 +167,19 @@ def maximize(bounds: Mapping[str, tuple[float, float]] | None = None, budget: in
     lows, highs = zip(*(box[name] for name in PARAM_NAMES))
     axes = [np.linspace(lo, hi, GRID_POINTS).tolist() if lo < hi else [lo] for lo, hi in zip(lows, highs)]
     cells = list(product(*axes))
+    phases = {z: _phi_z(z) for z in axes[0]}
     trace: list[tuple[EjmParams, float]] = []
 
-    def evaluate(x) -> float:
-        params = EjmParams(*x)
+    def evaluate(x, phi_z: float) -> float:
+        params = _checked_params(*x, phi_z)
         score = trilocal_score(params).S
         trace.append((params, score))
         return score
 
     # Keyed by cell, so equal cells (a sub-ulp range repeats them) seed at most once.
-    scores = {cell: evaluate(cell) for cell in cells[:budget]}
+    scores = {cell: evaluate(cell, phases[cell[0]]) for cell in cells[:budget]}
     for start in sorted(scores, key=lambda cell: -scores[cell])[:STARTS] if len(cells) > 1 else ():
         if len(trace) >= budget:
             break
-        minimize(lambda x: -evaluate(x), start, lows, highs, budget - len(trace))
+        minimize(lambda x: -evaluate(x, _phi_z(x[0])), start, lows, highs, budget - len(trace))
     return OptimumResult(*max(trace, key=itemgetter(1)), tuple(trace), warning=len(trace) < len(cells))

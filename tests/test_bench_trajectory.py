@@ -1,7 +1,7 @@
 """tools/bench_trajectory.py reads canned BENCH files: one Markdown row per
 file and workload, labels in numeric order, then the noise floor of each pair
 of consecutive labels and its widest drift per workload, for ops_per_s,
-light_op_ms and peak_rss_mb."""
+light_op_ms and peak_rss_mb, then each traced count that shifted by more than 1%."""
 
 import importlib.util
 import json
@@ -17,9 +17,10 @@ def metric(parent, change, verdict):
     return {"parent_median": parent, "change_median": change, "verdict": verdict, "bound": 0.2}
 
 
-def write_bench(root, label, workloads):
+def write_bench(root, label, workloads, per_layer=None):
     report = {"parent": "0" * 40, "workloads": {
-        name: {"end_to_end": {"setup_s": metric(0.1, 0.1, "within the bound"), **metrics}, "runs": {}, "per_layer": {}}
+        name: {"end_to_end": {"setup_s": metric(0.1, 0.1, "within the bound"), **metrics}, "runs": {},
+               "per_layer": (per_layer or {}).get(name, {})}
         for name, metrics in workloads.items()
     }}
     (root / f"BENCH_{label}.json").write_text(json.dumps(report))
@@ -49,6 +50,9 @@ def test_one_row_per_file_and_workload_in_numeric_label_order(tmp_path, monkeypa
         "| x | search | 175.8 → 120 | worse beyond the bound | — | — | — | — |",
         "",
         "| labels | workload | ops_per_s drift | light_op_ms drift | peak_rss_mb drift |",
+        "|---|---|---|---|---|",
+        "",
+        "| label | workload | count | parent → change | shift |",
         "|---|---|---|---|---|",
     ]
 
@@ -126,3 +130,31 @@ def test_the_committed_widest_rows_hold_the_largest_magnitude_of_each_column():
             column_values = [rest[column] for name, rest in pairs if name == workload and rest[column] != "—"]
             assert value in column_values
             assert all(abs(float(value.rstrip("%"))) >= abs(float(other.rstrip("%"))) for other in column_values)
+
+
+def test_count_shifts_list_each_count_that_moved_by_more_than_one_percent(tmp_path):
+    ops = {"ops_per_s": metric(100.0, 100.0, "within the bound")}
+    write_bench(tmp_path, 34, {"search": ops, "cli": ops}, {
+        "search": {"bases.EjmParams.count": {"parent": 8864.0, "change": 0.0},
+                   "network.trilocal_score.count": {"parent": 8864.0, "change": 8864.0},
+                   "optimize.minimize.count": {"parent": 18.0, "change": 18.1},
+                   "optimize.maximize.self_s": {"parent": 0.04, "change": 0.03}},
+        "cli": {"qla.StateVector.count": {"parent": 0.0, "change": 4.0},
+                "bases.n_qubit_ejm.count": {"parent": 3.0, "change": 3.0}},
+    })
+    write_bench(tmp_path, 9, {"geometry": ops}, {"geometry": {"bases.BasisFamily.matrix.count": {"parent": 7.0, "change": 14.0}}})
+    assert bench_trajectory.count_shifts(tmp_path) == [
+        "| label | workload | count | parent → change | shift |",
+        "|---|---|---|---|---|",
+        "| 9 | geometry | bases.BasisFamily.matrix.count | 7 → 14 | +100.0% |",
+        "| 34 | search | bases.EjmParams.count | 8864 → 0 | -100.0% |",
+        "| 34 | cli | qla.StateVector.count | 0 → 4 | — |",
+    ]
+
+
+def test_the_committed_files_show_where_state_vectors_stopped_being_built():
+    cells = [line.strip("| ").split(" | ") for line in bench_trajectory.count_shifts(ROOT)[2:]]
+    shifts = {(label, workload, name): rest for label, workload, name, *rest in cells}
+    assert shifts["33", "geometry", "qla.StateVector.count"] == ["516 → 0", "-100.0%"]
+    assert shifts["33", "cli", "qla.StateVector.count"] == ["16 → 0", "-100.0%"]
+    assert all(name.endswith(".count") for _, _, name in shifts)

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from conftest import domain_params
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ejm.optimize
@@ -62,6 +62,40 @@ def random_box(rng, pinned):
         if name == "z" and rng.random() < 0.5:
             lo, hi = -hi, -lo
         box[name] = (float(lo), float(hi))
+    return box
+
+
+# Ranges with an end that passes check_domain only by its 1e-14 slack, of |z| for z.
+SLACK_RANGES = {
+    "z": ((INV_SQRT3 - 1e-14, 1.0), (INV_SQRT3 - 1e-14, INV_SQRT3 - 1e-14), (0.9, 1.0 + 1e-14)),
+    "phi": ((-(math.pi + 1e-14), math.pi + 1e-14), (math.pi + 1e-14, math.pi + 1e-14)),
+    "theta": ((0.0, math.pi / 2 + 1e-14),),
+    "gamma": ((0.0, math.pi / 2 + 1e-14),),
+}
+# The golden reports' phi range, one ulp wide: every grid phi rounds onto one of its ends.
+SUB_ULP_PHI = (0.1, 0.10000000000000002)
+
+
+@st.composite
+def maximize_boxes(draw):
+    """A box for maximize: each parameter on its whole domain, a sub-range,
+    pinned, or on a range that reaches into the slack past a bound, z of
+    either sign; sometimes with the golden sub-ulp phi range."""
+    box = {}
+    for name in PARAM_NAMES:
+        lo, hi = DOMAIN[name]
+        kind = draw(st.sampled_from(("domain", "sub", "pinned", "slack")))
+        if kind == "sub":
+            lo, hi = sorted((draw(st.floats(lo, hi)), draw(st.floats(lo, hi))))
+        elif kind == "pinned":
+            lo = hi = draw(st.floats(lo, hi))
+        elif kind == "slack":
+            lo, hi = draw(st.sampled_from(SLACK_RANGES[name]))
+        if name == "z" and draw(st.booleans()):
+            lo, hi = -hi, -lo
+        box[name] = (lo, hi)
+    if draw(st.booleans()):
+        box["phi"] = SUB_ULP_PHI
     return box
 
 
@@ -222,21 +256,42 @@ class TestMaximize:
 
     @pytest.mark.parametrize("box", [None, {"z": (1.0, 1.0)}])
     def test_builds_one_float_params_per_trace_entry(self, monkeypatch, box):
-        # Counted through __post_init__, as the benchmark's tracer counts EjmParams.
-        built = []
-        original = EjmParams.__post_init__
+        # Counted through the constructor of checked values, which maximize
+        # builds with; the public constructor's checks (__post_init__) never run.
+        built, checked = [], []
+        original, post_init = ejm.optimize._checked_params, EjmParams.__post_init__
 
-        def counting(self):
-            built.append(self)
-            original(self)
+        def counting(*values):
+            built.append(original(*values))
+            return built[-1]
 
-        monkeypatch.setattr(EjmParams, "__post_init__", counting)
+        def checking(self):
+            checked.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ejm.optimize, "_checked_params", counting)
+        monkeypatch.setattr(EjmParams, "__post_init__", checking)
         trace = maximize(box).trace
+        assert checked == []
         assert len(built) == len(trace)
         assert all(params is entry for params, (entry, _) in zip(built, trace))
         for params, score in trace:
             assert all(type(getattr(params, name)) is float for name in (*PARAM_NAMES, "phi_z"))
             assert type(score) is float
+
+    @settings(max_examples=40, deadline=None)
+    @given(box=maximize_boxes(), budget=st.sampled_from((100, 20000)))
+    @example(box={"z": SLACK_RANGES["z"][0], "phi": SLACK_RANGES["phi"][0], "theta": SLACK_RANGES["theta"][0]},
+             budget=20000)
+    @example(box={"z": (-1.0 - 1e-14, -0.9), "phi": SUB_ULP_PHI}, budget=20000)
+    def test_trace_points_pass_the_public_checks(self, box, budget):
+        # maximize skips EjmParams's checks; rebuilt through them, each trace
+        # point keeps every field's bits, phi_z included, and its score.
+        fields = (*PARAM_NAMES, "phi_z")
+        for params, score in maximize(box, budget).trace:
+            rebuilt = EjmParams(params.z, params.phi, params.theta, params.gamma)
+            assert [float.hex(getattr(rebuilt, n)) for n in fields] == [float.hex(getattr(params, n)) for n in fields]
+            assert float.hex(trilocal_score(rebuilt).S) == float.hex(score)
 
     def test_budget_exhausted_during_grid_sets_warning(self):
         result = maximize(budget=100)  # far below the 81**2 grid

@@ -15,6 +15,11 @@ change median of k for each of those metrics: how far two
 measurements of the same code drift apart.  The table ends with one
 ``widest`` row per workload: for each metric, the drift of largest magnitude
 over all those pairs, the noise floor that the committed files show.
+
+A third table gives the count shifts: a row per file, workload and traced
+per-layer ``*.count`` whose change value differs from the parent's by more
+than ``COUNT_SHIFT`` of it, so the calls a change removed or added show
+beside its verdicts.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("ops_per_s", "light_op_ms", "peak_rss_mb")
+# Relative change of a traced count beyond which count_shifts lists it.
+COUNT_SHIFT = 0.01
 
 
 def _order(path: Path) -> tuple:
@@ -84,9 +91,25 @@ def noise_floor(root: Path) -> list[str]:
     return lines
 
 
+def count_shifts(root: Path) -> list[str]:
+    """The header, then a row per BENCH file under root, workload and traced
+    per-layer count whose change value differs from the parent's by more
+    than COUNT_SHIFT of it: both values and the relative shift ("—" from 0)."""
+    header = ["label", "workload", "count", "parent → change", "shift"]
+    lines = [_row(header), "|" + "---|" * len(header)]
+    for path in sorted(root.glob("BENCH_*.json"), key=_order):
+        for workload, summary in json.loads(path.read_text())["workloads"].items():
+            for name, values in summary["per_layer"].items():
+                old, new = values["parent"], values["change"]
+                if name.endswith(".count") and abs(new - old) > COUNT_SHIFT * abs(old):
+                    shift = f"{(new - old) / old:+.1%}" if old else "—"
+                    lines.append(_row([path.stem.removeprefix("BENCH_"), workload, name, f"{old:.4g} → {new:.4g}", shift]))
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
-    print("\n".join([*table(ROOT), "", *noise_floor(ROOT)]))
+    print("\n".join([*table(ROOT), "", *noise_floor(ROOT), "", *count_shifts(ROOT)]))
     return 0
 
 
