@@ -162,15 +162,20 @@ def _labels(n: int) -> Mapping[BasisLabel, int]:
 class BasisFamily:
     """Ordered orthonormal family: a read-only 2**n x 2**n matrix, one normalized row per label, fixing n_qubits.
 
-    The norm check runs once, on the whole matrix.  Each value of states is
-    a StateVector that shares its read-only row (checked_state).
+    The norm check runs once, on the whole matrix.  BasisFamily(amplitudes)
+    checks a copy; n_qubit_ejm's family owns the fresh matrix it built
+    (_owning_family).  Each value of states is a StateVector that shares its
+    read-only row (checked_state).
     """
 
     amplitudes: np.ndarray = field(repr=False)
     n_qubits: int = field(init=False)
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=np.complex128)
+        self._own(np.array(self.amplitudes, dtype=np.complex128))
+
+    def _own(self, amps: np.ndarray) -> None:
+        """Check a complex128 matrix that nothing else holds, freeze it, and store it."""
         n = amps.size.bit_length() // 2  # a 2**n x 2**n matrix has 4**n entries
         if n < 2 or amps.shape != (2**n,) * 2:
             raise ValueError(f"amplitudes of shape {amps.shape} are not a 2**n x 2**n matrix with n >= 2")
@@ -192,14 +197,12 @@ class BasisFamily:
         return self.amplitudes
 
 
-def _qubit_pair(z: float, phi: float) -> list[list[complex]]:
-    """Rows |m> and |-m> for the Bloch vector at height z and azimuth phi."""
-    half = 0.5 * phi
-    lo = cmath.exp(-1j * half)
-    hi = cmath.exp(1j * half)
-    a = math.sqrt(max(1.0 + z, 0.0) / 2.0)
-    b = math.sqrt(max(1.0 - z, 0.0) / 2.0)
-    return [[a * lo, b * hi], [b * lo, -a * hi]]
+def _owning_family(amps: np.ndarray) -> BasisFamily:
+    """BasisFamily of a fresh complex128 matrix that nothing else holds:
+    __post_init__'s shape and norm checks and freeze, without its copy."""
+    family = object.__new__(BasisFamily)
+    family._own(amps)
+    return family
 
 
 def m_vector(params: EjmParams, i: int) -> np.ndarray:
@@ -210,19 +213,37 @@ def m_vector(params: EjmParams, i: int) -> np.ndarray:
     return np.array([r * math.cos(ph), r * math.sin(ph), zi])
 
 
-def _phi_table(params: EjmParams) -> np.ndarray:
-    """The three-parameter two-qubit EJM table Phi, row i holding |Phi_i>."""
+def _vertex_tables(params: EjmParams, tails: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """One pass over the four vertices (z_i, phi_i) = (_SIGNS[i] z, phi + _TURNS[i]).
+
+    Returns the three-parameter two-qubit EJM table Phi, row i holding
+    |Phi_i>, and, if tails, the single-qubit pairs as a (vertex i, l,
+    amplitude) table: |m_i> (l = 0) and |-m_i> (l = 1), whose Bloch vectors
+    are (z_i, phi_i) and its antipode; else None.  The theta weights and
+    the tails' moduli a, b depend on the vertex only through its parity, so
+    they are taken once per parity.
+    """
     z = params.z
     rad = math.sqrt(max(3.0 * z * z - 1.0, 0.0))
     prefactor = (1.0 - 1j * rad) / (2.0 * math.sqrt(3.0) * abs(z))
     e_theta = cmath.exp(1j * params.theta)
-    entries = []
-    for parity, (_, phi_i) in zip(_SIGNS, _vertices(params)):
+    weights = [
+        (-(parity + e_theta) / math.sqrt(2.0), -(parity - e_theta) / math.sqrt(2.0),
+         math.sqrt(max(1.0 + parity * z, 0.0) / 2.0), math.sqrt(max(1.0 - parity * z, 0.0) / 2.0))
+        for parity in _SIGNS[:2]
+    ]
+    entries, pairs = [], []
+    for turn, (mid01, mid10, a, b) in zip(_TURNS, weights * 2):
+        phi_i = params.phi + turn
         delta = phi_i - params.phi_z
-        mid01 = -(parity + e_theta) / math.sqrt(2.0)
-        mid10 = -(parity - e_theta) / math.sqrt(2.0)
         entries += (cmath.exp(-1j * delta), mid01, mid10, -cmath.exp(1j * delta))
-    return prefactor * np.array(entries).reshape(4, 4)
+        if tails:
+            half = 0.5 * phi_i
+            lo = cmath.exp(-1j * half)
+            hi = cmath.exp(1j * half)
+            pairs += (a * lo, b * hi, b * lo, -a * hi)
+    phi = prefactor * np.array(entries).reshape(4, 4)
+    return phi, np.array(pairs).reshape(4, 2, 2) if tails else None
 
 
 def _family_matrix(params: EjmParams, n: int) -> np.ndarray:
@@ -240,7 +261,7 @@ def _family_matrix(params: EjmParams, n: int) -> np.ndarray:
     The products are taken in the order of the per-label chain, so each
     amplitude equals it bit for bit.
     """
-    phi = _phi_table(params)
+    phi, tails = _vertex_tables(params, n % 2 == 1)
     if n == 2:
         return phi
     k = n // 2
@@ -251,8 +272,7 @@ def _family_matrix(params: EjmParams, n: int) -> np.ndarray:
     # cannot merge into shape, so the reshape copies: primed never aliases plain.
     flip_high_bits = (slice(None, None, -1), slice(None)) * k
     primed = chains.reshape((2, 2) * k + (-1,))[flip_high_bits].reshape(shape)
-    if n % 2:
-        tails = np.array([a for vertex in _vertices(params) for row in _qubit_pair(*vertex) for a in row])
+    if tails is not None:
         tails = tails.reshape(4, 1, 2, 1, 2)
         plain, primed = plain * tails, primed * tails[:, :, ::-1]
     plain *= math.cos(params.gamma)
@@ -271,4 +291,4 @@ def n_qubit_ejm(params: EjmParams, n: int) -> BasisFamily:
     three-parameter family; gamma only enters for n >= 3 where a primed
     mixing partner exists.
     """
-    return BasisFamily(_family_matrix(params, check_limit("n", n)))
+    return _owning_family(_family_matrix(params, check_limit("n", n)))

@@ -88,8 +88,8 @@ def outcome_table(scenario: StarScenario) -> np.ndarray:
     """Full joint distribution P[x1,x2,x3,a1,a2,a3,b] over raw outcomes,
     shape (2,2,2,2,2,2,8): one (64 x 8)·(8 x 8) product of the constant
     projected star tensor, flattened over its Alice indices, and Bob's
-    conjugated basis rows."""
-    amplitudes = _ALICE_STAR.reshape(64, 8) @ scenario.bob_basis.matrix().conj().T
+    conjugated basis rows, through ndarray.dot as in correlation_I_bruteforce."""
+    amplitudes = _ALICE_STAR.reshape(64, 8).dot(scenario.bob_basis.matrix().conj().T)
     return (np.abs(amplitudes) ** 2).reshape(_TABLE_SHAPE)
 
 

@@ -15,6 +15,15 @@ from ejm.bases import BasisFamily, BasisLabel, EjmParams, INV_SQRT3, m_vector, n
 from ejm.qla import PAULIS, StateVector, bloch_vector, partial_trace
 
 PARAMS = EjmParams(z=0.8, phi=0.3, theta=1.0, gamma=0.5)
+# Points BOUNDARY lacks: phi, theta or gamma at -0.0, and |z| inside the
+# _DOMAIN_ATOL slack at 1 + 1e-14 and 1/sqrt(3) - 1e-14, where the tails'
+# moduli sqrt((1 -+ z_i)/2) clamp to 0 and the gamma mix has a zero weight.
+SIGNED_ZERO_AND_SLACK = [
+    (sign * z, *angles)
+    for z in (1.0, 1.0 + 1e-14, INV_SQRT3, INV_SQRT3 - 1e-14)
+    for sign in (1.0, -1.0)
+    for angles in ((-0.0, 0.7, 0.4), (0.3, -0.0, 0.4), (0.3, 0.7, -0.0), (-0.0, -0.0, -0.0), (math.pi, math.pi / 2, 0.0))
+]
 
 
 def phase(z):
@@ -363,6 +372,15 @@ class TestNQubitFamily:
             family = n_qubit_ejm(params, n)
             assert family.matrix().tobytes() == kron_chain_rows(params, family).tobytes(), point
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_signed_zeros_and_slack_bounds_keep_their_bytes(self, n):
+        # Bytes, so that a zero amplitude whose sign flipped would show.
+        for point in SIGNED_ZERO_AND_SLACK:
+            params = EjmParams(*point)
+            assert_vertex_tables_match(params)
+            family = n_qubit_ejm(params, n)
+            assert family.matrix().tobytes() == kron_chain_rows(params, family).tobytes(), point
+
     def test_size_validation(self, monkeypatch):
         with pytest.raises(ValueError, match="at least 2"):
             n_qubit_ejm(PARAMS, 1)
@@ -413,8 +431,41 @@ class TestBasisFamilyContract:
     def test_caller_array_is_copied(self):
         rows = np.eye(4, dtype=complex)
         family = BasisFamily(rows)
+        assert not np.shares_memory(family.matrix(), rows)
         rows[0, 0] = 2.0
         assert family.matrix()[0, 0] == 1.0
+
+    def test_builder_family_owns_the_matrix_it_built(self, monkeypatch):
+        built, build = [], ejm.bases._family_matrix
+        monkeypatch.setattr(ejm.bases, "_family_matrix", lambda params, n: built.append(build(params, n)) or built[-1])
+        for n in range(2, 9):
+            matrix = n_qubit_ejm(PARAMS, n).matrix()
+            assert np.shares_memory(matrix, built[-1]), n
+            assert matrix.dtype == np.complex128 and matrix.flags.c_contiguous and not matrix.flags.writeable, n
+
+    def test_one_norm_check_per_family_on_both_paths(self, monkeypatch):
+        checked, check = [], ejm.bases.check_normalized
+        monkeypatch.setattr(ejm.bases, "check_normalized", lambda amps: checked.append(amps) or check(amps))
+        for n in range(2, 9):
+            family = n_qubit_ejm(PARAMS, n)
+            assert len(checked) == 1 and checked.pop() is family.matrix(), n
+            BasisFamily(family.matrix())
+            assert len(checked) == 1 and checked.pop() is not family.matrix(), n
+
+    @pytest.mark.parametrize("broken", ["shape", "norm"])
+    def test_both_paths_refuse_a_bad_matrix_alike(self, monkeypatch, broken):
+        rows = n_qubit_ejm(PARAMS, 3).matrix().copy()
+        if broken == "shape":
+            rows = rows[:4].copy()
+        else:
+            rows[5] *= 1.0 + 1e-9
+        with pytest.raises(ValueError) as public:
+            BasisFamily(rows)
+        monkeypatch.setattr(ejm.bases, "_family_matrix", lambda params, n: rows)
+        with pytest.raises(ValueError) as built:
+            n_qubit_ejm(PARAMS, 3)
+        assert str(built.value) == str(public.value)
+        assert ("not a 2**n x 2**n matrix" if broken == "shape" else "not normalized") in str(public.value)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_states_are_the_matrix_rows_in_label_order(self, n):

@@ -158,3 +158,15 @@ def test_the_committed_files_show_where_state_vectors_stopped_being_built():
     assert shifts["33", "geometry", "qla.StateVector.count"] == ["516 → 0", "-100.0%"]
     assert shifts["33", "cli", "qla.StateVector.count"] == ["16 → 0", "-100.0%"]
     assert all(name.endswith(".count") for _, _, name in shifts)
+
+
+def test_the_committed_files_show_a_cheaper_network_round_with_every_call_kept():
+    # BENCH_35: each basis build got cheaper, none was dropped.
+    network = json.loads((ROOT / "BENCH_35.json").read_text())["workloads"]["network"]
+    assert network["end_to_end"]["ops_per_s"]["verdict"] == "better"
+    counts = {"bases.n_qubit_ejm.count": 8.0, "network.StarScenario.count": 8.0,
+              "network.outcome_table.count": 8.0, "network.trilocal_score.count": 4.0}
+    for name, count in counts.items():
+        assert network["per_layer"][name] == {"parent": count, "change": count}, name
+    cells = [line.strip("| ").split(" | ") for line in bench_trajectory.count_shifts(ROOT)[2:]]
+    assert [cell for cell in cells if cell[:2] == ["35", "network"]] == []

@@ -319,6 +319,21 @@ def test_outcome_tables_and_correlations_keep_their_bits():
             assert correlation_I_bruteforce(table, m).hex() == expected.hex(), (params, m)
 
 
+def test_outcome_table_equals_the_matmul_form_byte_for_byte():
+    # ndarray.dot against @ on the same (64 x 8)·(8 x 8) product: 50 seeded
+    # points, half with negative z, and every BOUNDARY point.
+    rng = np.random.default_rng(35)
+    points = [
+        EjmParams(z=sign * rng.uniform(INV_SQRT3, 1.0), phi=rng.uniform(-math.pi, math.pi),
+                  theta=rng.uniform(0.0, math.pi / 2), gamma=rng.uniform(0.0, math.pi / 2))
+        for sign in (1.0, -1.0) for _ in range(25)
+    ] + [EjmParams(*point) for point in BOUNDARY]
+    for params in points:
+        scenario = StarScenario(params)
+        matmul = np.abs(ejm.network._ALICE_STAR.reshape(64, 8) @ scenario.bob_basis.matrix().conj().T) ** 2
+        assert outcome_table(scenario).tobytes() == matmul.tobytes(), params
+
+
 def single_expression_score(params):
     """Whole-score closed form written as one expression, independent of the
     per-correlator route."""
