@@ -13,7 +13,7 @@ from typing import Mapping
 import numpy as np
 
 from .bases import _SIGNS, BasisFamily, BasisLabel, EjmParams, _labels, _vertices, check_limit, m_vector
-from .qla import NORM_ATOL, BlochVector, ContractError, RowView, StateVector, bloch_vector, partial_trace
+from .qla import NORM_ATOL, BlochVector, ContractError, RowView, StateVector, bloch_vector, dot, partial_trace
 
 # The three-tangle is quartic in the amplitudes, so a norm off by up to NORM_ATOL
 # moves it by up to 4 * NORM_ATOL, plus rounding; an excess beyond this is a bug.
@@ -130,7 +130,7 @@ def verify_orthonormal_complete(family: BasisFamily) -> OrthonormalityReport:
     subtracted from each product's diagonal in place.
     """
     v = family.matrix()
-    gram, completeness = v.conj().dot(v.T), v.T.dot(v.conj())  # as @, without its ufunc dispatch
+    gram, completeness = dot(v.conj(), v.T), dot(v.T, v.conj())
     gram.reshape(-1)[:: len(v) + 1] -= 1.0
     completeness.reshape(-1)[:: len(v) + 1] -= 1.0
     return OrthonormalityReport(float(np.abs(gram).max()), float(np.abs(completeness).max()))

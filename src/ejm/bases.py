@@ -64,13 +64,21 @@ def check_domain(name: str, value: float) -> float:
     if type(value) is not float:  # the isinstance checks would slow every EjmParams
         if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
             raise ValueError(f"{name}={value!r} must be a real number")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond float range lies outside every domain
+            raise _outside(name, value) from None
     lo, hi = DOMAIN[name]
     checked = abs(value) if name == "z" else value
     if not (lo - _DOMAIN_ATOL <= checked <= hi + _DOMAIN_ATOL):
-        bounded = "|z|" if name == "z" else name
-        raise ValueError(f"{name}={value!r} outside {lo:.12g} <= {bounded} <= {hi:.12g}")
+        raise _outside(name, value)
     return value
+
+
+def _outside(name: str, value: float) -> ValueError:
+    lo, hi = DOMAIN[name]
+    bounded = "|z|" if name == "z" else name
+    return ValueError(f"{name}={value!r} outside {lo:.12g} <= {bounded} <= {hi:.12g}")
 
 
 def check_limit(name: str, value: int) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import ORTHONORMAL_ATOL, verify_orthonormal_complete
 from .bases import BasisFamily, EjmParams, n_qubit_ejm
-from .qla import PAULI_X, PAULI_Z, ContractError, check_index
+from .qla import PAULI_X, PAULI_Z, ContractError, check_index, dot
 
 # Analytic and brute-force I_m agree to 1e-15 over the domain; a larger gap is a bug.
 CROSS_CHECK_ATOL = 1e-9
@@ -88,8 +88,8 @@ def outcome_table(scenario: StarScenario) -> np.ndarray:
     """Full joint distribution P[x1,x2,x3,a1,a2,a3,b] over raw outcomes,
     shape (2,2,2,2,2,2,8): one (64 x 8)·(8 x 8) product of the constant
     projected star tensor, flattened over its Alice indices, and Bob's
-    conjugated basis rows, through ndarray.dot as in correlation_I_bruteforce."""
-    amplitudes = _ALICE_STAR.reshape(64, 8).dot(scenario.bob_basis.matrix().conj().T)
+    conjugated basis rows."""
+    amplitudes = dot(_ALICE_STAR.reshape(64, 8), scenario.bob_basis.matrix().conj().T)
     return (np.abs(amplitudes) ** 2).reshape(_TABLE_SHAPE)
 
 
@@ -104,9 +104,8 @@ def correlation_I_bruteforce(table: np.ndarray, m: int) -> float:
     check_index("m", m, 1, 4)
     if not isinstance(table, np.ndarray) or table.shape != _TABLE_SHAPE:
         raise ValueError(f"table must be an array of outcome_table's shape {_TABLE_SHAPE}, not {np.shape(table)}")
-    # ndarray.dot calls the same BLAS kernels as @ without its ufunc dispatch: the same bits, at less cost.
-    correlators = table.reshape(64, 8).dot(_BOB_SIGNS[m - 1]).reshape(8, 8)
-    return float(_INPUT_SIGNS[m - 1].dot(correlators).dot(_ALICE_SIGNS)) / 8.0
+    correlators = dot(table.reshape(64, 8), _BOB_SIGNS[m - 1]).reshape(8, 8)
+    return float(dot(dot(_INPUT_SIGNS[m - 1], correlators), _ALICE_SIGNS)) / 8.0
 
 
 def closed_form(z, phi, phi_z, theta, gamma, sin, cos):

@@ -156,6 +156,17 @@ def permute_qubits(state: StateVector, order: Sequence[int]) -> StateVector:
     return StateVector(tensor.transpose([q - 1 for q in order]).reshape(-1))
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a.dot(b), with ndarray.dot's semantics.
+
+    Every product in ejm whose sums reach a report is taken here, and only
+    here.  It calls BLAS, whose order of summation, and so whose last bits,
+    depend on the OpenBLAS kernel picked for the host's CPU.  ndarray.dot
+    is used rather than @ because it skips the ufunc dispatch and gives the
+    same bits."""
+    return a.dot(b)
+
+
 def partial_trace(state: StateVector, qubit: int) -> np.ndarray:
     """Reduced density matrix of one qubit, a 2 x 2 array.
 
@@ -167,12 +178,12 @@ def partial_trace(state: StateVector, qubit: int) -> np.ndarray:
         1-based index of the kept qubit; every other qubit is traced out.
 
     A three-axis view (before, kept, after) with its first two axes swapped
-    gives the kept qubit's rows, and ndarray.dot their Gram matrix.
+    gives the kept qubit's rows, and dot their Gram matrix.
     """
     n = state.n_qubits
     q = check_index("qubit", qubit, 1, n)
     psi = state.amplitudes.reshape(2 ** (q - 1), 2, 2 ** (n - q)).swapaxes(0, 1).reshape(2, -1)
-    return psi.dot(psi.conj().T)
+    return dot(psi, psi.conj().T)
 
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:

@@ -11,11 +11,15 @@ from the repository root:
 It refuses to write, and exits non-zero, when a report recorded at the
 current SCHEMA_VERSION changed under the recorded Python and numpy versions:
 such a change needs a schema bump.  New argument vectors are appended.
+The file also names the OpenBLAS kernel (blas_core) the digests were taken
+on: a few reports' last bits depend on it, through ejm.qla.dot, so a report
+that changed under another kernel is a defect, not a reason to re-record.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -181,9 +185,23 @@ def versions() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
+def blas_core() -> str:
+    """The OpenBLAS kernel numpy's BLAS runs on in this process ("SkylakeX",
+    "Haswell", ...; OPENBLAS_CORETYPE picks another), read from the OpenBLAS
+    library bundled in numpy.libs, or "unknown" when there is none."""
+    for library in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(library)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def record() -> dict:
     reports = [{"argv": argv, "schema_version": SCHEMA_VERSION, **run(argv)} for argv in argument_vectors()]
-    return {**versions(), "reports": reports}
+    return {**versions(), "blas_core": blas_core(), "reports": reports}
 
 
 def changed_reports(recorded: dict, current: dict) -> list[list[str]]:

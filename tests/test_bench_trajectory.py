@@ -170,3 +170,20 @@ def test_the_committed_files_show_a_cheaper_network_round_with_every_call_kept()
         assert network["per_layer"][name] == {"parent": count, "change": count}, name
     cells = [line.strip("| ").split(" | ") for line in bench_trajectory.count_shifts(ROOT)[2:]]
     assert [cell for cell in cells if cell[:2] == ["35", "network"]] == []
+
+
+def test_the_committed_files_show_qla_dot_costs_no_workload_beyond_its_bounds():
+    # BENCH_36: every report-bearing product goes through qla.dot, with the same
+    # operands; no gain is claimed, and no call was added or dropped.
+    workloads = json.loads((ROOT / "BENCH_36.json").read_text())["workloads"]
+    assert sorted(workloads) == ["cli", "geometry", "network", "search"]
+    for name, summary in workloads.items():
+        verdicts = {metric: values["verdict"] for metric, values in summary["end_to_end"].items()}
+        assert "worse beyond the bound" not in verdicts.values(), (name, verdicts)
+        assert [summary["runs"][side]["failed"] for side in ("parent", "change")] == [0, 0], name
+    counts = {("geometry", "qla.partial_trace.count"): 3584.0, ("geometry", "bases.n_qubit_ejm.count"): 7.0,
+              ("network", "network.outcome_table.count"): 8.0}
+    for (workload, name), count in counts.items():
+        assert workloads[workload]["per_layer"][name] == {"parent": count, "change": count}, name
+    cells = [line.strip("| ").split(" | ") for line in bench_trajectory.count_shifts(ROOT)[2:]]
+    assert [cell for cell in cells if cell[0] == "36"] == []

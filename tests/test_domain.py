@@ -62,6 +62,20 @@ def probes(draw):
     return name, (lo, hi), value
 
 
+def entry_points(name, value):
+    """Every library call that checks value for the parameter name: check_domain,
+    EjmParams, a SweepSpec endpoint and fixed value, and a maximize bound."""
+    varied = "gamma" if name == "theta" else "theta"
+    held = {n: v for n, v in INTERIOR.items() if n != varied}
+    return [
+        lambda: check_domain(name, value),
+        lambda: EjmParams(**{**INTERIOR, name: value}),
+        lambda: SweepSpec(name, value, DOMAIN[name][1], 3, {n: v for n, v in INTERIOR.items() if n != name}),
+        lambda: SweepSpec(varied, 0.0, 1.0, 3, {**held, name: value}),
+        lambda: maximize({name: (value, DOMAIN[name][1])}, budget=100),
+    ]
+
+
 def accepts(build):
     try:
         build()
@@ -110,16 +124,16 @@ class TestOneDomain:
     @pytest.mark.parametrize("name", PARAM_NAMES)
     @pytest.mark.parametrize("bad", [True, "1", 1j, None], ids=repr)
     def test_non_numbers_are_rejected_everywhere(self, name, bad):
-        varied = "gamma" if name == "theta" else "theta"
-        held = {n: v for n, v in INTERIOR.items() if n != varied}
-        entry_points = [
-            lambda: EjmParams(**{**INTERIOR, name: bad}),
-            lambda: SweepSpec(name, bad, DOMAIN[name][1], 3, {n: v for n, v in INTERIOR.items() if n != name}),
-            lambda: SweepSpec(varied, 0.0, 1.0, 3, {**held, name: bad}),
-            lambda: maximize({name: (bad, DOMAIN[name][1])}, budget=100),
-        ]
-        for build in entry_points:
+        for build in entry_points(name, bad):
             with pytest.raises(ValueError, match=f"{name}={bad!r} must be a real number"):
+                build()
+
+    @pytest.mark.parametrize("name", PARAM_NAMES)
+    @pytest.mark.parametrize("huge", [10**400, -(10**400), 2**1024], ids=["10**400", "-10**400", "2**1024"])
+    def test_ints_beyond_float_range_are_outside_everywhere(self, name, huge):
+        # float() of each raises OverflowError, which no caller of check_domain catches.
+        for build in entry_points(name, huge):
+            with pytest.raises(ValueError, match=f"{name}={huge!r} outside"):
                 build()
 
     @pytest.mark.parametrize("value", [1, np.int64(1), np.float32(0.5), np.float64(0.5)], ids=repr)

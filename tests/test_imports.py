@@ -152,6 +152,47 @@ def test_private_reads_are_found():
     assert private_reads(source) == ["_x", "_qubit_pair", "_vertices"]
 
 
+# The one matrix product of each (module, top-level scope, kind) allowed in
+# src/ejm: qla.dot itself, and two products whose bits need no seam.
+ALLOWED_PRODUCTS = {
+    ("qla", "dot", ".dot("): "the seam itself",
+    ("analysis", "_is_rectangular_box", "@"): "a verdict at GEOMETRY_ATOL, not a reported sum;"
+                                              " its bytes were equal under three BLAS kernels",
+    ("network", "_signs", "@"): "exact integer products of 0/1 masks and bits, taken once at import",
+}
+
+
+def products(source: str) -> list[tuple[str, str]]:
+    """(enclosing top-level function or "<module>", kind) of every matrix
+    product in the source: each @ or @= as "@", each call of a .dot
+    attribute as ".dot(".  A decorator's @ is not a product."""
+    found = []
+    for top in ast.parse(source).body:
+        scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((scope, "@"))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "dot":
+                found.append((scope, ".dot("))
+    return found
+
+
+def test_products_are_found():
+    source = (
+        "import numpy as np\nfrom m import dot\n@dataclass\nclass C:\n    x = 1\n"
+        "def f(a, b):\n    a @= b\n    return np.vecdot(a, b) + dot(a, b) + a.dot(b)\n"
+        "def g(a):\n    return [a @ a for _ in a]\n_T = np.ones(2).dot(np.ones(2))\n"
+    )
+    assert products(source) == [("f", "@"), ("f", ".dot("), ("g", "@"), ("<module>", ".dot(")]
+
+
+def test_every_report_bearing_product_goes_through_qla_dot():
+    # qla.dot is where the BLAS kernel can move a report's last bits; any other
+    # product would be a second such place, and tests/test_blas_seam.py swaps qla.dot alone.
+    found = [(path.stem, *found) for path in sorted((SRC / "ejm").glob("*.py")) for found in products(path.read_text())]
+    assert sorted(found) == sorted(ALLOWED_PRODUCTS)
+
+
 def test_oracles_read_no_private_name_of_the_package():
     # An oracle that read the builders' private tables would move with them.
     assert private_reads((ROOT / "tests" / "oracles.py").read_text()) == []

@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -332,18 +333,23 @@ class TestBlochVector:
                 bloch_vector(rho)
 
     def test_matches_the_pauli_traces_bit_for_bit(self):
-        # Random density matrices, and the single-qubit reductions of the n = 3
-        # family at z = -1, phi = pi, theta = gamma = 0, whose off-diagonal
-        # entries are +0.0 and -0.0: the uint64 views make the sign of zero count.
+        # Random density matrices; diagonal ones whose off-diagonal entries have
+        # every sign of a zero real and imaginary part; and the single-qubit
+        # reductions of the n = 3 family at z = -1, phi = pi, theta = gamma = 0,
+        # whose zeros take the signs of the BLAS kernel's sums.  The uint64
+        # views make the sign of zero count.
         rng = np.random.default_rng(17)
         a = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
         random = a @ a.conj().transpose(0, 2, 1)
         random /= np.trace(random, axis1=1, axis2=2)[:, None, None]
+        zeros = np.array(list(product((0.0, -0.0), repeat=4))).reshape(-1, 2, 2)  # (Re, Im) of rho01, of rho10
+        signed = np.zeros((2, len(zeros), 2, 2), dtype=complex)
+        signed[..., 0, 0], signed[..., 1, 1] = [[1.0], [0.5]], [[0.0], [0.5]]
+        signed.view(np.float64).reshape(*signed.shape, 2)[..., [0, 1], [1, 0], :] = zeros
+        assert len(set(map(bytes, signed.reshape(-1, 4)))) == 2 * len(zeros)
         family = n_qubit_ejm(EjmParams(-1.0, math.pi, 0.0, 0.0), 3)
         degenerate = np.array([[partial_trace(state, q) for q in (1, 2, 3)] for state in family.states.values()])
-        off_diagonal = degenerate[..., [0, 1], [1, 0]].real
-        assert np.signbit(off_diagonal[off_diagonal == 0]).any()
-        for rho in (random, degenerate):
+        for rho in (random, signed, degenerate):
             expected = np.stack([np.trace(rho @ s, axis1=-2, axis2=-1).real for s in PAULIS], axis=-1)
             assert np.array_equal(bloch_vector(rho).view(np.uint64), expected.view(np.uint64))
 
