@@ -23,7 +23,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .qla import RowView, StateVector, check_index, check_normalized, checked_state, is_integer
+from .qla import RowView, StateVector, check_index, check_normalized, checked_state, is_integer, shown
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 PARAM_NAMES = ("z", "phi", "theta", "gamma")
@@ -61,13 +61,12 @@ def check_domain(name: str, value: float) -> float:
     """Return value as a float, or raise ValueError if it is not a real number
     (an int, float or numpy integer or float, not a bool) or lies outside
     DOMAIN[name] (|value| for z) by more than _DOMAIN_ATOL."""
-    if type(value) is not float:  # the isinstance checks would slow every EjmParams
-        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-            raise ValueError(f"{name}={value!r} must be a real number")
-        try:
-            value = float(value)
-        except OverflowError:  # an int beyond float range lies outside every domain
-            raise _outside(name, value) from None
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name}={shown(value)} must be a real number")
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond float range lies outside every domain
+        raise _outside(name, value) from None
     lo, hi = DOMAIN[name]
     checked = abs(value) if name == "z" else value
     if not (lo - _DOMAIN_ATOL <= checked <= hi + _DOMAIN_ATOL):
@@ -78,18 +77,18 @@ def check_domain(name: str, value: float) -> float:
 def _outside(name: str, value: float) -> ValueError:
     lo, hi = DOMAIN[name]
     bounded = "|z|" if name == "z" else name
-    return ValueError(f"{name}={value!r} outside {lo:.12g} <= {bounded} <= {hi:.12g}")
+    return ValueError(f"{name}={shown(value)} outside {lo:.12g} <= {bounded} <= {hi:.12g}")
 
 
 def check_limit(name: str, value: int) -> int:
     """Return value as an int, or raise ValueError if it is not an integer or lies outside LIMITS[name]."""
     lo, hi = LIMITS[name]
     if not is_integer(value):
-        raise ValueError(f"{name}={value!r} must be an integer")
+        raise ValueError(f"{name}={shown(value)} must be an integer")
     if value < lo:
-        raise ValueError(f"{name}={value!r} must be at least {lo}")
+        raise ValueError(f"{name}={shown(value)} must be at least {lo}")
     if value > hi:
-        raise ValueError(f"{name}={value!r} exceeds the cap {hi}")
+        raise ValueError(f"{name}={shown(value)} exceeds the cap {hi}")
     return int(value)
 
 
@@ -170,20 +169,16 @@ def _labels(n: int) -> Mapping[BasisLabel, int]:
 class BasisFamily:
     """Ordered orthonormal family: a read-only 2**n x 2**n matrix, one normalized row per label, fixing n_qubits.
 
-    The norm check runs once, on the whole matrix.  BasisFamily(amplitudes)
-    checks a copy; n_qubit_ejm's family owns the fresh matrix it built
-    (_owning_family).  Each value of states is a StateVector that shares its
-    read-only row (checked_state).
+    BasisFamily(amplitudes) checks and keeps a copy; the norm check runs
+    once, on the whole matrix.  Each value of states is a StateVector that
+    shares its read-only row (checked_state).
     """
 
     amplitudes: np.ndarray = field(repr=False)
     n_qubits: int = field(init=False)
 
     def __post_init__(self) -> None:
-        self._own(np.array(self.amplitudes, dtype=np.complex128))
-
-    def _own(self, amps: np.ndarray) -> None:
-        """Check a complex128 matrix that nothing else holds, freeze it, and store it."""
+        amps = np.array(self.amplitudes, dtype=np.complex128)
         n = amps.size.bit_length() // 2  # a 2**n x 2**n matrix has 4**n entries
         if n < 2 or amps.shape != (2**n,) * 2:
             raise ValueError(f"amplitudes of shape {amps.shape} are not a 2**n x 2**n matrix with n >= 2")
@@ -205,14 +200,6 @@ class BasisFamily:
         return self.amplitudes
 
 
-def _owning_family(amps: np.ndarray) -> BasisFamily:
-    """BasisFamily of a fresh complex128 matrix that nothing else holds:
-    __post_init__'s shape and norm checks and freeze, without its copy."""
-    family = object.__new__(BasisFamily)
-    family._own(amps)
-    return family
-
-
 def m_vector(params: EjmParams, i: int) -> np.ndarray:
     """Bloch vector (sqrt(1-z_i^2) cos phi_i, sqrt(1-z_i^2) sin phi_i, z_i)."""
     check_index("vertex index i", i, 0, 3)
@@ -221,15 +208,15 @@ def m_vector(params: EjmParams, i: int) -> np.ndarray:
     return np.array([r * math.cos(ph), r * math.sin(ph), zi])
 
 
-def _vertex_tables(params: EjmParams, tails: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def _vertex_tables(params: EjmParams) -> tuple[np.ndarray, np.ndarray]:
     """One pass over the four vertices (z_i, phi_i) = (_SIGNS[i] z, phi + _TURNS[i]).
 
     Returns the three-parameter two-qubit EJM table Phi, row i holding
-    |Phi_i>, and, if tails, the single-qubit pairs as a (vertex i, l,
-    amplitude) table: |m_i> (l = 0) and |-m_i> (l = 1), whose Bloch vectors
-    are (z_i, phi_i) and its antipode; else None.  The theta weights and
-    the tails' moduli a, b depend on the vertex only through its parity, so
-    they are taken once per parity.
+    |Phi_i>, and the single-qubit pairs as a (vertex i, l, amplitude)
+    table: |m_i> (l = 0) and |-m_i> (l = 1), whose Bloch vectors are
+    (z_i, phi_i) and its antipode.  The theta weights and the tails' moduli
+    a, b depend on the vertex only through its parity, so they are taken
+    once per parity.
     """
     z = params.z
     rad = math.sqrt(max(3.0 * z * z - 1.0, 0.0))
@@ -245,13 +232,11 @@ def _vertex_tables(params: EjmParams, tails: bool) -> tuple[np.ndarray, Optional
         phi_i = params.phi + turn
         delta = phi_i - params.phi_z
         entries += (cmath.exp(-1j * delta), mid01, mid10, -cmath.exp(1j * delta))
-        if tails:
-            half = 0.5 * phi_i
-            lo = cmath.exp(-1j * half)
-            hi = cmath.exp(1j * half)
-            pairs += (a * lo, b * hi, b * lo, -a * hi)
-    phi = prefactor * np.array(entries).reshape(4, 4)
-    return phi, np.array(pairs).reshape(4, 2, 2) if tails else None
+        half = 0.5 * phi_i
+        lo = cmath.exp(-1j * half)
+        hi = cmath.exp(1j * half)
+        pairs += (a * lo, b * hi, b * lo, -a * hi)
+    return prefactor * np.array(entries).reshape(4, 4), np.array(pairs).reshape(4, 2, 2)
 
 
 def _family_matrix(params: EjmParams, n: int) -> np.ndarray:
@@ -269,7 +254,7 @@ def _family_matrix(params: EjmParams, n: int) -> np.ndarray:
     The products are taken in the order of the per-label chain, so each
     amplitude equals it bit for bit.
     """
-    phi, tails = _vertex_tables(params, n % 2 == 1)
+    phi, tails = _vertex_tables(params)
     if n == 2:
         return phi
     k = n // 2
@@ -280,7 +265,7 @@ def _family_matrix(params: EjmParams, n: int) -> np.ndarray:
     # cannot merge into shape, so the reshape copies: primed never aliases plain.
     flip_high_bits = (slice(None, None, -1), slice(None)) * k
     primed = chains.reshape((2, 2) * k + (-1,))[flip_high_bits].reshape(shape)
-    if tails is not None:
+    if n % 2:
         tails = tails.reshape(4, 1, 2, 1, 2)
         plain, primed = plain * tails, primed * tails[:, :, ::-1]
     plain *= math.cos(params.gamma)
@@ -299,4 +284,4 @@ def n_qubit_ejm(params: EjmParams, n: int) -> BasisFamily:
     three-parameter family; gamma only enters for n >= 3 where a primed
     mixing partner exists.
     """
-    return _owning_family(_family_matrix(params, check_limit("n", n)))
+    return BasisFamily(_family_matrix(params, check_limit("n", n)))

@@ -27,7 +27,7 @@ from .analysis import (
 from .bases import DOMAIN, LIMITS, PARAM_NAMES, EjmParams, check_domain, check_limit, n_qubit_ejm
 from .network import TRILOCAL_BOUND, trilocal_score
 from .optimize import DEFAULT_BUDGET, SweepSpec, maximize, sweep
-from .qla import ContractError
+from .qla import ContractError, shown
 
 SCHEMA_VERSION = 4
 _ANGLE_FLAGS = ("phi", "theta", "gamma")
@@ -119,7 +119,7 @@ def export(report: dict, fmt: str = "json") -> bytes:
     with 18 significant digits (format .17e).  Any other fmt is a ValueError.
     """
     if fmt not in ("json", "csv"):
-        raise ValueError(f"unknown report format {fmt!r}: expected 'json' or 'csv'")
+        raise ValueError(f"unknown report format {shown(fmt)}: expected 'json' or 'csv'")
     if fmt == "csv":
         lines = ["value,S"]
         lines.extend(f"{value:.17e},{score:.17e}" for value, score in report["samples"])

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
 from .analysis import ORTHONORMAL_ATOL, verify_orthonormal_complete
 from .bases import BasisFamily, EjmParams, n_qubit_ejm
-from .qla import PAULI_X, PAULI_Z, ContractError, check_index, dot
+from .qla import PAULI_X, PAULI_Z, ContractError, check_index, dot, shown
 
 # Analytic and brute-force I_m agree to 1e-15 over the domain; a larger gap is a bug.
 CROSS_CHECK_ATOL = 1e-9
@@ -29,23 +28,19 @@ ALICE_OBSERVABLES = np.array([PAULI_X + PAULI_Z, PAULI_X - PAULI_Z]) / math.sqrt
 ALICE_OBSERVABLES.setflags(write=False)
 
 
-# Bits (r1, r2, r3) of each index r = 4*r1 + 2*r2 + r3, one row per r.
-_BITS = np.array(list(product((0, 1), repeat=3)))
-
-
 def _signs(masks, flips=0) -> np.ndarray:
-    """Row m holds (-1)^(parity(r & masks[m]) XOR flips[m]) for r = 0..7."""
-    return (-1.0) ** ((np.array(masks) @ _BITS.T + np.reshape(flips, (-1, 1))) % 2)
+    """Row m holds (-1)^(parity(r & masks[m]) XOR flips[m]) for r = 4*r1 + 2*r2 + r3 = 0..7."""
+    return (-1.0) ** ((np.bitwise_count(np.arange(8) & np.reshape(masks, (-1, 1))) + np.reshape(flips, (-1, 1))) % 2)
 
 
 # Processed bit b^m = parity(b & mask) XOR flip of Bob's raw output b = b1 b2 b3,
 # as the sign (-1)^(b^m) per output; one row per correlator m.
-_BOB_SIGNS = _signs(((0, 1, 1), (0, 0, 1), (1, 0, 1), (1, 1, 1)), (1, 0, 1, 1))
-# Input-sign exponents g_m(x1,x2,x3) = dot(mask, x), as (-1)^g_m per input triple.
-_G_MASKS = ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+_BOB_SIGNS = _signs((0b011, 0b001, 0b101, 0b111), (1, 0, 1, 1))
+# Input-sign exponents g_m(x1,x2,x3) = parity(x & mask), x = x1 x2 x3, as (-1)^g_m per input triple.
+_G_MASKS = (0b000, 0b110, 0b101, 0b011)
 _INPUT_SIGNS = _signs(_G_MASKS)
 # (-1)^(a1+a2+a3) per Alice output triple.
-_ALICE_SIGNS = _signs(((1, 1, 1),))[0]
+_ALICE_SIGNS = _signs((0b111,))[0]
 
 
 # Amplitude matrix of each source's (|01> + |10>)/sqrt(2): row the Alice qubit, column the Bob qubit.
@@ -183,7 +178,7 @@ def trilocal_score(
     beyond CROSS_CHECK_ATOL.
     """
     if method not in ("analytic", "brute_force"):
-        raise ValueError(f"unknown method {method!r}")
+        raise ValueError(f"unknown method {shown(method)}")
     analytic = method == "analytic"
     values = _closed_form(params) if analytic else _born_rule(params)
     if cross_check:

@@ -12,6 +12,7 @@ import numpy as np
 
 from .bases import DOMAIN, PARAM_NAMES, EjmParams, _checked_params, _phi_z, check_domain, check_limit
 from .network import closed_form, cube_root_sum, trilocal_score
+from .qla import shown
 
 # Score evaluations maximize may spend unless told otherwise.
 DEFAULT_BUDGET = 20000
@@ -30,11 +31,11 @@ def _check_range(name: str, lo: float, hi: float) -> tuple[float, float]:
     try:
         lo, hi = check_domain(name, lo), check_domain(name, hi)
     except ValueError as exc:
-        raise ValueError(f"range [{lo!r}, {hi!r}] invalid for {name}: {exc}") from None
+        raise ValueError(f"range [{shown(lo)}, {shown(hi)}] invalid for {name}: {exc}") from None
     if lo > hi:
-        raise ValueError(f"range [{lo!r}, {hi!r}] invalid for {name}: lo exceeds hi")
+        raise ValueError(f"range [{shown(lo)}, {shown(hi)}] invalid for {name}: lo exceeds hi")
     if name == "z" and lo * hi < 0:
-        raise ValueError(f"range [{lo!r}, {hi!r}] invalid for z: it crosses zero")
+        raise ValueError(f"range [{shown(lo)}, {shown(hi)}] invalid for z: it crosses zero")
     return lo, hi
 
 
@@ -50,7 +51,7 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if self.varying not in PARAM_NAMES:
-            raise ValueError(f"varying={self.varying!r} must be one of {PARAM_NAMES}")
+            raise ValueError(f"varying={shown(self.varying)} must be one of {PARAM_NAMES}")
         lo, hi = _check_range(self.varying, self.lo, self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -97,11 +98,11 @@ def _resolve_bounds(bounds: Mapping[str, tuple[float, float]] | None) -> dict[st
     resolved = dict(DOMAIN)
     for name, bound in (bounds or {}).items():
         if name not in PARAM_NAMES:
-            raise ValueError(f"unknown parameter {name!r}")
+            raise ValueError(f"unknown parameter {shown(name)}")
         try:
             lo, hi = bound
         except (TypeError, ValueError):
-            raise ValueError(f"range {bound!r} invalid for {name}: not a (lo, hi) pair") from None
+            raise ValueError(f"range {shown(bound)} invalid for {name}: not a (lo, hi) pair") from None
         resolved[name] = _check_range(name, lo, hi)
     return resolved
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, ItemsView, Iterator, Mapping, NamedTuple, Sequence, TypeVar, ValuesView
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -20,12 +20,25 @@ def is_integer(value: Any) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def shown(value: Any) -> str:
+    """repr(value) for an error message.  Where repr raises, as for an int
+    of more digits than sys.get_int_max_str_digits() or a container that
+    holds one, a bounded stand-in: an int's sign and bit length, or the
+    value's type."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"{'-' if value < 0 else ''}<int of {abs(value).bit_length()} bits>"
+        return f"<{type(value).__name__} too long to print>"
+
+
 def check_index(name: str, value: Any, lo: int, hi: int) -> int:
     """Return value as an int, or raise ValueError unless it is an integer
     (is_integer) in lo..hi.  A numpy integer would keep its own width in
     arithmetic such as 2 ** (n - value)."""
     if not (is_integer(value) and lo <= value <= hi):
-        raise ValueError(f"{name}={value!r} must be {lo}..{hi}")
+        raise ValueError(f"{name}={shown(value)} must be {lo}..{hi}")
     return int(value)
 
 
@@ -96,8 +109,7 @@ V = TypeVar("V")
 @dataclass(frozen=True, eq=False, repr=False)
 class RowView(Mapping[K, V]):
     """Read-only key -> make(rows[index[key]]) view of an array; each value is
-    built when it is read and not kept.  Keys run in index order; values()
-    and items() walk index in that order, and membership reads index alone."""
+    built when it is read and not kept.  Keys run in index order."""
 
     rows: np.ndarray
     index: Mapping[K, Any]
@@ -111,27 +123,6 @@ class RowView(Mapping[K, V]):
 
     def __len__(self) -> int:
         return len(self.index)
-
-    def __contains__(self, key: object) -> bool:
-        return key in self.index
-
-    def values(self) -> ValuesView[V]:
-        return _RowValues(self)
-
-    def items(self) -> ItemsView[K, V]:
-        return _RowItems(self)
-
-
-class _RowValues(ValuesView):
-    def __iter__(self) -> Iterator:
-        view = self._mapping
-        return (view.make(view.rows[row]) for row in view.index.values())
-
-
-class _RowItems(ItemsView):
-    def __iter__(self) -> Iterator:
-        view = self._mapping
-        return ((key, view.make(view.rows[row])) for key, row in view.index.items())
 
 
 # sigma_x, sigma_y, sigma_z stacked as one read-only (3, 2, 2) array; network reads sigma_x and sigma_z.
@@ -151,7 +142,7 @@ def permute_qubits(state: StateVector, order: Sequence[int]) -> StateVector:
     of the input (1-based)."""
     n = state.n_qubits
     if not all(is_integer(q) for q in order) or sorted(order) != list(range(1, n + 1)):
-        raise ValueError(f"order {order!r} is not a permutation of 1..{n}")
+        raise ValueError(f"order {shown(order)} is not a permutation of 1..{n}")
     tensor = state.amplitudes.reshape([2] * n)
     return StateVector(tensor.transpose([q - 1 for q in order]).reshape(-1))
 

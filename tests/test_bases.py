@@ -67,10 +67,14 @@ def kron_chain_rows(params, family):
 
 
 def assert_vertex_tables_match(params):
-    """Phi equals vertex_formula_tables' byte for byte, so that the sign of
-    every zero amplitude counts.  The chain tests read Phi from the builder
-    and would not see it move; they read the |+-m_i> tails from the oracle."""
-    assert n_qubit_ejm(params, 2).matrix().tobytes() == vertex_formula_tables(params)[0].tobytes(), params
+    """Phi, as the two-qubit family, and the |+-m_i> tails of _vertex_tables
+    equal vertex_formula_tables' byte for byte, so that the sign of every zero
+    amplitude counts.  The chain tests read Phi from the builder and would not
+    see it move; they read the tails from the oracle."""
+    formula_phi, pairs = vertex_formula_tables(params)
+    assert n_qubit_ejm(params, 2).matrix().tobytes() == formula_phi.tobytes(), params
+    tails = ejm.bases._vertex_tables(params)[1]
+    assert tails.shape == (4, 2, 2) and tails.tobytes() == np.array(pairs).tobytes(), params
 
 
 class TestPhiZ:
@@ -435,25 +439,21 @@ class TestBasisFamilyContract:
         rows[0, 0] = 2.0
         assert family.matrix()[0, 0] == 1.0
 
-    def test_builder_family_owns_the_matrix_it_built(self, monkeypatch):
-        built, build = [], ejm.bases._family_matrix
-        monkeypatch.setattr(ejm.bases, "_family_matrix", lambda params, n: built.append(build(params, n)) or built[-1])
-        for n in range(2, 9):
-            matrix = n_qubit_ejm(PARAMS, n).matrix()
-            assert np.shares_memory(matrix, built[-1]), n
-            assert matrix.dtype == np.complex128 and matrix.flags.c_contiguous and not matrix.flags.writeable, n
-
-    def test_one_norm_check_per_family_on_both_paths(self, monkeypatch):
+    def test_one_norm_check_per_family(self, monkeypatch):
+        # n_qubit_ejm(params, n) is BasisFamily(_family_matrix(params, n)): one
+        # norm check, of the read-only C-contiguous array the family keeps.
         checked, check = [], ejm.bases.check_normalized
         monkeypatch.setattr(ejm.bases, "check_normalized", lambda amps: checked.append(amps) or check(amps))
-        for n in range(2, 9):
-            family = n_qubit_ejm(PARAMS, n)
-            assert len(checked) == 1 and checked.pop() is family.matrix(), n
-            BasisFamily(family.matrix())
-            assert len(checked) == 1 and checked.pop() is not family.matrix(), n
+        for params in (PARAMS, EjmParams(-INV_SQRT3, -0.0, math.pi / 2, 0.0)):
+            for n in range(2, 9):
+                matrix = n_qubit_ejm(params, n).matrix()
+                assert len(checked) == 1 and checked.pop() is matrix, n
+                assert matrix.dtype == np.complex128 and matrix.flags.c_contiguous and not matrix.flags.writeable, n
+                public = BasisFamily(ejm.bases._family_matrix(params, n)).matrix()
+                assert len(checked) == 1 and checked.pop() is public and public.tobytes() == matrix.tobytes(), n
 
     @pytest.mark.parametrize("broken", ["shape", "norm"])
-    def test_both_paths_refuse_a_bad_matrix_alike(self, monkeypatch, broken):
+    def test_builder_refuses_a_bad_matrix_as_the_constructor_does(self, monkeypatch, broken):
         rows = n_qubit_ejm(PARAMS, 3).matrix().copy()
         if broken == "shape":
             rows = rows[:4].copy()
@@ -507,16 +507,16 @@ class TestBasisFamilyContract:
         StateVector(family.matrix()[0])
         assert len(made) == 1 and len(checked) == 1
 
-    def test_membership_builds_no_state(self, monkeypatch):
+    def test_a_missing_label_builds_no_state(self, monkeypatch):
         made = []
         maker = ejm.bases.checked_state
         monkeypatch.setattr(ejm.bases, "checked_state", lambda row: made.append(row) or maker(row))
         states = n_qubit_ejm(PARAMS, 3).states
-        assert BasisLabel(1, (), 0) in states and BasisLabel(1) not in states
-        assert states.get(BasisLabel(1)) is None and made == []
+        assert BasisLabel(1) not in states and states.get(BasisLabel(1)) is None
         with pytest.raises(KeyError):
             states[BasisLabel(1)]
         assert made == []
+        assert BasisLabel(1, (), 0) in states and len(made) == 1
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_states_share_the_read_only_rows(self, n):

@@ -1,7 +1,8 @@
 """tools/bench_trajectory.py reads canned BENCH files: one Markdown row per
 file and workload, labels in numeric order, then the noise floor of each pair
 of consecutive labels and its widest drift per workload, for ops_per_s,
-light_op_ms and peak_rss_mb, then each traced count that shifted by more than 1%."""
+light_op_ms and peak_rss_mb, then each traced count that shifted by more than 1%
+and by at least one call per round."""
 
 import importlib.util
 import json
@@ -152,6 +153,25 @@ def test_count_shifts_list_each_count_that_moved_by_more_than_one_percent(tmp_pa
     ]
 
 
+def test_count_shifts_leave_out_a_shift_of_less_than_one_call_per_round(tmp_path):
+    # 8.0 -> 8.5 is +6%, but half a call per round: where a traced run stopped in the mix.
+    ops = {"ops_per_s": metric(100.0, 100.0, "within the bound")}
+    write_bench(tmp_path, 7, {"network": ops}, {
+        "network": {"network.trilocal_score.count": {"parent": 8.0, "change": 8.5},
+                    "network.outcome_table.count": {"parent": 8.0, "change": 7.0}},
+    })
+    assert bench_trajectory.count_shifts(tmp_path)[2:] == [
+        "| 7 | network | network.outcome_table.count | 8 → 7 | -12.5% |",
+    ]
+
+
+def test_the_committed_files_list_only_shifts_of_whole_calls():
+    # BENCH_29 read optimize.minimize.count 18.18 -> 18.41 on a change that did not touch minimize.
+    cells = [line.strip("| ").split(" | ") for line in bench_trajectory.count_shifts(ROOT)[2:]]
+    assert not [cell for cell in cells if cell[0] == "29"]
+    assert {cell[0] for cell in cells} >= {"26", "32", "33", "34"}
+
+
 def test_the_committed_files_show_where_state_vectors_stopped_being_built():
     cells = [line.strip("| ").split(" | ") for line in bench_trajectory.count_shifts(ROOT)[2:]]
     shifts = {(label, workload, name): rest for label, workload, name, *rest in cells}
@@ -187,3 +207,22 @@ def test_the_committed_files_show_qla_dot_costs_no_workload_beyond_its_bounds():
         assert workloads[workload]["per_layer"][name] == {"parent": count, "change": count}, name
     cells = [line.strip("| ").split(" | ") for line in bench_trajectory.count_shifts(ROOT)[2:]]
     assert [cell for cell in cells if cell[0] == "36"] == []
+
+
+def test_the_committed_files_show_the_fast_paths_went_at_no_cost_beyond_the_bounds():
+    # BENCH_37: RowView as a plain Mapping, one BasisFamily constructor, one
+    # check_domain branch; no gain is claimed, and no call was added or dropped.
+    workloads = json.loads((ROOT / "BENCH_37.json").read_text())["workloads"]
+    for name, summary in workloads.items():
+        verdicts = {metric: values["verdict"] for metric, values in summary["end_to_end"].items()}
+        assert "worse beyond the bound" not in verdicts.values(), (name, verdicts)
+        assert [summary["runs"][side]["failed"] for side in ("parent", "change")] == [0, 0], name
+    for workload, metric in [("network", "ops_per_s"), ("geometry", "ops_per_s"), ("geometry", "peak_rss_mb")]:
+        assert workloads[workload]["end_to_end"][metric]["verdict"] in ("within the bound", "better"), (workload, metric)
+    counts = {("geometry", "qla.partial_trace.count"): 3584.0, ("geometry", "bases.n_qubit_ejm.count"): 7.0,
+              ("network", "bases.n_qubit_ejm.count"): 8.0, ("network", "network.outcome_table.count"): 8.0,
+              ("search", "bases.EjmParams.count"): 0.0}
+    for (workload, name), count in counts.items():
+        assert workloads[workload]["per_layer"][name] == {"parent": count, "change": count}, name
+    cells = [line.strip("| ").split(" | ") for line in bench_trajectory.count_shifts(ROOT)[2:]]
+    assert [cell for cell in cells if cell[0] == "37"] == []

@@ -5,6 +5,7 @@ same values."""
 import contextlib
 import io
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,14 +19,17 @@ from ejm.bases import (
     INV_SQRT3,
     LIMITS,
     PARAM_NAMES,
+    BasisLabel,
     EjmParams,
     check_domain,
     check_limit,
+    m_vector,
     n_qubit_ejm,
 )
-from ejm.cli import main
+from ejm.cli import export, main
 from ejm.network import trilocal_score
 from ejm.optimize import SweepSpec, maximize, sweep
+from ejm.qla import partial_trace, permute_qubits
 
 # An interior point, the base of every probe below.
 INTERIOR = {"z": 0.8, "phi": 0.3, "theta": 1.0, "gamma": 0.5}
@@ -129,11 +133,19 @@ class TestOneDomain:
                 build()
 
     @pytest.mark.parametrize("name", PARAM_NAMES)
-    @pytest.mark.parametrize("huge", [10**400, -(10**400), 2**1024], ids=["10**400", "-10**400", "2**1024"])
-    def test_ints_beyond_float_range_are_outside_everywhere(self, name, huge):
-        # float() of each raises OverflowError, which no caller of check_domain catches.
+    @pytest.mark.parametrize("huge, shown", [
+        (10**400, "1" + "0" * 400), (-(10**400), "-1" + "0" * 400), (2**1024, repr(2**1024)),
+        (10**5000, "<int of 16610 bits>"), (-(10**5000), "-<int of 16610 bits>"),
+    ], ids=["10**400", "-10**400", "2**1024", "10**5000", "-10**5000"])
+    def test_ints_beyond_float_range_are_outside_everywhere(self, name, huge, shown):
+        # float() of each raises OverflowError, which no caller of check_domain catches;
+        # repr of an int of more than 4 300 digits raises a ValueError that names
+        # neither the parameter nor its domain, so the message gives its bit length.
+        lo, hi = DOMAIN[name]
+        bounded = "|z|" if name == "z" else name
+        text = f"{name}={shown} outside {lo:.12g} <= {bounded} <= {hi:.12g}"
         for build in entry_points(name, huge):
-            with pytest.raises(ValueError, match=f"{name}={huge!r} outside"):
+            with pytest.raises(ValueError, match=re.escape(text)):
                 build()
 
     @pytest.mark.parametrize("value", [1, np.int64(1), np.float32(0.5), np.float64(0.5)], ids=repr)
@@ -228,6 +240,36 @@ class TestSizes:
                 check_limit(name, value)
             with pytest.raises(ValueError, match="must be an integer"):
                 SIZED[name](value)
+
+    @pytest.mark.parametrize("sign, verdict", [(1, "exceeds the cap"), (-1, "must be at least")])
+    def test_sizes_and_indices_too_long_to_print_are_named(self, sign, verdict):
+        huge = sign * 10**5000
+        shown = f"{'-' if sign < 0 else ''}<int of 16610 bits>"
+        for name in LIMITS:
+            with pytest.raises(ValueError, match=re.escape(f"{name}={shown} {verdict}")):
+                SIZED[name](huge)
+        with pytest.raises(ValueError, match=re.escape(f"vertex index i={shown} must be 0..3")):
+            m_vector(EjmParams(**INTERIOR), huge)
+        with pytest.raises(ValueError, match=re.escape(f"qubit={shown} must be 1..2")):
+            partial_trace(n_qubit_ejm(EjmParams(**INTERIOR), 2).states[BasisLabel(0)], huge)
+
+    def test_other_library_inputs_too_long_to_print_are_named(self):
+        # Every error message shows caller input through qla.shown, so none raises
+        # Python's int-to-string limit error in place of its own.
+        huge = 10**5000
+        state = n_qubit_ejm(EjmParams(**INTERIOR), 2).states[BasisLabel(0)]
+        cases = [
+            (lambda: maximize({"z": huge}), "range <int of 16610 bits> invalid for z: not a (lo, hi) pair"),
+            (lambda: maximize({"z": (huge, 1.0, 1.0)}), "range <tuple too long to print> invalid for z"),
+            (lambda: maximize({huge: (0.0, 1.0)}), "unknown parameter <int of 16610 bits>"),
+            (lambda: SweepSpec(huge, 0.0, 1.0, 3, {}), "varying=<int of 16610 bits> must be one of"),
+            (lambda: trilocal_score(EjmParams(**INTERIOR), method=huge), "unknown method <int of 16610 bits>"),
+            (lambda: permute_qubits(state, [huge, 1]), "order <list too long to print> is not a permutation"),
+            (lambda: export({}, -huge), "unknown report format -<int of 16610 bits>"),
+        ]
+        for build, text in cases:
+            with pytest.raises(ValueError, match=re.escape(text)):
+                build()
 
     def test_numpy_sizes_are_kept_as_ints(self):
         spec = SIZED["points"](np.int8(100))

@@ -153,12 +153,11 @@ def test_private_reads_are_found():
 
 
 # The one matrix product of each (module, top-level scope, kind) allowed in
-# src/ejm: qla.dot itself, and two products whose bits need no seam.
+# src/ejm: qla.dot itself, and one product whose bits need no seam.
 ALLOWED_PRODUCTS = {
     ("qla", "dot", ".dot("): "the seam itself",
     ("analysis", "_is_rectangular_box", "@"): "a verdict at GEOMETRY_ATOL, not a reported sum;"
                                               " its bytes were equal under three BLAS kernels",
-    ("network", "_signs", "@"): "exact integer products of 0/1 masks and bits, taken once at import",
 }
 
 

@@ -319,6 +319,21 @@ def test_outcome_tables_and_correlations_keep_their_bits():
             assert correlation_I_bruteforce(table, m).hex() == expected.hex(), (params, m)
 
 
+def test_sign_tables_keep_their_bytes():
+    # Row m, column r = 4*r1 + 2*r2 + r3: the sign of correlator m at raw output,
+    # input triple or Alice output triple r, written out rather than derived.
+    bob = [[-1, 1, 1, -1, -1, 1, 1, -1], [1, -1, 1, -1, 1, -1, 1, -1],
+           [-1, 1, -1, 1, 1, -1, 1, -1], [-1, 1, 1, -1, 1, -1, -1, 1]]
+    inputs = [[1, 1, 1, 1, 1, 1, 1, 1], [1, 1, -1, -1, -1, -1, 1, 1],
+              [1, -1, 1, -1, -1, 1, -1, 1], [1, -1, -1, 1, 1, -1, -1, 1]]
+    alice = [1, -1, -1, 1, -1, 1, 1, -1]
+    for table, literal in [(ejm.network._BOB_SIGNS, bob), (ejm.network._INPUT_SIGNS, inputs),
+                           (ejm.network._ALICE_SIGNS, alice)]:
+        expected = np.array(literal, dtype=np.float64)
+        assert table.dtype == expected.dtype and table.shape == expected.shape
+        assert table.tobytes() == expected.tobytes()
+
+
 def test_outcome_table_equals_the_matmul_form_byte_for_byte():
     # ndarray.dot against @ on the same (64 x 8)·(8 x 8) product: 50 seeded
     # points, half with negative z, and every BOUNDARY point.

@@ -83,13 +83,16 @@ class TestRowView:
         return view, made
 
     def test_membership_and_get_of_a_missing_key_build_nothing(self):
+        # A missing key fails the index lookup before make runs; in and get
+        # build a present key's value once each.
         view, made = self.counted_view()
-        assert "a" in view and "b" not in view and "b" not in view.keys()
+        assert "b" not in view and "b" not in view.keys()
         assert view.get("b") is None and view.get("b", 7) == 7
         with pytest.raises(KeyError):
             view["b"]
         assert made == []
-        assert view.get("d") == 30.0 and len(made) == 1
+        assert "a" in view and len(made) == 1
+        assert view.get("d") == 30.0 and len(made) == 2
 
     def test_values_and_items_walk_the_index_in_order_one_value_per_read(self):
         view, made = self.counted_view()
@@ -100,14 +103,37 @@ class TestRowView:
         assert list(view) == ["c", "a", "d"] and len(view.values()) == len(view.items()) == 3
         assert ("a", 3.0) in view.items() and ("b", 3.0) not in view.items() and 30.0 in view.values()
 
-    def test_report_vector_membership_builds_no_bloch_vector(self, monkeypatch):
+    def test_report_vector_missing_key_builds_no_bloch_vector(self, monkeypatch):
         vectors = symmetry_report(n_qubit_ejm(EjmParams(0.8, 0.3, 1.0, 0.5), 3)).vectors
         made = []
         monkeypatch.setattr(ejm.analysis, "BlochVector", lambda *xyz: made.append(xyz))
-        assert (BasisLabel(3, (), 1), 3) in vectors and (BasisLabel(3, (), 1), 4) not in vectors
+        missing = (BasisLabel(3, (), 1), 4)
+        assert missing not in vectors and vectors.get(missing) is None
+        with pytest.raises(KeyError):
+            vectors[missing]
         assert made == []
+        assert (BasisLabel(3, (), 1), 3) in vectors and len(made) == 1
         vectors[BasisLabel(3, (), 1), 3]
-        assert len(made) == 1
+        assert len(made) == 2
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_states_and_report_vectors_read_alike_every_way(self, n):
+        # in, get, values() and items() agree with [] in key order, and a key
+        # the index lacks is missing from all of them.
+        family = n_qubit_ejm(EjmParams(-0.8, 0.3, 1.0, 0.5), n)
+        states, vectors = family.states, symmetry_report(family).vectors
+        for view, missing, same in [
+            (states, BasisLabel(4), lambda a, b: a.amplitudes.tobytes() == b.amplitudes.tobytes()),
+            (vectors, (BasisLabel(0, (0,) * (n // 2 - 1), 0 if n % 2 else None), n + 1), lambda a, b: a == b),
+        ]:
+            keys = list(view)
+            assert len(keys) == len(view) and list(view.keys()) == keys
+            walked = zip(keys, view.values(), view.items(), strict=True)
+            for key, value, (item_key, item_value) in walked:
+                expected = view[key]
+                assert item_key == key and same(value, expected) and same(item_value, expected)
+                assert key in view and same(view.get(key), expected)
+            assert missing not in view and view.get(missing) is None and view.get(missing, 7) == 7
 
 
 class TestCheckNormalized:

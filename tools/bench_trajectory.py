@@ -18,8 +18,11 @@ over all those pairs, the noise floor that the committed files show.
 
 A third table gives the count shifts: a row per file, workload and traced
 per-layer ``*.count`` whose change value differs from the parent's by more
-than ``COUNT_SHIFT`` of it, so the calls a change removed or added show
-beside its verdicts.
+than ``COUNT_SHIFT`` of it and by at least one call per round, so the calls
+a change removed or added show beside its verdicts.  A traced count is a
+per-round average over the workload's mix of rounds, and a run stops at a
+different point of the mix on each side, so on unchanged code it can move
+by a fraction of a call.
 """
 
 from __future__ import annotations
@@ -94,14 +97,15 @@ def noise_floor(root: Path) -> list[str]:
 def count_shifts(root: Path) -> list[str]:
     """The header, then a row per BENCH file under root, workload and traced
     per-layer count whose change value differs from the parent's by more
-    than COUNT_SHIFT of it: both values and the relative shift ("—" from 0)."""
+    than COUNT_SHIFT of it and by at least one call per round: both values
+    and the relative shift ("—" from 0)."""
     header = ["label", "workload", "count", "parent → change", "shift"]
     lines = [_row(header), "|" + "---|" * len(header)]
     for path in sorted(root.glob("BENCH_*.json"), key=_order):
         for workload, summary in json.loads(path.read_text())["workloads"].items():
             for name, values in summary["per_layer"].items():
                 old, new = values["parent"], values["change"]
-                if name.endswith(".count") and abs(new - old) > COUNT_SHIFT * abs(old):
+                if name.endswith(".count") and abs(new - old) > COUNT_SHIFT * abs(old) and abs(new - old) >= 1:
                     shift = f"{(new - old) / old:+.1%}" if old else "—"
                     lines.append(_row([path.stem.removeprefix("BENCH_"), workload, name, f"{old:.4g} → {new:.4g}", shift]))
     return lines
